@@ -1,6 +1,6 @@
 """Instance-optimal quantum state certification: simulation and validation tools."""
 
-from .certify import CertifyConfig, Verdict, basic_certify, certify, conditional_source
+from .certify import CertifyConfig, Verdict, basic_certify, certify
 from .classical import SampleCounts, chi_squared, l2_two_sample_test, l23_functional, tv_distance
 from .haar_oracle import (
     Permutation,
@@ -31,6 +31,7 @@ from .linalg import (
     trace_distance,
 )
 from .measurement import (
+    Basis,
     CopySource,
     NonadaptiveSchedule,
     Povm,

@@ -1,8 +1,11 @@
 """State certification: the basic Haar-basis tester and the bucketwise certifier.
 
-Both testers consume copies exclusively through a :class:`CopySource`
+Both testers consume copies exclusively through one :class:`CopySource`
 (physical randomness) plus an :class:`RngHandle` stream (classical
 randomness), so verdicts and copy counts are reproducible bit-for-bit.
+``certify`` works in sigma's eigenbasis on ``src.rotated(V)`` and runs its
+conditional basic tests on ``.conditional(indices)`` views of it; every view
+charges the caller's source.
 """
 
 from __future__ import annotations
@@ -15,14 +18,8 @@ import numpy as np
 
 from .classical import SampleCounts, l2_two_sample_test
 from .linalg import DensityMatrix, ValidationError, hermitian_eig
-from .measurement import (
-    BudgetExhaustedError,
-    Povm,
-    basis_povm,
-    outcome_distribution,
-    projector_povm,
-)
-from .rng import RngHandle, as_generator, haar_unitary
+from .measurement import BudgetExhaustedError, Basis, outcome_distribution, projector_povm
+from .rng import RngHandle, haar_unitary
 from .spectrum import Spectrum, bucketize_values, remove_mass_upper
 
 # Calibrated once so a single basic round has power >= 2/3 at d = 16,
@@ -95,7 +92,7 @@ def basic_certify(src, sigma: DensityMatrix, eps: float, delta: float,
     try:
         for t in range(rounds):
             gen = rng.child(t).generator()
-            m = basis_povm(haar_unitary(d, gen))
+            m = Basis(haar_unitary(d, gen))
             measured = SampleCounts(src.measure_batch(m, n_copies, gen))
             reference = SampleCounts(gen.multinomial(n_copies, outcome_distribution(sigma, m)))
             if not l2_two_sample_test(measured, reference, l2_gap):
@@ -106,67 +103,6 @@ def basic_certify(src, sigma: DensityMatrix, eps: float, delta: float,
     return Verdict(answer, src.copies_used - start, {
         "rounds": rounds, "rejections": rejections, "copies_per_round": n_copies,
     })
-
-
-class ConditionalCopySource:
-    """View of a parent source restricted to a coordinate subset.
-
-    A measurement of the conditional state Pi rho Pi / Tr(Pi rho Pi) is
-    realized by refining the requested POVM with the complement projector
-    and discarding complement outcomes; every physical copy consumed,
-    including discards, is charged to the parent.
-    """
-
-    def __init__(self, parent, indices):
-        self.parent = parent
-        self.indices = np.asarray(indices, dtype=int)
-        if self.indices.size == 0:
-            raise ValidationError("conditional subset must be nonempty")
-
-    @property
-    def dim(self) -> int:
-        return int(self.indices.size)
-
-    @property
-    def copies_used(self) -> int:
-        return self.parent.copies_used
-
-    def _embed(self, m: Povm) -> Povm:
-        d = self.parent.dim
-        k = len(m)
-        embedded = np.zeros((k + 1, d, d), dtype=complex)
-        ix = np.ix_(self.indices, self.indices)
-        for z in range(k):
-            embedded[z][ix] = m.elements[z]
-        embedded[k] = np.eye(d) - embedded[:k].sum(axis=0)
-        return Povm(embedded, list(m.labels) + ["__discard__"], _validated=True)
-
-    def measure(self, m: Povm, rng):
-        gen = as_generator(rng)
-        refined = self._embed(m)
-        while True:
-            outcome = self.parent.measure(refined, gen)
-            if outcome != "__discard__":
-                return outcome
-
-    def measure_batch(self, m: Povm, n: int, rng) -> np.ndarray:
-        """n accepted outcomes; discarded copies are simulated exactly and charged."""
-        gen = as_generator(rng)
-        p_full = outcome_distribution(self.parent.state, self._embed(m))
-        accept = float(p_full[:-1].sum())
-        if accept <= 0:
-            raise BudgetExhaustedError("conditional acceptance probability is zero")
-        if accept < 1.0 - 1e-12:
-            discards = int(gen.negative_binomial(n, accept))
-        else:
-            discards = 0
-        self.parent._charge(n + discards)
-        return gen.multinomial(n, p_full[:-1] / accept)
-
-
-def conditional_source(src, projector_indices) -> ConditionalCopySource:
-    """Public constructor for the rejection-sampling view."""
-    return ConditionalCopySource(src, projector_indices)
 
 
 def _fraction_test(src, indices, n: int, rng) -> float:
@@ -194,35 +130,6 @@ def _diagonalize(sigma: DensityMatrix) -> _Plan:
     return _Plan(Spectrum(lam / lam.sum()), vec)
 
 
-class _RotatedSource:
-    """Measures the parent with V M V^dagger so tests can work in sigma's eigenbasis."""
-
-    def __init__(self, parent, v: np.ndarray):
-        self.parent = parent
-        self.v = v
-
-    @property
-    def dim(self):
-        return self.parent.dim
-
-    @property
-    def copies_used(self):
-        return self.parent.copies_used
-
-    @property
-    def state(self):
-        return DensityMatrix(self.v.conj().T @ self.parent.state.mat @ self.v)
-
-    def _charge(self, n):
-        self.parent._charge(n)
-
-    def measure(self, m: Povm, rng):
-        return self.parent.measure(m.conjugated(self.v), rng)
-
-    def measure_batch(self, m: Povm, n: int, rng):
-        return self.parent.measure_batch(m.conjugated(self.v), n, rng)
-
-
 def certify(src, sigma: DensityMatrix, eps: float, delta: float,
             cfg: CertifyConfig = DEFAULT_CONFIG, rng: RngHandle | None = None) -> Verdict:
     """Bucketwise certifier: YES if rho = sigma, NO if ||rho - sigma||_1 > eps.
@@ -241,7 +148,7 @@ def certify(src, sigma: DensityMatrix, eps: float, delta: float,
 
     plan = _diagonalize(sigma)
     if plan.rotation is not None:
-        src = _RotatedSource(src, plan.rotation)
+        src = src.rotated(plan.rotation)
     spec = plan.spectrum
     d = spec.dim
 
@@ -280,7 +187,7 @@ def certify(src, sigma: DensityMatrix, eps: float, delta: float,
                 continue
             eps_prime = eps / (20 * m_factor**2 * bucket_trace)
             eps_hs = min(eps_prime / math.sqrt(len(idx)), 2.0)
-            cond = conditional_source(src, idx)
+            cond = src.conditional(idx)
             sub_sigma = DensityMatrix.from_diagonal(lam[idx] / bucket_trace)
             verdict = basic_certify(cond, sub_sigma, eps_hs, delta / m_factor, cfg,
                                     rng=gen.child("basic"))
@@ -311,7 +218,7 @@ def certify(src, sigma: DensityMatrix, eps: float, delta: float,
                 continue
             eps_second = eps / (10 * m_factor**2 * pair_trace)
             eps_hs = min(eps_second / math.sqrt(len(idx)), 2.0)
-            cond = conditional_source(src, idx)
+            cond = src.conditional(idx)
             sub_sigma = DensityMatrix.from_diagonal(lam[idx] / pair_trace)
             verdict = basic_certify(cond, sub_sigma, eps_hs, delta / m_factor**2, cfg,
                                     rng=gen.child("basic"))

@@ -50,6 +50,8 @@ from .spectrum import (
 def make_spectrum(family: str, d: int, rank: int | None = None, ratio: float = 0.5,
                   path: str | None = None) -> Spectrum:
     """Reference-state families used across the experiments."""
+    if family != "file" and d < 1:
+        raise ValidationError(f"--d must be >= 1, got {d}")
     if family == "mm":
         return Spectrum(np.full(d, 1.0 / d))
     if family == "rank-mm":
@@ -240,7 +242,13 @@ def minimal_copies(d: int, eps: float, seed: int, trials: int, target: float,
 
 
 def cmd_sweep(args) -> int:
-    dims = [int(x) for x in args.d_list.split(",")]
+    try:
+        dims = [int(x) for x in args.d_list.split(",")]
+    except ValueError:
+        raise ValidationError(
+            f"--d-list must be comma-separated integers, got {args.d_list!r}") from None
+    if min(dims) < 1:
+        raise ValidationError(f"--d-list entries must be >= 1, got {args.d_list!r}")
     rows = []
     for d in dims:
         n = minimal_copies(d, args.eps, args.seed, args.trials, args.target)
@@ -463,6 +471,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.threads < 1:
+            raise ValidationError(f"--threads must be >= 1, got {args.threads}")
         return args.func(args)
     except ValidationError as exc:
         parser.exit(2, f"qcert: {exc}\n")

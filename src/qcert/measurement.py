@@ -61,20 +61,38 @@ class Povm:
     def __len__(self):
         return self.elements.shape[0]
 
-    def conjugated(self, v: np.ndarray) -> "Povm":
-        """The POVM with every element mapped to V M V^dagger."""
-        rotated = np.einsum("ij,zjk,lk->zil", v, self.elements, v.conj())
-        return Povm(rotated, self.labels, _validated=True)
+    def weights(self, block: np.ndarray) -> np.ndarray:
+        """Unvalidated Born weights <M_z, block> of a dim x dim matrix."""
+        return np.einsum("zij,ji->z", self.elements, block).real
+
+
+class Basis:
+    """Rank-1 measurement in the orthonormal basis of a unitary's columns.
+
+    Held as the unitary itself, so the Born weights of a k x k block cost
+    O(k^2) memory where the equivalent dense ``basis_povm(u)`` costs O(k^3).
+    Outcome z is the z-th column.
+    """
+
+    __slots__ = ("u", "dim")
+
+    def __init__(self, u):
+        mat = np.asarray(u, dtype=complex)
+        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+            raise ValidationError(f"expected a square matrix, got {mat.shape}")
+        if np.abs(mat.conj().T @ mat - np.eye(mat.shape[0])).max() > 1e-10:
+            raise ValidationError("matrix is not unitary within 1e-10")
+        self.u = mat
+        self.dim = mat.shape[0]
+
+    def weights(self, block: np.ndarray) -> np.ndarray:
+        """Unvalidated Born weights <u_z| block |u_z> of a dim x dim matrix."""
+        return np.real(np.sum(self.u.conj() * (block @ self.u), axis=0))
 
 
 def basis_povm(u) -> Povm:
     """Rank-1 POVM from the columns of a unitary: elements |u_i><u_i|."""
-    mat = np.asarray(u, dtype=complex)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValidationError(f"expected a square matrix, got {mat.shape}")
-    if np.abs(mat.conj().T @ mat - np.eye(mat.shape[0])).max() > 1e-10:
-        raise ValidationError("matrix is not unitary within 1e-10")
-    cols = mat.T  # row k is the k-th column vector
+    cols = Basis(u).u.T  # row k is the k-th column vector
     elements = np.einsum("zi,zj->zij", cols, cols.conj())
     return Povm(elements, _validated=True)
 
@@ -87,17 +105,22 @@ def projector_povm(indices, dim: int, labels=("inside", "outside")) -> Povm:
     return Povm(np.stack([pi, np.eye(dim) - pi]), list(labels), _validated=True)
 
 
-def outcome_distribution(rho, m: Povm) -> np.ndarray:
-    """Born-rule outcome probabilities <M_z, rho>."""
-    mat = _mat(rho)
+def _weights(mat: np.ndarray, m: Povm | Basis, *, total: bool = True) -> np.ndarray:
+    """Born weights of ``mat`` under ``m``, validated as nonnegative within 1e-9
+    and, when ``total``, as summing to 1 within 1e-9."""
     if mat.shape[0] != m.dim:
         raise ValidationError(f"state dim {mat.shape[0]} != POVM dim {m.dim}")
-    p = np.einsum("zij,ji->z", m.elements, mat).real
-    if p.min() < -1e-9 or abs(p.sum() - 1.0) > 1e-9:
+    p = m.weights(mat)
+    if p.min() < -1e-9 or (total and abs(p.sum() - 1.0) > 1e-9):
         raise ValidationError(
             f"invalid outcome distribution (min {p.min():.2e}, sum {p.sum():.12f})"
         )
     return p
+
+
+def outcome_distribution(rho, m: Povm | Basis) -> np.ndarray:
+    """Born-rule outcome probabilities <M_z, rho>."""
+    return _weights(_mat(rho), m)
 
 
 def _sampling_probs(p: np.ndarray) -> np.ndarray:
@@ -108,40 +131,77 @@ def _sampling_probs(p: np.ndarray) -> np.ndarray:
 class CopySource:
     """Budget-tracked oracle yielding measurement outcomes on fresh copies.
 
-    The hidden state is only ever touched through ``measure``/``measure_batch``;
-    every consumed copy increments the counter, and exceeding the budget
-    raises :class:`BudgetExhaustedError`.
+    The hidden state is only ever touched through ``measure_batch``; every
+    consumed copy increments the counter, and exceeding the budget raises
+    :class:`BudgetExhaustedError`. ``conditional`` and ``rotated`` return
+    views that share this source's counter and budget.
     """
 
     def __init__(self, state: DensityMatrix, budget: int | None = None):
         self.state = state
         self.budget = budget
-        self.copies_used = 0
+        self._root = self
+        self._indices = None  # conditioning subset of a conditional view
+        self._copies = 0
+
+    def _view(self, state: DensityMatrix, indices) -> "CopySource":
+        view = CopySource(state, self.budget)
+        view._root = self._root
+        view._indices = indices
+        return view
+
+    def conditional(self, indices) -> "CopySource":
+        """View measuring the conditional state Pi rho Pi / Tr(Pi rho Pi).
+
+        Pi projects onto the coordinates ``indices`` of the full state. Each
+        copy is first measured with {Pi, I - Pi}; copies landing outside are
+        discarded, and every physical copy, discards included, is charged.
+        """
+        idx = np.asarray(indices, dtype=int)
+        if idx.size == 0:
+            raise ValidationError("conditional subset must be nonempty")
+        if idx.min() < 0 or idx.max() >= self.state.dim:
+            raise ValidationError(f"conditional subset must lie in 0..{self.state.dim - 1}")
+        return self._view(self.state, idx)
+
+    def rotated(self, v: np.ndarray) -> "CopySource":
+        """View of the state V^dagger rho V: measuring M on it measures V M V^dagger on rho."""
+        return self._view(DensityMatrix(v.conj().T @ self.state.mat @ v), self._indices)
 
     @property
     def dim(self) -> int:
-        return self.state.dim
+        return self.state.dim if self._indices is None else int(self._indices.size)
+
+    @property
+    def copies_used(self) -> int:
+        return self._root._copies
 
     def _charge(self, n: int):
-        if self.budget is not None and self.copies_used + n > self.budget:
+        root = self._root
+        if root.budget is not None and root._copies + n > root.budget:
             raise BudgetExhaustedError(
-                f"budget {self.budget} exhausted (used {self.copies_used}, requested {n})"
+                f"budget {root.budget} exhausted (used {root._copies}, requested {n})"
             )
-        self.copies_used += n
+        root._copies += n
 
-    def measure(self, m: Povm, rng):
-        """Measure one copy; returns the outcome label."""
-        self._charge(1)
-        p = _sampling_probs(outcome_distribution(self.state, m))
+    def measure_batch(self, m: Povm | Basis, n: int, rng) -> np.ndarray:
+        """n accepted outcomes; returns counts aligned with m's outcomes.
+
+        On a conditional view the discards before the n accepted copies are
+        drawn exactly, as one negative binomial, and charged with them.
+        """
         gen = as_generator(rng)
-        k = int(np.searchsorted(np.cumsum(p), gen.random(), side="right"))
-        return m.labels[min(k, len(m.labels) - 1)]
-
-    def measure_batch(self, m: Povm, n: int, rng) -> np.ndarray:
-        """Measure n copies at once; returns outcome counts aligned with m.labels."""
-        self._charge(n)
-        p = _sampling_probs(outcome_distribution(self.state, m))
-        return as_generator(rng).multinomial(n, p)
+        if self._indices is None:
+            p = outcome_distribution(self.state, m)
+            discards = 0
+        else:
+            p = _weights(self.state.mat[np.ix_(self._indices, self._indices)], m, total=False)
+            accept = float(p.sum())
+            if accept <= 0:
+                raise BudgetExhaustedError("conditional acceptance probability is zero")
+            discards = int(gen.negative_binomial(n, accept)) if accept < 1.0 - 1e-12 else 0
+        self._charge(n + discards)
+        return gen.multinomial(n, _sampling_probs(p))
 
 
 @dataclass
@@ -231,8 +291,8 @@ def phi(m: Povm, rho, rho_u, rho_v) -> float:
     error is raised.
     """
     p0 = outcome_distribution(rho, m)
-    pu = np.einsum("zij,ji->z", m.elements, _mat(rho_u)).real
-    pv = np.einsum("zij,ji->z", m.elements, _mat(rho_v)).real
+    pu = m.weights(_mat(rho_u))
+    pv = m.weights(_mat(rho_v))
     total = 0.0
     for z in range(len(m)):
         if p0[z] <= PROB_FLOOR:

@@ -1,20 +1,22 @@
 import numpy as np
 import pytest
 
-from qcert.certify import (
-    CertifyConfig,
-    Verdict,
-    basic_certify,
-    certify,
-    conditional_source,
-)
+from qcert.certify import CertifyConfig, Verdict, basic_certify, certify
+from qcert.cli import hidden_state
 from qcert.instances import build_offdiag, plan_offdiag, sample_paninski, tune_paninski
-from qcert.linalg import DensityMatrix
-from qcert.measurement import BudgetExhaustedError, CopySource, basis_povm
+from qcert.linalg import DensityMatrix, ValidationError
+from qcert.measurement import (
+    Basis,
+    BudgetExhaustedError,
+    CopySource,
+    Povm,
+    basis_povm,
+    outcome_distribution,
+)
 from qcert.rng import RngHandle, haar_unitary
 from qcert.spectrum import Spectrum
 
-from conftest import rng_for
+from conftest import random_density, rng_for
 
 
 CFG = CertifyConfig(seed=7)
@@ -23,6 +25,20 @@ CFG = CertifyConfig(seed=7)
 def two_bucket_sigma():
     lam = np.array([0.16, 0.16, 0.16, 0.16, 0.119, 0.119, 0.119, 0.003])
     return Spectrum(lam), DensityMatrix.from_diagonal(lam)
+
+
+def embedded_reference(rho: DensityMatrix, idx, u):
+    """Law and acceptance of a conditional basis measurement, computed from
+    the dense (k+1, d, d) POVM: |u_z><u_z| on the subset block, plus the
+    discard element I - sum."""
+    d, k = rho.dim, len(idx)
+    embedded = np.zeros((k + 1, d, d), dtype=complex)
+    for z, element in enumerate(basis_povm(u).elements):
+        embedded[z][np.ix_(idx, idx)] = element
+    embedded[k] = np.eye(d) - embedded[:k].sum(axis=0)
+    p_full = outcome_distribution(rho, Povm(embedded))
+    accept = p_full[:-1].sum()
+    return p_full[:-1] / accept, accept
 
 
 def scaled_paninski_hs(sigma: DensityMatrix, target_hs: float, rng) -> DensityMatrix:
@@ -97,7 +113,7 @@ class TestConditionalSource:
     def test_full_projector_passthrough(self):
         sigma = DensityMatrix.maximally_mixed(4)
         src = CopySource(sigma)
-        cond = conditional_source(src, range(4))
+        cond = src.conditional(range(4))
         counts = cond.measure_batch(basis_povm(np.eye(4, dtype=complex)), 100,
                                     rng_for("cert", "pass"))
         assert counts.sum() == 100
@@ -107,15 +123,15 @@ class TestConditionalSource:
         lam = np.zeros(4)
         lam[0] = 1.0
         src = CopySource(DensityMatrix.from_diagonal(lam))
-        cond = conditional_source(src, [0])
+        cond = src.conditional([0])
         m = basis_povm(np.eye(1, dtype=complex))
-        label = cond.measure(m, rng_for("cert", "aligned"))
-        assert label == 0 and src.copies_used == 1
+        counts = cond.measure_batch(m, 1, rng_for("cert", "aligned"))
+        assert counts.tolist() == [1] and src.copies_used == 1
 
     def test_discard_rate(self):
         lam = np.array([0.3, 0.3, 0.2, 0.2])
         src = CopySource(DensityMatrix.from_diagonal(lam))
-        cond = conditional_source(src, [0, 1])
+        cond = src.conditional([0, 1])
         n = 10_000
         cond.measure_batch(basis_povm(np.eye(2, dtype=complex)), n, rng_for("cert", "disc"))
         physical = src.copies_used
@@ -127,7 +143,7 @@ class TestConditionalSource:
     def test_conditional_outcome_law(self):
         lam = np.array([0.5, 0.25, 0.125, 0.125])
         src = CopySource(DensityMatrix.from_diagonal(lam))
-        cond = conditional_source(src, [0, 1])
+        cond = src.conditional([0, 1])
         counts = cond.measure_batch(basis_povm(np.eye(2, dtype=complex)), 50_000,
                                     rng_for("cert", "law"))
         freq = counts / counts.sum()
@@ -136,10 +152,41 @@ class TestConditionalSource:
     def test_budget_charged_for_discards(self):
         lam = np.array([0.01, 0.99])
         src = CopySource(DensityMatrix.from_diagonal(lam), budget=50)
-        cond = conditional_source(src, [0])
+        cond = src.conditional([0])
         with pytest.raises(BudgetExhaustedError):
             for _ in range(50):
-                cond.measure(basis_povm(np.eye(1, dtype=complex)), rng_for("cert", "bud"))
+                cond.measure_batch(basis_povm(np.eye(1, dtype=complex)), 1,
+                                   rng_for("cert", "bud"))
+
+    @pytest.mark.parametrize("indices", [[], [-1], [0, 4]])
+    def test_subset_outside_the_state_rejected(self, indices):
+        with pytest.raises(ValidationError):
+            CopySource(DensityMatrix.maximally_mixed(4)).conditional(indices)
+
+    def test_zero_acceptance_raises_without_charge(self):
+        src = CopySource(DensityMatrix.from_diagonal([0.5, 0.5, 0.0]))
+        with pytest.raises(BudgetExhaustedError):
+            src.conditional([2]).measure_batch(Basis(np.eye(1)), 1, rng_for("cert", "zero"))
+        assert src.copies_used == 0
+
+    @pytest.mark.parametrize("d", [1, 2, 7, 32])
+    def test_law_and_acceptance_match_embedded_povm(self, d):
+        gen = rng_for("cert", "embed", d)
+        rho = random_density(d, gen)
+        idx = np.sort(gen.choice(d, size=(d + 1) // 2, replace=False))
+        u = haar_unitary(len(idx), gen)
+        law, accept = embedded_reference(rho, idx, u)
+        weights = Basis(u).weights(rho.mat[np.ix_(idx, idx)])
+        assert abs(weights.sum() - accept) <= 1e-12
+        assert np.abs(weights / weights.sum() - law).max() <= 1e-12
+        # the view draws its discards, then its counts, from that law and acceptance
+        n = 1000
+        src = CopySource(rho)
+        counts = src.conditional(idx).measure_batch(Basis(u), n, rng_for("cert", "draw", d))
+        ref = rng_for("cert", "draw", d)
+        discards = int(ref.negative_binomial(n, accept)) if accept < 1.0 - 1e-12 else 0
+        assert src.copies_used == n + discards
+        assert counts.tolist() == ref.multinomial(n, law).tolist()
 
 
 class TestCertify:
@@ -238,6 +285,22 @@ class TestCertify:
                         rng=RngHandle(8).child("pr", t))
             wrong += v.answer != "NO"
         assert wrong <= 1
+
+    def test_pinned_seed_verdicts_and_copies(self):
+        """Fixed seeds give fixed verdicts and copy counts, and conjugating
+        both sigma and rho by one Haar unitary changes neither."""
+        lam = np.arange(1, 17, dtype=float)
+        spec = Spectrum(lam / lam.sum())
+        sigma = DensityMatrix.from_diagonal(spec.lambdas)
+        cfg = CertifyConfig(eps=0.3, delta=0.2)
+        h = RngHandle(0).child("g", 16)
+        rho = hidden_state("offdiag", spec, 0.3, h.child("state"))
+        v = haar_unitary(16, h.child("basis").generator())
+        for conj in (lambda s: s, lambda s: DensityMatrix(v @ s.mat @ v.conj().T)):
+            for state, want in ((sigma, ("YES", 2731284039248)), (rho, ("NO", 734819872189))):
+                verdict = certify(CopySource(conj(state)), conj(sigma), 0.3, 0.2, cfg,
+                                  rng=h.child("algo"))
+                assert (verdict.answer, verdict.copies_used) == want
 
     def test_verdict_serializes(self):
         import json

@@ -45,6 +45,19 @@ class TestCertifyCommand:
             main(["certify", "--trials", "0"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["certify", "--d", "0"],
+        ["sweep", "--d-list", "0"],
+        ["sweep", "--d-list", "4,x"],
+        ["certify", "--threads", "0"],
+        ["verify", "--threads", "-1"],
+    ])
+    def test_out_of_range_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert capsys.readouterr().err.startswith("qcert: ")
+
     def test_basic_null_run_deterministic(self, capsys):
         args = ["certify", "--algorithm", "basic", "--family", "mm", "--d", "4",
                 "--eps", "0.4", "--delta", "0.3", "--trials", "4", "--seed", "5",

@@ -4,6 +4,7 @@ import pytest
 from qcert.instances import sample_paninski, tune_paninski
 from qcert.linalg import DensityMatrix, ValidationError
 from qcert.measurement import (
+    Basis,
     BudgetExhaustedError,
     CopySource,
     NonadaptiveSchedule,
@@ -65,6 +66,16 @@ class TestPovm:
             basis_povm(np.ones((2, 2)))
 
 
+class TestBasis:
+    @pytest.mark.parametrize("d", [1, 2, 7, 32])
+    def test_weights_match_dense_povm(self, d):
+        gen = rng_for("meas", "basis-kernel", d)
+        u = haar_unitary(d, gen)
+        rho = random_density(d, gen)
+        dense = np.einsum("zij,ji->z", basis_povm(u).elements, rho.mat).real
+        assert np.abs(Basis(u).weights(rho.mat) - dense).max() <= 1e-12
+
+
 class TestOutcomeDistribution:
     def test_identity_povm(self):
         m = Povm(np.eye(2, dtype=complex)[None])
@@ -92,13 +103,13 @@ class TestCopySource:
     def test_deterministic_povm_single_outcome(self):
         src = CopySource(DensityMatrix.maximally_mixed(2))
         m = Povm(np.eye(2, dtype=complex)[None])
-        assert src.measure(m, rng_for("meas", "det")) == 0
+        assert src.measure_batch(m, 1, rng_for("meas", "det")).tolist() == [1]
         assert src.copies_used == 1
 
     def test_budget_zero_errors(self):
         src = CopySource(DensityMatrix.maximally_mixed(2), budget=0)
         with pytest.raises(BudgetExhaustedError):
-            src.measure(Povm(np.eye(2, dtype=complex)[None]), rng_for("meas", "b0"))
+            src.measure_batch(Povm(np.eye(2, dtype=complex)[None]), 1, rng_for("meas", "b0"))
 
     def test_batch_counts_budget(self):
         src = CopySource(DensityMatrix.maximally_mixed(2), budget=10)
@@ -106,7 +117,7 @@ class TestCopySource:
         counts = src.measure_batch(m, 10, rng_for("meas", "batch"))
         assert counts.sum() == 10 and src.copies_used == 10
         with pytest.raises(BudgetExhaustedError):
-            src.measure(m, rng_for("meas", "batch2"))
+            src.measure_batch(m, 1, rng_for("meas", "batch2"))
 
     def test_empirical_frequencies(self):
         lam = [0.55, 0.25, 0.2]
