@@ -176,6 +176,8 @@ def _one_certify_trial(packed) -> dict:
 def cmd_certify(args) -> int:
     if args.trials < 1:
         raise ValidationError("--trials must be >= 1")
+    if args.budget is not None and args.budget < 0:
+        raise ValidationError(f"--budget must be >= 0, got {args.budget}")
     spec = make_spectrum(args.family, args.d, args.rank, args.ratio, args.input)
     jobs = [
         (t, args.family, list(spec.lambdas), args.hidden, args.eps, args.delta,
@@ -242,6 +244,8 @@ def minimal_copies(d: int, eps: float, seed: int, trials: int, target: float,
 
 
 def cmd_sweep(args) -> int:
+    if args.trials < 1:
+        raise ValidationError(f"--trials must be >= 1, got {args.trials}")
     try:
         dims = [int(x) for x in args.d_list.split(",")]
     except ValueError:

@@ -3,6 +3,21 @@
 These are the ground-truth routes used to validate the Monte Carlo moment
 estimates and the mixture-vs-product divergence bounds on instances small
 enough to enumerate.
+
+The Weingarten layer works on the characters of S_k, so its cost grows with
+the number of partitions of k, not with k!. The characters chi_lam(mu) come
+from the Murnaghan-Nakayama rule, chi_lam(1) from the hook-length formula and
+s_lam(1^d) from the hook-content formula. With them (Collins & Sniady,
+Comm. Math. Phys. 264, 2006)
+
+    Wg(mu, d) = (1/k!^2) sum_{lam |- k, l(lam) <= d} chi_lam(1)^2 chi_lam(mu) / s_lam(1^d)
+
+and, with p_i = Tr(M^i) and s_lam(M) = sum_mu chi_lam(mu) p_mu(M) / z_mu,
+
+    E_U[Tr(A U^dag B U)^k] = sum_lam chi_lam(1) s_lam(A) s_lam(B) / s_lam(1^d),
+
+which is the Weingarten double sum over S_k x S_k regrouped by irreducible
+characters.
 """
 
 from __future__ import annotations
@@ -10,6 +25,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -64,23 +80,95 @@ def _cycle_type(one_line: tuple[int, ...]) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _group(order: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(itertools.permutations(range(order)))
+def _partitions(k: int) -> tuple[tuple[int, ...], ...]:
+    """Partitions of k in descending parts, from (k,) down to (1,) * k."""
+
+    def descending(n: int, largest: int):
+        if n == 0:
+            yield ()
+            return
+        for first in range(min(n, largest), 0, -1):
+            for rest in descending(n - first, first):
+                yield (first,) + rest
+
+    return tuple(descending(k, k))
 
 
 @lru_cache(maxsize=None)
-def _relative_cycle_table(order: int) -> np.ndarray:
-    """cycles[a, b] = number of cycles of pi_a * pi_b^{-1}."""
-    perms = _group(order)
-    index = {p: k for k, p in enumerate(perms)}
-    n = len(perms)
-    table = np.zeros((n, n), dtype=np.int64)
-    for b, pb in enumerate(perms):
-        inv = Permutation(pb).inverse()
-        for a, pa in enumerate(perms):
-            rel = Permutation(pa).compose(inv)
-            table[a, b] = len(_cycle_type(rel.one_line))
+def _character(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
+    """chi_lam on cycle type mu, by the Murnaghan-Nakayama rule on beta-numbers.
+
+    With beta_i = lam_i + len(lam) - 1 - i, removing a rim hook of length r
+    moves one beta-number b to a free slot b - r >= 0. The hook's leg length
+    is the number of beta-numbers strictly between b - r and b.
+    """
+    if not mu:
+        return 1
+    r, rest = mu[0], mu[1:]
+    n = len(lam)
+    beta = [part + n - 1 - i for i, part in enumerate(lam)]
+    total = 0
+    for b in beta:
+        if b < r or b - r in beta:
+            continue
+        leg = sum(b - r < c < b for c in beta)
+        moved = sorted((b - r if c == b else c for c in beta), reverse=True)
+        smaller = tuple(p for p in (c - (n - 1 - i) for i, c in enumerate(moved)) if p)
+        total += (-1) ** leg * _character(smaller, rest)
+    return total
+
+
+@lru_cache(maxsize=None)
+def _character_table(k: int) -> np.ndarray:
+    """chi[i, j] = chi_lam(mu) for lam = _partitions(k)[i], mu = _partitions(k)[j]."""
+    parts = _partitions(k)
+    table = np.array([[_character(lam, mu) for mu in parts] for lam in parts], dtype=np.int64)
+    table.flags.writeable = False  # shared by every caller of the cache
     return table
+
+
+def _hooks_and_contents(lam: tuple[int, ...]) -> list[tuple[int, int]]:
+    """(hook length, content j - i) of every cell (i, j) of the Young diagram of lam."""
+    column_heights = [sum(part > j for part in lam) for j in range(lam[0])]
+    return [(part - j + column_heights[j] - i - 1, j - i)
+            for i, part in enumerate(lam) for j in range(part)]
+
+
+def _dimension(lam: tuple[int, ...]) -> int:
+    """chi_lam(1) = k! / prod of the hook lengths (hook-length formula)."""
+    hooks = math.prod(h for h, _ in _hooks_and_contents(lam))
+    return math.factorial(sum(lam)) // hooks
+
+
+def _content_product(lam: tuple[int, ...], d: int) -> int:
+    """prod over cells of (d + content).
+
+    By the hook-content and hook-length formulas,
+    s_lam(1^d) = prod (d + content) / prod hook = chi_lam(1) * this / k!.
+    """
+    return math.prod(d + c for _, c in _hooks_and_contents(lam))
+
+
+def _centralizer(mu: tuple[int, ...]) -> int:
+    """z_mu = prod_i i^{m_i} m_i!, where m_i counts the parts of mu equal to i."""
+    return math.prod(i**m * math.factorial(m) for i, m in Counter(mu).items())
+
+
+def _check_order(order: int, d: int) -> None:
+    if order < 1 or order > MAX_ORDER:
+        raise ValidationError(f"order must be in 1..{MAX_ORDER}, got {order}")
+    if d < order:
+        raise ValidationError(f"need d >= order (d={d}, order={order})")
+
+
+def _power_traces(mat: np.ndarray, n: int) -> list[float]:
+    """[Tr(M), Tr(M^2), ..., Tr(M^n)]."""
+    acc = np.eye(mat.shape[0], dtype=complex)
+    out = []
+    for _ in range(n):
+        acc = acc @ mat
+        out.append(float(np.trace(acc).real))
+    return out
 
 
 class WeingartenTable:
@@ -107,23 +195,23 @@ class WeingartenTable:
 
 @lru_cache(maxsize=None)
 def weingarten_table(order: int, d: int) -> WeingartenTable:
-    """Invert the Gram matrix G[a, b] = d^{#cycles(pi_a pi_b^{-1})} at the identity row.
+    """Wg(mu, d) for every cycle type mu of S_order, from the characters of S_order.
 
-    Requires d >= order so the Gram matrix is invertible.
+    Evaluates (1/k!^2) sum_lam chi_lam(1)^2 chi_lam(mu) / s_lam(1^d), which is
+    sum_lam chi_lam(1) chi_lam(mu) / (k! prod_cells (d + content)), once per
+    cycle type. The sum is taken exactly over a common integer denominator,
+    so each value is rounded to float once. Requires d >= order, so every
+    partition lam has at most d parts and s_lam(1^d) > 0.
     """
-    if order < 1 or order > MAX_ORDER:
-        raise ValidationError(f"order must be in 1..{MAX_ORDER}, got {order}")
-    if d < order:
-        raise ValidationError(f"need d >= order for an invertible Gram matrix (d={d}, order={order})")
-    perms = _group(order)
-    gram = np.power(float(d), _relative_cycle_table(order))
-    identity_index = perms.index(tuple(range(order)))
-    rhs = np.zeros(len(perms))
-    rhs[identity_index] = 1.0
-    wg = np.linalg.solve(gram, rhs)
-    values: dict[tuple[int, ...], float] = {}
-    for k, p in enumerate(perms):
-        values.setdefault(_cycle_type(p), float(wg[k]))
+    _check_order(order, d)
+    parts = _partitions(order)
+    chi = _character_table(order)
+    products = [_content_product(lam, d) for lam in parts]
+    common = math.lcm(*products)
+    weights = [_dimension(lam) * (common // prod) for lam, prod in zip(parts, products)]
+    denominator = math.factorial(order) * common
+    values = {mu: sum(w * int(chi[i, j]) for i, w in enumerate(weights)) / denominator
+              for j, mu in enumerate(parts)}
     return WeingartenTable(order, d, values)
 
 
@@ -131,41 +219,35 @@ def bracket(m, perm) -> float:
     """<M>_pi = product over cycles of Tr(M^{|C|})."""
     mat = check_hermitian(m)
     cycles = perm.cycle_type if isinstance(perm, Permutation) else _cycle_type(tuple(perm))
-    powers: dict[int, float] = {}
-    acc = np.eye(mat.shape[0], dtype=complex)
-    for k in range(1, max(cycles) + 1):
-        acc = acc @ mat
-        powers[k] = float(np.trace(acc).real)
-    out = 1.0
-    for c in cycles:
-        out *= powers[c]
-    return out
+    powers = _power_traces(mat, max(cycles))
+    return math.prod(powers[c - 1] for c in cycles)
 
 
 def haar_moment(a, b, order: int, d: int | None = None) -> float:
-    """E_U[Tr(A U^dag B U)^order] as an exact double sum over S_order."""
+    """E_U[Tr(A U^dag B U)^order] as a sum over the partitions lam of order.
+
+    Computes sum_lam chi_lam(1) s_lam(A) s_lam(B) / s_lam(1^d) with
+    s_lam(M) = sum_mu chi_lam(mu) p_mu(M) / z_mu and p_i = Tr(M^i); ``d``
+    defaults to the matrix dimension and must be >= order.
+    """
     ma, mb = check_hermitian(a), check_hermitian(b)
     if ma.shape != mb.shape:
         raise ValidationError("A and B must share a dimension")
     if d is None:
         d = ma.shape[0]
-    wg = weingarten_table(order, d)
-    perms = _group(order)
-    cyc = _relative_cycle_table(order)
-    bra_a = np.array([bracket(ma, p) for p in perms])
-    bra_b = np.array([bracket(mb, p) for p in perms])
-    # value[a_idx, b_idx] = Wg of the relative permutation, looked up by cycle count is
-    # not enough (distinct cycle types share counts), so map through types.
-    wg_rel = np.empty_like(cyc, dtype=float)
-    type_cache: dict[tuple[int, ...], float] = {}
-    for bi, pb in enumerate(perms):
-        inv = Permutation(pb).inverse()
-        for ai, pa in enumerate(perms):
-            t = _cycle_type(Permutation(pa).compose(inv).one_line)
-            if t not in type_cache:
-                type_cache[t] = wg(t)
-            wg_rel[ai, bi] = type_cache[t]
-    return float(bra_a @ wg_rel @ bra_b)
+    _check_order(order, d)
+    parts = _partitions(order)
+    chi = _character_table(order)
+    z = np.array([_centralizer(mu) for mu in parts], dtype=float)
+
+    def schur(mat: np.ndarray) -> np.ndarray:
+        p = _power_traces(mat, order)
+        p_mu = np.array([math.prod(p[c - 1] for c in mu) for mu in parts])
+        return chi @ (p_mu / z)
+
+    # chi_lam(1) / s_lam(1^d) = k! / prod_cells (d + content)
+    weight = np.array([math.factorial(order) / _content_product(lam, d) for lam in parts])
+    return float(np.sum(weight * schur(ma) * schur(mb)))
 
 
 def _squared_overlap_moments_exact(m, d: int) -> tuple[float, float]:
@@ -179,7 +261,7 @@ def _squared_overlap_moments_exact(m, d: int) -> tuple[float, float]:
     ez = (tr**2 + hs2) / (d + 1)
 
     wg = weingarten_table(4, d)
-    perms = _group(4)
+    perms = list(itertools.permutations(range(4)))
     bra = {p: bracket(mat, p) for p in perms}
     # E[(u1 M u1)^4]: projector brackets are all 1.
     e4 = 0.0
@@ -234,6 +316,8 @@ def verify_moments_basic(m, samples: int, rng, bound_multiplier: float = 1.5,
     stated bound fails. The quantity to check is `ez2_exact` (order-4
     Weingarten, d >= 4), whose true scale is ||M||_HS^4/d^2.
     """
+    if samples < 1:
+        raise ValidationError(f"samples must be >= 1, got {samples}")
     mat = check_hermitian(m)
     d = mat.shape[0]
     gen = as_generator(rng)
@@ -328,6 +412,8 @@ def exact_transcript_divergence(
     p0 = _product_distribution(sigma, schedule)
 
     if callable(ensemble):
+        if param_draws < 1:
+            raise ValidationError(f"param_draws must be >= 1, got {param_draws}")
         gen = as_generator(rng)
         p1 = np.zeros_like(p0)
         for _ in range(param_draws):
@@ -387,12 +473,3 @@ def ingster_bound(phi_samples, num_copies: int) -> tuple[float, float]:
     se = float(vals.std(ddof=1) / math.sqrt(arr.size)) if arr.size > 1 else 0.0
     return est, se
 
-
-def kl_of(p, q) -> float:
-    """KL(p || q) for distributions on a common finite domain."""
-    a = np.asarray(p, float)
-    b = np.asarray(q, float)
-    mask = a > 0
-    if (b[mask] <= 0).any():
-        return math.inf
-    return float((a[mask] * np.log(a[mask] / b[mask])).sum())

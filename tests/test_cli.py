@@ -51,12 +51,23 @@ class TestCertifyCommand:
         ["sweep", "--d-list", "4,x"],
         ["certify", "--threads", "0"],
         ["verify", "--threads", "-1"],
+        ["sweep", "--trials", "0"],
+        ["certify", "--budget", "-5"],
+        ["verify", "--samples", "0"],
+        ["divergence", "--ensemble", "paninski", "--family", "mm", "--d", "4",
+         "--param-draws", "0"],
     ])
     def test_out_of_range_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as err:
             main(argv)
         assert err.value.code == 2
         assert capsys.readouterr().err.startswith("qcert: ")
+
+    def test_zero_budget_is_valid(self, capsys):
+        code, out = run_cli(["certify", "--d", "4", "--trials", "1", "--budget", "0",
+                             "--format", "json"], capsys)
+        assert code == 0
+        assert json.loads(out)["rows"][0]["verdict"] == "INCONCLUSIVE"
 
     def test_basic_null_run_deterministic(self, capsys):
         args = ["certify", "--algorithm", "basic", "--family", "mm", "--d", "4",

@@ -1,13 +1,19 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
 from qcert.haar_oracle import (
     Permutation,
+    _centralizer,
+    _character_table,
+    _dimension,
+    _partitions,
     bracket,
     exact_transcript_divergence,
     haar_moment,
     ingster_bound,
-    kl_of,
     phi_pairs_finite,
     verify_moments_basic,
     weingarten_table,
@@ -17,7 +23,7 @@ from qcert.linalg import DensityMatrix, ValidationError
 from qcert.measurement import NonadaptiveSchedule, basis_povm
 from qcert.rng import haar_unitary
 
-from conftest import random_traceless, rng_for
+from conftest import random_hermitian, random_traceless, rng_for
 
 
 class TestPermutation:
@@ -29,6 +35,39 @@ class TestPermutation:
         p = Permutation((2, 0, 1))
         q = p.compose(p.inverse())
         assert q.one_line == (0, 1, 2)
+
+
+class TestCharacters:
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_row_orthogonality(self, k):
+        # sum_mu chi_lam(mu) chi_nu(mu) / z_mu = [lam == nu], scaled by k! to stay integral
+        chi = _character_table(k)
+        class_sizes = np.array([math.factorial(k) // _centralizer(mu) for mu in _partitions(k)])
+        assert np.array_equal((chi * class_sizes) @ chi.T,
+                              math.factorial(k) * np.eye(len(chi), dtype=np.int64))
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_column_orthogonality(self, k):
+        # sum_lam chi_lam(mu) chi_lam(nu) = z_mu [mu == nu]
+        chi = _character_table(k)
+        z = [_centralizer(mu) for mu in _partitions(k)]
+        assert np.array_equal(chi.T @ chi, np.diag(z))
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_dimensions(self, k):
+        # the identity class (1^k) is the last column
+        chi = _character_table(k)
+        dims = [_dimension(lam) for lam in _partitions(k)]
+        assert list(chi[:, -1]) == dims
+        assert sum(dim**2 for dim in dims) == math.factorial(k)
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_trivial_and_sign_rows(self, k):
+        chi = _character_table(k)
+        parts = _partitions(k)
+        assert parts[0] == (k,) and parts[-1] == (1,) * k
+        assert all(chi[0] == 1)
+        assert list(chi[-1]) == [(-1) ** (k - len(mu)) for mu in parts]
 
 
 class TestWeingarten:
@@ -57,6 +96,20 @@ class TestWeingarten:
                     )
                     want = 1.0 if sigma.one_line == tuple(range(order)) else 0.0
                     assert total == pytest.approx(want, abs=1e-10)
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+    def test_matches_gram_inversion(self, order):
+        # reference: solve G w = e_id with G[a, b] = d^{#cycles(pi_a pi_b^-1)} over S_order
+        perms = [Permutation(p) for p in itertools.permutations(range(order))]
+        cycles = np.array([[len(pa.compose(pb.inverse()).cycle_type) for pb in perms]
+                           for pa in perms])
+        for d in (order, order + 1, 9):
+            rhs = np.zeros(len(perms))
+            rhs[0] = 1.0  # permutations() yields the identity first
+            wg_ref = np.linalg.solve(np.power(float(d), cycles), rhs)
+            wg = weingarten_table(order, d)
+            for p, want in zip(perms, wg_ref):
+                assert wg(p) == pytest.approx(want, rel=1e-12)
 
     def test_unsupported_range(self):
         with pytest.raises(ValidationError):
@@ -117,6 +170,61 @@ class TestHaarMoment:
         assert bracket(m, Permutation((1, 0, 2))) == pytest.approx(
             np.trace(m @ m).real * np.trace(m).real, rel=1e-12
         )
+
+
+class TestPinnedValues:
+    """Values captured from the S_k enumeration (Gram solve and a double sum over
+    S_k x S_k) that this module used before its character-based rewrite."""
+
+    MOMENTS = {
+        6: {3: 276.37733537557006, 4: 4837.007824430628, 5: 49218.27594942567,
+            6: 898329.1363504746},
+        7: {3: -139.90546919219852, 4: 4152.489555931532, 5: -24659.632382965803,
+            6: 729243.417791847},
+    }
+    WEINGARTEN_6 = {
+        6: {(1, 1, 1, 1, 1, 1): 3.760679355917451e-05, (2, 1, 1, 1, 1): -9.083178726035849e-06,
+            (3, 1, 1, 1): 4.22306969926017e-06, (2, 2, 1, 1): 2.858326271024682e-06,
+            (4, 1, 1): -2.3906869144964354e-06, (3, 2, 1): -1.6427025355596765e-06,
+            (5, 1): 1.5198279087167955e-06, (2, 2, 2): -1.2096589477541843e-06,
+            (4, 2): 1.0999068538751058e-06, (3, 3): 1.0736617879475001e-06,
+            (6,): -1.0521885521885498e-06},
+        8: {(1, 1, 1, 1, 1, 1): 4.986593114900003e-06, (2, 1, 1, 1, 1): -7.284688170931562e-07,
+            (3, 1, 1, 1): 2.1028935546131326e-07, (2, 2, 1, 1): 1.1972399538537082e-07,
+            (4, 1, 1): -7.51257365013979e-08, (3, 2, 1): -3.953583649350846e-08,
+            (5, 1): 3.035159285159285e-08, (2, 2, 2): -2.303325716024127e-08,
+            (4, 2): 1.6135515474139812e-08, (3, 3): 1.4942557931975914e-08,
+            (6,): -1.3489596822930147e-08},
+    }
+    EZ2 = {4: 18.892295377463277, 6: 31.33242094049244, 8: 68.71900870946602}
+
+    @staticmethod
+    def pair(d):
+        gen = rng_for("oracle", "pinned", d)
+        return random_hermitian(d, gen), random_hermitian(d, gen) + np.eye(d)
+
+    @pytest.mark.parametrize("d", [6, 7])
+    def test_haar_moment(self, d):
+        a, b = self.pair(d)
+        for order, want in self.MOMENTS[d].items():
+            assert haar_moment(a, b, order) == pytest.approx(want, rel=1e-12)
+
+    def test_haar_moment_explicit_dimension(self):
+        a, b = self.pair(6)
+        assert haar_moment(a, b, 4, 8) == pytest.approx(1693.3039793951402, rel=1e-12)
+
+    @pytest.mark.parametrize("d", [6, 8])
+    def test_weingarten_order_six(self, d):
+        wg = weingarten_table(6, d)
+        assert set(wg.values) == set(self.WEINGARTEN_6[d])
+        for cycle_type, want in self.WEINGARTEN_6[d].items():
+            assert wg(cycle_type) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("d", [4, 6, 8])
+    def test_exact_second_moment(self, d):
+        gen = rng_for("oracle", "pinned-ez2", d)
+        rep = verify_moments_basic(random_traceless(d, gen), 10, gen)
+        assert rep.ez2_exact == pytest.approx(self.EZ2[d], rel=1e-12)
 
 
 class TestVerifyMoments:
@@ -288,7 +396,3 @@ class TestIngster:
             rep = exact_transcript_divergence(sigma, ens, NonadaptiveSchedule(povms))
             per_copy = [ingster_bound(phi_pairs_finite(m, sigma, ens), n)[0] for m in povms]
             assert rep.chi2 <= max(per_copy) + 1e-12
-
-    def test_kl_helper(self):
-        assert kl_of([0.5, 0.5], [0.5, 0.5]) == 0.0
-        assert np.isinf(kl_of([1.0, 0.0], [0.0, 1.0]))
