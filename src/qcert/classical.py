@@ -11,64 +11,60 @@ from .linalg import ValidationError
 
 @dataclass(frozen=True)
 class SampleCounts:
-    """Histogram of N samples over a finite domain."""
+    """Histogram of N samples over a finite domain, or an (r, k) stack of them.
+
+    A stack holds one histogram per row; the testers below compare two stacks
+    row by row.
+    """
 
     counts: np.ndarray
 
     def __post_init__(self):
         c = np.asarray(self.counts, dtype=np.int64)
         object.__setattr__(self, "counts", c)
-        if c.ndim != 1 or (c < 0).any():
-            raise ValidationError("counts must be a 1-d nonnegative vector")
+        if c.ndim not in (1, 2) or (c < 0).any():
+            raise ValidationError("counts must be a nonnegative vector or a stack of them")
 
     @property
-    def domain(self) -> int:
-        return int(self.counts.size)
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-    @classmethod
-    def from_samples(cls, samples, domain: int) -> "SampleCounts":
-        return cls(np.bincount(np.asarray(samples, dtype=int), minlength=domain))
+    def total(self):
+        """Sample size N: an int, or an array with one N per row of a stack."""
+        t = self.counts.sum(axis=-1)
+        return int(t) if t.ndim == 0 else t
 
 
-def l2_statistic(x: SampleCounts, y: SampleCounts) -> float:
-    """Z = sum_i [(X_i - Y_i)^2 - X_i - Y_i].
+def l2_statistic(x: SampleCounts, y: SampleCounts):
+    """Z = sum_i [(X_i - Y_i)^2 - X_i - Y_i]; one value per row of a stack.
 
     Under multinomial sampling of N draws from p and q,
     E[Z] = N^2 ||p - q||_2^2 - N(||p||_2^2 + ||q||_2^2); the O(N) term is the
     price of eschewing Poissonization and is dwarfed by the N^2 threshold.
     """
-    if x.domain != y.domain:
-        raise ValidationError("domain size mismatch")
+    if x.counts.shape != y.counts.shape:
+        raise ValidationError(f"count shapes differ: {x.counts.shape} vs {y.counts.shape}")
     a = x.counts.astype(float)
     b = y.counts.astype(float)
-    return float(((a - b) ** 2 - a - b).sum())
+    z = ((a - b) ** 2 - a - b).sum(axis=-1)
+    return float(z) if z.ndim == 0 else z
 
 
-def l2_two_sample_test(x, y, eps: float, repetitions: int = 1) -> bool:
+def l2_two_sample_test(x: SampleCounts, y: SampleCounts, eps: float):
     """Accept/reject equality of two sampled distributions at L2 gap eps.
 
-    ``x`` and ``y`` are SampleCounts (or sequences of them, one pair per
-    repetition). A repetition rejects when Z > N^2 eps^2 / 2 (ties accept);
-    the verdict is the majority, ties accepting. Returns True on accept.
+    ``x`` and ``y`` are one pair of histograms or two (r, k) stacks compared
+    row by row; paired rows must have the same sample size N. A pair rejects
+    when Z > N^2 eps^2 / 2; ties accept. Returns True on accept: a bool for
+    one pair, a boolean array with one entry per row for stacks.
     """
     if eps <= 0:
         raise ValidationError("eps must be positive")
-    xs = [x] if isinstance(x, SampleCounts) else list(x)
-    ys = [y] if isinstance(y, SampleCounts) else list(y)
-    if len(xs) != repetitions or len(ys) != repetitions:
-        raise ValidationError(f"expected {repetitions} count pairs, got {len(xs)}/{len(ys)}")
-    rejects = 0
-    for cx, cy in zip(xs, ys):
-        n = cx.total
-        if cy.total != n:
-            raise ValidationError(f"sample sizes differ: {n} vs {cy.total}")
-        if l2_statistic(cx, cy) > n**2 * eps**2 / 2:
-            rejects += 1
-    return rejects * 2 <= repetitions
+    z = l2_statistic(x, y)
+    n = x.total
+    if np.any(y.total != n):
+        raise ValidationError(f"sample sizes differ: {n} vs {y.total}")
+    # N^2 in float64: as int64 it overflows once N exceeds about 3e9 copies,
+    # which conditional stages at small eps reach.
+    accept = np.asarray(z <= np.asarray(n, dtype=float) ** 2 * eps**2 / 2)
+    return bool(accept) if accept.ndim == 0 else accept
 
 
 def _check_dist(p) -> np.ndarray:

@@ -13,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -66,6 +67,8 @@ def make_spectrum(family: str, d: int, rank: int | None = None, ratio: float = 0
         lam[0] = 1.0 - 1.0 / d
         return Spectrum(lam)
     if family == "geometric":
+        if not math.isfinite(ratio) or ratio < 0:
+            raise ValidationError(f"--ratio must be finite and >= 0, got {ratio}")
         lam = ratio ** np.arange(d)
         return Spectrum(lam / lam.sum())
     if family == "file":

@@ -33,7 +33,7 @@ import numpy as np
 
 from .linalg import DensityMatrix, ValidationError, check_hermitian
 from .measurement import NonadaptiveSchedule, outcome_distribution
-from .rng import as_generator
+from .rng import as_generator, haar_unitary
 
 MAX_ORDER = 6
 
@@ -328,11 +328,7 @@ def verify_moments_basic(m, samples: int, rng, bound_multiplier: float = 1.5,
     done = 0
     while done < samples:
         take = min(chunk, samples - done)
-        shape = (take, d, d)
-        g = (gen.standard_normal(shape) + 1j * gen.standard_normal(shape)) / np.sqrt(2)
-        q, r = np.linalg.qr(g)
-        ph = np.diagonal(r, axis1=-2, axis2=-1)
-        q = q * (ph / np.abs(ph))[..., None, :]
+        q = haar_unitary(d, gen, size=take)
         x = np.einsum("nji,jk,nki->ni", q.conj(), mat, q).real
         z = (x**2).sum(axis=1)
         z_sum += z.sum()

@@ -281,12 +281,3 @@ def corner_trace_distance(eps: float) -> float:
 def corner_ensemble(sigma: DensityMatrix, eps: float) -> list[tuple[DensityMatrix, float]]:
     """The two equally weighted corner alternatives."""
     return [(build_corner(sigma, eps, +1), 0.5), (build_corner(sigma, eps, -1), 0.5)]
-
-
-def paninski_sampler(sigma: DensityMatrix, inst: PaninskiInstance):
-    """A continuous-ensemble sampler for divergence oracles."""
-    return lambda rng: sample_paninski(sigma, inst, rng)
-
-
-def offdiag_sampler(sigma: DensityMatrix, inst: OffDiagInstance):
-    return lambda rng: build_offdiag(sigma, inst, rng)

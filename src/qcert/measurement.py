@@ -71,23 +71,29 @@ class Basis:
 
     Held as the unitary itself, so the Born weights of a k x k block cost
     O(k^2) memory where the equivalent dense ``basis_povm(u)`` costs O(k^3).
-    Outcome z is the z-th column.
+    Outcome z is the z-th column. ``u`` may also be an (r, k, k) stack of
+    unitaries, i.e. r bases measured in r independent rounds: unitarity is
+    checked for the whole stack and ``weights`` returns one row per basis,
+    bitwise equal to the weights of that basis held alone.
     """
 
     __slots__ = ("u", "dim")
 
     def __init__(self, u):
         mat = np.asarray(u, dtype=complex)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValidationError(f"expected a square matrix, got {mat.shape}")
-        if np.abs(mat.conj().T @ mat - np.eye(mat.shape[0])).max() > 1e-10:
+        if mat.ndim not in (2, 3) or mat.shape[-2] != mat.shape[-1]:
+            raise ValidationError(f"expected a square matrix or a stack of them, got {mat.shape}")
+        gram = np.swapaxes(mat.conj(), -2, -1) @ mat
+        gram -= np.eye(mat.shape[-1])
+        if np.abs(gram).max() > 1e-10:
             raise ValidationError("matrix is not unitary within 1e-10")
         self.u = mat
-        self.dim = mat.shape[0]
+        self.dim = mat.shape[-1]
 
     def weights(self, block: np.ndarray) -> np.ndarray:
-        """Unvalidated Born weights <u_z| block |u_z> of a dim x dim matrix."""
-        return np.real(np.sum(self.u.conj() * (block @ self.u), axis=0))
+        """Unvalidated Born weights <u_z| block |u_z> of a dim x dim matrix,
+        shaped (dim,) for one basis and (r, dim) for a stack."""
+        return np.real(np.sum(self.u.conj() * (block @ self.u), axis=-2))
 
 
 def basis_povm(u) -> Povm:
@@ -107,19 +113,20 @@ def projector_povm(indices, dim: int, labels=("inside", "outside")) -> Povm:
 
 def _weights(mat: np.ndarray, m: Povm | Basis, *, total: bool = True) -> np.ndarray:
     """Born weights of ``mat`` under ``m``, validated as nonnegative within 1e-9
-    and, when ``total``, as summing to 1 within 1e-9."""
+    and, when ``total``, as summing to 1 within 1e-9 (every row of a stack)."""
     if mat.shape[0] != m.dim:
         raise ValidationError(f"state dim {mat.shape[0]} != POVM dim {m.dim}")
     p = m.weights(mat)
-    if p.min() < -1e-9 or (total and abs(p.sum() - 1.0) > 1e-9):
+    off = np.abs(p.sum(axis=-1) - 1.0).max()
+    if p.min() < -1e-9 or (total and off > 1e-9):
         raise ValidationError(
-            f"invalid outcome distribution (min {p.min():.2e}, sum {p.sum():.12f})"
+            f"invalid outcome distribution (min {p.min():.2e}, sum off 1 by {off:.2e})"
         )
     return p
 
 
 def outcome_distribution(rho, m: Povm | Basis) -> np.ndarray:
-    """Born-rule outcome probabilities <M_z, rho>."""
+    """Born-rule outcome probabilities <M_z, rho>; one row per basis of a stack."""
     return _weights(_mat(rho), m)
 
 
@@ -131,10 +138,14 @@ def _sampling_probs(p: np.ndarray) -> np.ndarray:
 class CopySource:
     """Budget-tracked oracle yielding measurement outcomes on fresh copies.
 
-    The hidden state is only ever touched through ``measure_batch``; every
-    consumed copy increments the counter, and exceeding the budget raises
-    :class:`BudgetExhaustedError`. ``conditional`` and ``rotated`` return
-    views that share this source's counter and budget.
+    A measurement takes two steps: ``law`` reads the outcome weights of the
+    measured block and the acceptance, without charging, and ``draw`` takes
+    one batch of copies from one row of that law, charging every copy it
+    consumes. ``measure_batch`` is the two in sequence; a tester running many
+    rounds computes the law of a stacked ``Basis`` once and draws round by
+    round. Exceeding the budget raises :class:`BudgetExhaustedError`.
+    ``conditional`` and ``rotated`` return views that share this source's
+    counter and budget.
     """
 
     def __init__(self, state: DensityMatrix, budget: int | None = None):
@@ -184,24 +195,40 @@ class CopySource:
             )
         root._copies += n
 
-    def measure_batch(self, m: Povm | Basis, n: int, rng) -> np.ndarray:
-        """n accepted outcomes; returns counts aligned with m's outcomes.
+    def law(self, m: Povm | Basis) -> tuple[np.ndarray, np.ndarray]:
+        """Outcome weights of ``m`` on the measured block, and the acceptance.
 
-        On a conditional view the discards before the n accepted copies are
-        drawn exactly, as one negative binomial, and charged with them.
+        On a full source the weights are the outcome law and the acceptance
+        is exactly 1. On a conditional view they are the Born weights of the
+        block rho[S, S]; they sum to the acceptance Tr(Pi rho Pi). A stacked
+        ``Basis`` gives one row of weights and one acceptance per basis.
+        Nothing is charged.
         """
-        gen = as_generator(rng)
         if self._indices is None:
             p = outcome_distribution(self.state, m)
-            discards = 0
-        else:
-            p = _weights(self.state.mat[np.ix_(self._indices, self._indices)], m, total=False)
-            accept = float(p.sum())
-            if accept <= 0:
-                raise BudgetExhaustedError("conditional acceptance probability is zero")
-            discards = int(gen.negative_binomial(n, accept)) if accept < 1.0 - 1e-12 else 0
+            return p, np.ones(p.shape[:-1])
+        p = _weights(self.state.mat[np.ix_(self._indices, self._indices)], m, total=False)
+        return p, p.sum(axis=-1)
+
+    def draw(self, p: np.ndarray, accept: float, n: int, rng) -> np.ndarray:
+        """n accepted outcomes from one row ``p, accept`` of ``law``.
+
+        Returns counts aligned with the outcomes. The discards before the n
+        accepted copies are drawn first, as one negative binomial, then all
+        n + discards copies are charged, then the multinomial is drawn.
+        """
+        accept = float(accept)
+        if accept <= 0:
+            raise BudgetExhaustedError("conditional acceptance probability is zero")
+        gen = as_generator(rng)
+        discards = int(gen.negative_binomial(n, accept)) if accept < 1.0 - 1e-12 else 0
         self._charge(n + discards)
         return gen.multinomial(n, _sampling_probs(p))
+
+    def measure_batch(self, m: Povm | Basis, n: int, rng) -> np.ndarray:
+        """n accepted outcomes of one measurement: ``draw`` on ``law(m)``."""
+        p, accept = self.law(m)
+        return self.draw(p, accept, n, rng)
 
 
 @dataclass
@@ -305,16 +332,3 @@ def phi(m: Povm, rho, rho_u, rho_v) -> float:
         gv = pv[z] / p0[z] - 1.0
         total += p0[z] * gu * gv
     return float(total)
-
-
-def summed_deviation_second_moment(m: Povm, rho, rho_u, rho_v) -> float:
-    """E_z[(g_u + g_v)^2]: the derived quantity g_u^2 + g_v^2 + 2 phi.
-
-    No adaptive pipeline consumes it here; it is exposed for completeness of
-    the likelihood framework.
-    """
-    return (
-        phi(m, rho, rho_u, rho_u)
-        + phi(m, rho, rho_v, rho_v)
-        + 2 * phi(m, rho, rho_u, rho_v)
-    )

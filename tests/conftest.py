@@ -2,9 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from qcert.linalg import DensityMatrix, hermitian_part
 from qcert.rng import RngHandle
+
+
+# Property tests replay the same examples on every run (derandomize) and carry
+# no per-example deadline, whose wall-clock limit a loaded host would trip.
+settings.register_profile("qcert", derandomize=True, deadline=None, database=None)
+settings.load_profile("qcert")
 
 
 @pytest.fixture

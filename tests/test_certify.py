@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qcert.certify import CertifyConfig, Verdict, basic_certify, certify
 from qcert.cli import hidden_state
@@ -347,3 +351,120 @@ class TestCalibration:
             ok_alt += v.answer == "NO"
         assert ok_null / trials >= 2 / 3
         assert ok_alt / trials >= 2 / 3
+
+
+def per_round_basic_certify(src, sigma, eps, delta, cfg, rng):
+    """basic_certify as it ran before its rounds were batched: per round one
+    Haar basis, one ``measure_batch``, one reference draw and one L2 test.
+    Returns (answer, rejections or None, copies used)."""
+    d = src.dim
+    start = src.copies_used
+    n = math.ceil(cfg.c_basic * math.sqrt(d) / eps**2)
+    gap = cfg.l2_scale * eps / math.sqrt(d)
+    rounds = max(1, math.ceil(18 * math.log(1 / delta)))
+    rejections = 0
+    try:
+        for t in range(rounds):
+            gen = rng.child(t).generator()
+            m = Basis(haar_unitary(d, gen))
+            x = src.measure_batch(m, n, gen).astype(float)
+            y = gen.multinomial(n, outcome_distribution(sigma, m)).astype(float)
+            rejections += float(((x - y) ** 2 - x - y).sum()) > n**2 * gap**2 / 2
+    except BudgetExhaustedError:
+        return "INCONCLUSIVE", None, src.copies_used - start
+    return ("NO" if 2 * rejections > rounds else "YES"), rejections, src.copies_used - start
+
+
+def source_case(seed: int, d: int, conditional: bool, alternative: bool):
+    """A source factory (budget -> CopySource) on a d-dim state and the sigma
+    it is tested against: a full source, or a conditional view on d of the
+    coordinates of a larger random state; sigma equals the measured state,
+    or is an independent random state when ``alternative``."""
+    gen = np.random.default_rng(seed)
+    if conditional:
+        full = random_density(d + int(gen.integers(1, 5)), gen)
+        idx = np.sort(gen.choice(full.dim, size=d, replace=False))
+        block = full.mat[np.ix_(idx, idx)]
+        measured = DensityMatrix(block / np.trace(block).real)
+        make = lambda budget: CopySource(full, budget).conditional(idx)
+    else:
+        measured = random_density(d, gen)
+        make = lambda budget: CopySource(measured, budget)
+    sigma = random_density(d, gen) if alternative else measured
+    return make, sigma
+
+
+class TestBatchedRounds:
+    """basic_certify draws its rounds in chunks of stacked bases; every result
+    must equal the per-round loop it replaced."""
+
+    @settings(max_examples=60)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 40), rounds=st.integers(1, 120),
+           eps=st.floats(0.25, 1.5), conditional=st.booleans(), alternative=st.booleans(),
+           budget_frac=st.none() | st.floats(0.0, 1.2))
+    # one chunk of 101 rounds at d = 9, the budget running out in its middle
+    @example(seed=1, d=9, rounds=120, eps=0.5, conditional=True, alternative=False,
+             budget_frac=0.5)
+    # chunks of 9 rounds at d = 30, the budget running out inside the fifth
+    @example(seed=2, d=30, rounds=100, eps=0.5, conditional=False, alternative=True,
+             budget_frac=0.41)
+    # about 1.4e10 copies per round: N^2 overflows int64, and a threshold
+    # computed in int64 would reject these null rounds
+    @example(seed=3, d=8, rounds=30, eps=1e-4, conditional=True, alternative=False,
+             budget_frac=None)
+    def test_matches_per_round_loop(self, seed, d, rounds, eps, conditional, alternative,
+                                    budget_frac):
+        delta = math.exp(-(rounds - 0.5) / 18)
+        make, sigma = source_case(seed, d, conditional, alternative)
+        rng = RngHandle(seed).child("batched")
+        budget = None
+        if budget_frac is not None:
+            total = per_round_basic_certify(make(None), sigma, eps, delta, CFG, rng)[2]
+            budget = int(budget_frac * total)
+        src = make(budget)
+        v = basic_certify(src, sigma, eps, delta, CFG, rng=rng)
+        want = per_round_basic_certify(make(budget), sigma, eps, delta, CFG, rng)
+        assert (v.answer, v.diagnostics.get("rejections"), v.copies_used) == want
+        assert src.copies_used == v.copies_used
+        if v.answer != "INCONCLUSIVE":
+            assert v.diagnostics["rounds"] == rounds
+
+    @settings(max_examples=30)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 40), r=st.integers(1, 12),
+           conditional=st.booleans())
+    def test_stacked_law_rows(self, seed, d, r, conditional):
+        """Each row of a stacked law is the law of its basis held alone, and
+        sums to its acceptance: exactly on a conditional view, within 1e-9 of
+        an acceptance of exactly 1 on a full source."""
+        make, _ = source_case(seed, d, conditional, False)
+        src = make(None)
+        us = haar_unitary(d, [RngHandle(seed).child(t).generator() for t in range(r)])
+        p, accept = src.law(Basis(us))
+        assert p.shape == (r, d) and accept.shape == (r,)
+        for t in range(r):
+            p_t, accept_t = src.law(Basis(us[t]))
+            assert np.array_equal(p[t], p_t) and accept[t] == accept_t
+        if conditional:
+            assert np.array_equal(p.sum(axis=-1), accept)
+            assert (accept > 0).all() and (accept <= 1 + 1e-12).all()
+        else:
+            assert (accept == 1.0).all()
+            assert np.abs(p.sum(axis=-1) - 1.0).max() <= 1e-9
+        assert src.copies_used == 0
+
+    @settings(max_examples=30)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 40), r=st.integers(1, 6),
+           n=st.integers(1, 5000), conditional=st.booleans())
+    def test_charge_is_accepted_plus_discards(self, seed, d, r, n, conditional):
+        make, _ = source_case(seed, d, conditional, False)
+        src = make(None)
+        us = haar_unitary(d, [RngHandle(seed).child(t).generator() for t in range(r)])
+        p, accept = src.law(Basis(us))
+        for t in range(r):
+            before = src.copies_used
+            counts = src.draw(p[t], accept[t], n, RngHandle(seed).child("draw", t))
+            twin = RngHandle(seed).child("draw", t).generator()
+            discards = int(twin.negative_binomial(n, accept[t])) if accept[t] < 1 - 1e-12 else 0
+            assert counts.sum() == n
+            assert src.copies_used - before == n + discards
+

@@ -30,6 +30,12 @@ class TestL2Tester:
     def test_mismatched_totals_rejected(self):
         with pytest.raises(ValidationError):
             l2_two_sample_test(SampleCounts(np.array([2, 0])), SampleCounts(np.array([1, 0])), 0.5)
+        # stacks: one row with differing totals, or differing row counts
+        x = SampleCounts(np.array([[2, 0], [1, 1]]))
+        with pytest.raises(ValidationError):
+            l2_two_sample_test(x, SampleCounts(np.array([[0, 2], [1, 0]])), 0.5)
+        with pytest.raises(ValidationError):
+            l2_two_sample_test(x, SampleCounts(np.array([[0, 2]])), 0.5)
 
     def test_mean_matches_multinomial_identity(self):
         # E[Z] = N^2 ||p-q||_2^2 - N(||p||_2^2 + ||q||_2^2) under multinomial
@@ -81,12 +87,37 @@ class TestL2Tester:
         assert rejects / trials >= 2 / 3
 
     def test_majority_of_repetitions(self):
+        # stacked repetitions get one verdict per row, each the verdict of
+        # that pair alone; on equal distributions the majority accepts
         gen = rng_for("classical", "majority")
         d, n = 16, 500
         p = np.full(d, 1 / d)
-        xs = [SampleCounts(gen.multinomial(n, p)) for _ in range(5)]
-        ys = [SampleCounts(gen.multinomial(n, p)) for _ in range(5)]
-        assert l2_two_sample_test(xs, ys, eps=0.2, repetitions=5)
+        xs = SampleCounts(np.stack([gen.multinomial(n, p) for _ in range(5)]))
+        ys = SampleCounts(np.stack([gen.multinomial(n, p) for _ in range(5)]))
+        accepted = l2_two_sample_test(xs, ys, eps=0.2)
+        assert accepted.shape == (5,)
+        assert accepted.tolist() == [
+            l2_two_sample_test(SampleCounts(x), SampleCounts(y), eps=0.2)
+            for x, y in zip(xs.counts, ys.counts)
+        ]
+        assert 2 * accepted.sum() > 5
+
+    def test_rows_reject_above_threshold_and_ties_accept(self):
+        # N = 4: row 0 has Z = 8 = N^2 eps^2 / 2 at eps = 1, a tie
+        x = SampleCounts(np.array([[2, 2, 0, 0], [4, 0, 0, 0], [1, 1, 1, 1]]))
+        y = SampleCounts(np.array([[0, 0, 2, 2], [0, 4, 0, 0], [1, 1, 1, 1]]))
+        assert l2_statistic(x, y).tolist() == [8.0, 24.0, -8.0]
+        assert l2_two_sample_test(x, y, eps=1.0).tolist() == [True, False, True]
+        assert l2_two_sample_test(x, y, eps=0.99).tolist() == [False, False, True]
+
+    def test_threshold_beyond_int64_square(self):
+        # N = 4e9: N^2 overflows int64, which would make the threshold negative
+        n = 4_000_000_000
+        x = np.array([n // 2, n // 2])
+        y = np.array([n // 2 + 1000, n // 2 - 1000])
+        assert l2_two_sample_test(SampleCounts(x), SampleCounts(y), eps=1e-3)
+        assert l2_two_sample_test(SampleCounts(x[None]), SampleCounts(y[None]),
+                                  eps=1e-3).tolist() == [True]
 
 
 class TestDivergences:

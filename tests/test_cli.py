@@ -56,6 +56,10 @@ class TestCertifyCommand:
         ["verify", "--samples", "0"],
         ["divergence", "--ensemble", "paninski", "--family", "mm", "--d", "4",
          "--param-draws", "0"],
+        ["certify", "--family", "geometric", "--ratio", "nan"],
+        ["certify", "--family", "geometric", "--ratio", "inf"],
+        ["certify", "--family", "geometric", "--ratio=-inf"],
+        ["certify", "--family", "geometric", "--ratio", "-1"],
     ])
     def test_out_of_range_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as err:
@@ -87,6 +91,16 @@ class TestCertifyCommand:
                 "--eps", "0.4", "--delta", "0.3", "--trials", "4", "--seed", "5",
                 "--format", "json"]
         _, out1 = run_cli(base, capsys)
+        _, out2 = run_cli(base + ["--threads", "2"], capsys)
+        strip = lambda rows: [{k: v for k, v in r.items() if k != "wall_ms"} for r in rows]
+        assert strip(json.loads(out1)["rows"]) == strip(json.loads(out2)["rows"])
+
+    def test_threads_do_not_change_certify_rows(self, capsys):
+        # bucketwise certify at d = 16: its basic tests run 78 rounds in
+        # chunks of 32
+        base = ["certify", "--family", "mm", "--d", "16", "--hidden", "spike",
+                "--trials", "3", "--seed", "2", "--format", "json"]
+        _, out1 = run_cli(base + ["--threads", "1"], capsys)
         _, out2 = run_cli(base + ["--threads", "2"], capsys)
         strip = lambda rows: [{k: v for k, v in r.items() if k != "wall_ms"} for r in rows]
         assert strip(json.loads(out1)["rows"]) == strip(json.loads(out2)["rows"])

@@ -238,6 +238,16 @@ class TestVerifyMoments:
         rep = verify_moments_basic(np.zeros((3, 3)), 100, rng_for("oracle", "vm0"))
         assert rep.ez_mc == 0.0 and rep.ez_exact == 0.0
 
+    @pytest.mark.parametrize("d, ez, ez2", [
+        (3, 2.1008604952575114, 7.0288173646600045),
+        (5, 3.6536165620761065, 18.474045013464607),
+    ])
+    def test_monte_carlo_estimates_pinned(self, d, ez, ez2):
+        # bit-for-bit values of the Haar stream, drawn in chunks of 1000, 1000, 500
+        gen = rng_for("oracle", "pinned-mc", d)
+        rep = verify_moments_basic(random_traceless(d, gen), 2500, gen, chunk=1000)
+        assert (rep.ez_mc, rep.ez2_mc) == (ez, ez2)
+
     def test_exact_second_moment_matches_monte_carlo(self):
         # the order-4 Weingarten route is the oracle for E[Z^2]
         gen = rng_for("oracle", "vm4")

@@ -75,6 +75,13 @@ class TestBasis:
         dense = np.einsum("zij,ji->z", basis_povm(u).elements, rho.mat).real
         assert np.abs(Basis(u).weights(rho.mat) - dense).max() <= 1e-12
 
+    def test_stack_checks_every_unitary(self):
+        us = haar_unitary(4, rng_for("meas", "stack"), size=3)
+        assert Basis(us).weights(np.eye(4) / 4).shape == (3, 4)
+        us[1, :, 0] *= 1.01
+        with pytest.raises(ValidationError):
+            Basis(us)
+
 
 class TestOutcomeDistribution:
     def test_identity_povm(self):
@@ -388,27 +395,3 @@ class TestSchedule:
         sched = NonadaptiveSchedule.repeat(m, 5)
         assert len(sched) == 5
         assert all(p is m for p in sched)
-
-
-def test_summed_deviation_second_moment():
-    from qcert.measurement import summed_deviation_second_moment
-
-    gen = rng_for("meas", "ksum")
-    rho = random_density(3, gen)
-    alt_u = random_density(3, gen)
-    alt_v = random_density(3, gen)
-    m = basis_povm(haar_unitary(3, gen))
-    p0 = outcome_distribution(rho, m)
-    direct = sum(
-        p0[z]
-        * (
-            likelihood_g(m.elements[z], rho, alt_u)
-            + likelihood_g(m.elements[z], rho, alt_v)
-        )
-        ** 2
-        for z in range(len(m))
-    )
-    assert summed_deviation_second_moment(m, rho, alt_u, alt_v) == pytest.approx(
-        direct, abs=1e-12
-    )
-    assert summed_deviation_second_moment(m, rho, alt_u, alt_u) >= 0.0
