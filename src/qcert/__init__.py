@@ -3,7 +3,6 @@
 from .certify import CertifyConfig, Verdict, basic_certify, certify
 from .classical import SampleCounts, chi_squared, l2_two_sample_test, l23_functional, tv_distance
 from .haar_oracle import (
-    Permutation,
     WeingartenTable,
     exact_transcript_divergence,
     haar_moment,
@@ -35,14 +34,12 @@ from .measurement import (
     CopySource,
     NonadaptiveSchedule,
     Povm,
-    Transcript,
     basis_povm,
-    likelihood_g,
     outcome_distribution,
     phi,
     project_povm_to_blocks,
 )
-from .rng import RngHandle, block_haar, haar_isometry, haar_unitary, sample_discrete
+from .rng import RngHandle, block_haar, haar_isometry, haar_unitary
 from .spectrum import (
     BucketDecomposition,
     Spectrum,

@@ -56,8 +56,8 @@ def make_spectrum(family: str, d: int, rank: int | None = None, ratio: float = 0
     if family == "mm":
         return Spectrum(np.full(d, 1.0 / d))
     if family == "rank-mm":
-        if not rank or rank > d:
-            raise ValidationError("rank-mm needs --rank in 1..d")
+        if rank is None or not 1 <= rank <= d:
+            raise ValidationError(f"rank-mm needs --rank in 1..d, got {rank}")
         lam = np.zeros(d)
         lam[:rank] = 1.0 / rank
         return Spectrum(lam)

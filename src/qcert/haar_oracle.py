@@ -17,12 +17,17 @@ and, with p_i = Tr(M^i) and s_lam(M) = sum_mu chi_lam(mu) p_mu(M) / z_mu,
     E_U[Tr(A U^dag B U)^k] = sum_lam chi_lam(1) s_lam(A) s_lam(B) / s_lam(1^d),
 
 which is the Weingarten double sum over S_k x S_k regrouped by irreducible
-characters.
+characters. The same layer gives the exact second moment of the basic
+tester's statistic Z = sum_i x_i^2, x_i = u_i^dag M u_i, for the columns u_i
+of a Haar U. With F = sum_{lam |- 4} s_lam(M) chi_lam / prod_cells (d + content),
+
+    E[Z^2] = d E[x_1^4] + d (d-1) E[x_1^2 x_2^2],
+    E[x_1^4] = 24 s_(4)(M) / (d (d+1) (d+2) (d+3)),
+    E[x_1^2 x_2^2] = F(1^4) + 2 F(2,1,1) + F(2,2).
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from collections import Counter
@@ -36,47 +41,6 @@ from .measurement import NonadaptiveSchedule, outcome_distribution
 from .rng import as_generator, haar_unitary
 
 MAX_ORDER = 6
-
-
-@dataclass(frozen=True)
-class Permutation:
-    """A permutation in one-line notation with its cycle type cached."""
-
-    one_line: tuple[int, ...]
-
-    @property
-    def order(self) -> int:
-        return len(self.one_line)
-
-    @property
-    def cycle_type(self) -> tuple[int, ...]:
-        return _cycle_type(self.one_line)
-
-    def compose(self, other: "Permutation") -> "Permutation":
-        """self after other: (self*other)(i) = self(other(i))."""
-        return Permutation(tuple(self.one_line[j] for j in other.one_line))
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * len(self.one_line)
-        for i, j in enumerate(self.one_line):
-            inv[j] = i
-        return Permutation(tuple(inv))
-
-
-@lru_cache(maxsize=None)
-def _cycle_type(one_line: tuple[int, ...]) -> tuple[int, ...]:
-    seen = [False] * len(one_line)
-    lengths = []
-    for start in range(len(one_line)):
-        if seen[start]:
-            continue
-        length, i = 0, start
-        while not seen[i]:
-            seen[i] = True
-            i = one_line[i]
-            length += 1
-        lengths.append(length)
-    return tuple(sorted(lengths, reverse=True))
 
 
 @lru_cache(maxsize=None)
@@ -149,6 +113,7 @@ def _content_product(lam: tuple[int, ...], d: int) -> int:
     return math.prod(d + c for _, c in _hooks_and_contents(lam))
 
 
+@lru_cache(maxsize=None)
 def _centralizer(mu: tuple[int, ...]) -> int:
     """z_mu = prod_i i^{m_i} m_i!, where m_i counts the parts of mu equal to i."""
     return math.prod(i**m * math.factorial(m) for i, m in Counter(mu).items())
@@ -161,14 +126,18 @@ def _check_order(order: int, d: int) -> None:
         raise ValidationError(f"need d >= order (d={d}, order={order})")
 
 
-def _power_traces(mat: np.ndarray, n: int) -> list[float]:
-    """[Tr(M), Tr(M^2), ..., Tr(M^n)]."""
+def _schur(mat: np.ndarray, order: int) -> np.ndarray:
+    """s_lam(M) = sum_mu chi_lam(mu) p_mu(M) / z_mu for lam in _partitions(order),
+    with p_i = Tr(M^i)."""
     acc = np.eye(mat.shape[0], dtype=complex)
-    out = []
-    for _ in range(n):
+    p = []
+    for _ in range(order):
         acc = acc @ mat
-        out.append(float(np.trace(acc).real))
-    return out
+        p.append(float(np.trace(acc).real))
+    parts = _partitions(order)
+    p_mu = np.array([math.prod(p[c - 1] for c in mu) for mu in parts])
+    z = np.array([_centralizer(mu) for mu in parts], dtype=float)
+    return _character_table(order) @ (p_mu / z)
 
 
 class WeingartenTable:
@@ -179,17 +148,10 @@ class WeingartenTable:
         self.d = d
         self.values = values
 
-    def __call__(self, perm) -> float:
-        if isinstance(perm, Permutation):
-            key = perm.cycle_type
-        else:
-            parts = tuple(perm)
-            is_cycle_type = (
-                all(c >= 1 for c in parts)
-                and sum(parts) == self.order
-                and list(parts) == sorted(parts, reverse=True)
-            )
-            key = parts if is_cycle_type else _cycle_type(parts)
+    def __call__(self, cycle_type) -> float:
+        key = tuple(cycle_type)
+        if key not in self.values:
+            raise ValidationError(f"{key} is not a cycle type of S_{self.order}")
         return self.values[key]
 
 
@@ -215,14 +177,6 @@ def weingarten_table(order: int, d: int) -> WeingartenTable:
     return WeingartenTable(order, d, values)
 
 
-def bracket(m, perm) -> float:
-    """<M>_pi = product over cycles of Tr(M^{|C|})."""
-    mat = check_hermitian(m)
-    cycles = perm.cycle_type if isinstance(perm, Permutation) else _cycle_type(tuple(perm))
-    powers = _power_traces(mat, max(cycles))
-    return math.prod(powers[c - 1] for c in cycles)
-
-
 def haar_moment(a, b, order: int, d: int | None = None) -> float:
     """E_U[Tr(A U^dag B U)^order] as a sum over the partitions lam of order.
 
@@ -236,49 +190,27 @@ def haar_moment(a, b, order: int, d: int | None = None) -> float:
     if d is None:
         d = ma.shape[0]
     _check_order(order, d)
-    parts = _partitions(order)
-    chi = _character_table(order)
-    z = np.array([_centralizer(mu) for mu in parts], dtype=float)
-
-    def schur(mat: np.ndarray) -> np.ndarray:
-        p = _power_traces(mat, order)
-        p_mu = np.array([math.prod(p[c - 1] for c in mu) for mu in parts])
-        return chi @ (p_mu / z)
-
     # chi_lam(1) / s_lam(1^d) = k! / prod_cells (d + content)
-    weight = np.array([math.factorial(order) / _content_product(lam, d) for lam in parts])
-    return float(np.sum(weight * schur(ma) * schur(mb)))
+    weight = np.array([math.factorial(order) / _content_product(lam, d)
+                       for lam in _partitions(order)])
+    return float(np.sum(weight * _schur(ma, order) * _schur(mb, order)))
 
 
-def _squared_overlap_moments_exact(m, d: int) -> tuple[float, float]:
-    """Exact E[Z] and E[Z^2] for Z = sum_i (u_i^dag M u_i)^2 over Haar U.
+def _ez2_exact(mat: np.ndarray, d: int) -> float:
+    """Exact E[Z^2] for Z = sum_i x_i^2, x_i = u_i^dag M u_i, over Haar U; needs d >= 4.
 
-    E[Z^2] needs the order-4 table, hence d >= 4.
+    F(sigma) = sum_lam s_lam(M) chi_lam(sigma) / prod_cells (d + content)
+    is the class function sum_tau p_tau(M) Wg(sigma^-1 tau). Summing F over
+    S_4 keeps only lam = (4), so E[x_1^4] = 24 s_(4)(M) / (d (d+1) (d+2) (d+3)),
+    and E[x_1^2 x_2^2] sums F over the four permutations preserving {1, 2}
+    and {3, 4}.
     """
-    mat = check_hermitian(m)
-    tr = float(np.trace(mat).real)
-    hs2 = float(np.trace(mat @ mat).real)
-    ez = (tr**2 + hs2) / (d + 1)
-
-    wg = weingarten_table(4, d)
-    perms = list(itertools.permutations(range(4)))
-    bra = {p: bracket(mat, p) for p in perms}
-    # E[(u1 M u1)^4]: projector brackets are all 1.
-    e4 = 0.0
-    for pa in perms:
-        inv = Permutation(pa).inverse()
-        for pb in perms:
-            e4 += bra[pb] * wg(_cycle_type(inv.compose(Permutation(pb)).one_line))
-    # E[(u1 M u1)^2 (u2 M u2)^2]: only permutations preserving {0,1},{2,3} survive
-    # on the projector side.
-    block = [p for p in perms if {p[0], p[1]} == {0, 1} and {p[2], p[3]} == {2, 3}]
-    e22 = 0.0
-    for pa in block:
-        inv = Permutation(pa).inverse()
-        for pb in perms:
-            e22 += bra[pb] * wg(_cycle_type(inv.compose(Permutation(pb)).one_line))
-    ez2 = d * e4 + d * (d - 1) * e22
-    return ez, ez2
+    parts = _partitions(4)  # (4,) first
+    coef = _schur(mat, 4) / np.array([_content_product(lam, d) for lam in parts], dtype=float)
+    f = dict(zip(parts, coef @ _character_table(4)))
+    e4 = 24 * coef[0]
+    e22 = f[(1, 1, 1, 1)] + 2 * f[(2, 1, 1)] + f[(2, 2)]
+    return float(d * e4 + d * (d - 1) * e22)
 
 
 @dataclass
@@ -313,8 +245,8 @@ def verify_moments_basic(m, samples: int, rng, bound_multiplier: float = 1.5,
     That d^-4 clause cannot hold for any nonzero traceless M at d >= 2:
     E[Z^2] >= (E[Z])^2 = ||M||_HS^4/(d+1)^2, which exceeds 1.5 ||M||_HS^4/d^4.
     So `second_ok` is False there by construction and only reports that the
-    stated bound fails. The quantity to check is `ez2_exact` (order-4
-    Weingarten, d >= 4), whose true scale is ||M||_HS^4/d^2.
+    stated bound fails. The quantity to check is `ez2_exact` (exact from the
+    S_4 characters, d >= 4), whose true scale is ||M||_HS^4/d^2.
     """
     if samples < 1:
         raise ValidationError(f"samples must be >= 1, got {samples}")
@@ -341,7 +273,7 @@ def verify_moments_basic(m, samples: int, rng, bound_multiplier: float = 1.5,
     ez2_se = math.sqrt(max(z4_sum / samples - ez2_mc**2, 0.0) / samples)
 
     ez_exact = (tr**2 + hs2) / (d + 1)
-    ez2_exact = _squared_overlap_moments_exact(mat, d)[1] if d >= 4 else None
+    ez2_exact = _ez2_exact(mat, d) if d >= 4 else None
     bound = bound_multiplier * hs2**2 / d**4
     return MomentsReport(
         d=d,

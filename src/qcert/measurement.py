@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -215,13 +214,19 @@ class CopySource:
 
         Returns counts aligned with the outcomes. The discards before the n
         accepted copies are drawn first, as one negative binomial, then all
-        n + discards copies are charged, then the multinomial is drawn.
+        n + discards copies are charged, then the multinomial is drawn. Zero
+        acceptance, or discards beyond the int64 range of numpy's sampler,
+        raise :class:`BudgetExhaustedError` before anything is charged.
         """
         accept = float(accept)
         if accept <= 0:
             raise BudgetExhaustedError("conditional acceptance probability is zero")
         gen = as_generator(rng)
-        discards = int(gen.negative_binomial(n, accept)) if accept < 1.0 - 1e-12 else 0
+        try:
+            discards = int(gen.negative_binomial(n, accept)) if accept < 1.0 - 1e-12 else 0
+        except ValueError as err:  # n (1 - accept) / accept too large for int64
+            raise BudgetExhaustedError(
+                f"discards for {n} copies at acceptance {accept:.3e} exceed int64") from err
         self._charge(n + discards)
         return gen.multinomial(n, _sampling_probs(p))
 
@@ -229,24 +234,6 @@ class CopySource:
         """n accepted outcomes of one measurement: ``draw`` on ``law(m)``."""
         p, accept = self.law(m)
         return self.draw(p, accept, n, rng)
-
-
-@dataclass
-class Transcript:
-    """Sequence of (povm id, outcome label) records, one per consumed copy."""
-
-    records: list[tuple[str, object]] = field(default_factory=list)
-
-    def append(self, povm_id: str, outcome):
-        self.records.append((povm_id, outcome))
-
-    def __len__(self):
-        return len(self.records)
-
-    def to_jsonl(self) -> str:
-        return "\n".join(
-            json.dumps({"povm": pid, "outcome": out}) for pid, out in self.records
-        )
 
 
 @dataclass(frozen=True)
@@ -298,16 +285,6 @@ def project_povm_to_blocks(m: Povm, buckets):
             outcome_map[label] = m.labels[z]
     refined = Povm(np.stack(elements), labels, _validated=True)
     return refined, outcome_map
-
-
-def likelihood_g(m_z, rho, rho_alt) -> float:
-    """Single-outcome likelihood deviation <M_z, rho_alt>/<M_z, rho> - 1."""
-    e = np.asarray(m_z, dtype=complex)
-    p0 = np.einsum("ij,ji->", e, _mat(rho)).real
-    if p0 <= PROB_FLOOR:
-        raise UndefinedOutcomeError(f"null outcome probability {p0:.2e} <= {PROB_FLOOR:.0e}")
-    p1 = np.einsum("ij,ji->", e, _mat(rho_alt)).real
-    return float(p1 / p0 - 1.0)
 
 
 def phi(m: Povm, rho, rho_u, rho_v) -> float:

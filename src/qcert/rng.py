@@ -1,4 +1,4 @@
-"""Seedable randomness: derived streams, Haar unitaries, discrete sampling.
+"""Seedable randomness: derived streams and Haar unitaries.
 
 Streams are identified by a 64-bit master seed plus a tuple of derived
 labels; the same (seed, labels) always yields the same Philox sequence, on
@@ -110,16 +110,3 @@ def block_haar(buckets, rng) -> np.ndarray:
         u[np.ix_(active, active)] = sub
     return u
 
-
-def sample_discrete(weights, rng) -> int:
-    """One draw from a probability vector via a single uniform and a cumulative scan."""
-    w = np.asarray(weights, dtype=float)
-    if (w < 0).any():
-        raise ValidationError("negative weight")
-    total = w.sum()
-    if abs(total - 1.0) > 1e-9:
-        raise ValidationError(f"weights sum to {total!r}, not 1 within 1e-9")
-    gen = as_generator(rng)
-    cum = np.cumsum(w)
-    cum[-1] = max(cum[-1], 1.0)  # guard roundoff at the top end
-    return int(np.searchsorted(cum, gen.random(), side="right"))

@@ -78,12 +78,6 @@ class BucketDecomposition:
     def size(self, j: int) -> int:
         return int(self.by_level[j].size)
 
-    def level_of(self, i: int) -> int | None:
-        for j, idx in self.by_level.items():
-            if i in idx:
-                return j
-        return None
-
     def level_array(self) -> np.ndarray:
         """Per-index bucket level; -1 for indices outside every bucket."""
         out = np.full(self.ambient_dim, -1, dtype=int)

@@ -123,10 +123,9 @@ def test_criterion_02_weingarten_exactness():
         done = 0
         while done < n_total:
             us = haar_unitary(d, gen, size=chunk)
+            us_dag = us.conj().transpose(0, 2, 1)
             for k, (a, b, order, _) in enumerate(cases):
-                t = np.einsum(
-                    "ij,nji->n", a, np.einsum("nji,jk,nkl->nil", us.conj(), b, us)
-                ).real ** order
+                t = np.einsum("ij,nji->n", a, us_dag @ b @ us).real ** order
                 sums[k] += t.sum()
                 sq_sums[k] += (t**2).sum()
             done += chunk

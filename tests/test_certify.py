@@ -192,6 +192,53 @@ class TestConditionalSource:
         assert src.copies_used == n + discards
         assert counts.tolist() == ref.multinomial(n, law).tolist()
 
+    def test_discards_beyond_int64_raise_without_charge(self):
+        # 1e15 accepted copies at acceptance 1e-5 need about 1e20 discards
+        src = CopySource(DensityMatrix.from_diagonal([1e-5, 1 - 1e-5]))
+        view = src.conditional([0])
+        p, accept = view.law(Basis(np.eye(1)))
+        with pytest.raises(BudgetExhaustedError):
+            view.draw(p, accept, 10**15, rng_for("cert", "headroom"))
+        assert src.copies_used == 0
+        # and a basic tester that would need them answers INCONCLUSIVE
+        src = CopySource(DensityMatrix.from_diagonal([5e-6, 5e-6, 1 - 1e-5]))
+        v = basic_certify(src.conditional([0, 1]), DensityMatrix.maximally_mixed(2),
+                          1e-7, 0.3, CFG)
+        assert v.answer == "INCONCLUSIVE" and v.copies_used == src.copies_used == 0
+
+    def test_charge_past_float64_integers_is_exact(self):
+        # 1e13 accepted copies at acceptance 7.5e-5: about 1.3e17 discards, past 2^53
+        src = CopySource(DensityMatrix.from_diagonal([7.5e-5, 1 - 7.5e-5]))
+        view = src.conditional([0])
+        p, accept = view.law(Basis(np.eye(1)))
+        n = 10**13
+        view.draw(p, accept, n, rng_for("cert", "headroom-ok"))
+        discards = int(rng_for("cert", "headroom-ok").negative_binomial(n, accept))
+        assert discards > 2**53
+        assert type(src.copies_used) is int and src.copies_used == n + discards
+
+
+class TestRotatedView:
+    @settings(max_examples=40)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 24), r=st.integers(1, 4),
+           conditional=st.booleans())
+    def test_matches_direct_path_for_diagonal_state(self, seed, d, r, conditional):
+        """For diagonal rho and Haar V, measuring CopySource(V rho V^dag).rotated(V)
+        gives the law and acceptance of measuring rho directly, within 1e-12."""
+        gen = RngHandle(seed).child("rotated").generator()
+        rho = DensityMatrix.from_diagonal(gen.dirichlet(np.ones(d)))
+        v = haar_unitary(d, gen)
+        direct = CopySource(rho)
+        rotated = CopySource(DensityMatrix(v @ rho.mat @ v.conj().T)).rotated(v)
+        if conditional:
+            idx = np.sort(gen.choice(d, size=int(gen.integers(1, d + 1)), replace=False))
+            direct, rotated = direct.conditional(idx), rotated.conditional(idx)
+        m = Basis(haar_unitary(direct.dim, gen, size=r))
+        p_direct, accept_direct = direct.law(m)
+        p_rotated, accept_rotated = rotated.law(m)
+        assert np.abs(p_rotated - p_direct).max() <= 1e-12
+        assert np.abs(accept_rotated - accept_direct).max() <= 1e-12
+
 
 class TestCertify:
     def test_null_yes(self):

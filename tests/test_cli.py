@@ -60,12 +60,22 @@ class TestCertifyCommand:
         ["certify", "--family", "geometric", "--ratio", "inf"],
         ["certify", "--family", "geometric", "--ratio=-inf"],
         ["certify", "--family", "geometric", "--ratio", "-1"],
+        ["gen-sigma", "--family", "rank-mm", "--d", "4", "--rank", "-1"],
     ])
     def test_out_of_range_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as err:
             main(argv)
         assert err.value.code == 2
         assert capsys.readouterr().err.startswith("qcert: ")
+
+    @pytest.mark.parametrize("rank", [None, "-1", "0", "5"])
+    def test_rank_outside_one_to_d(self, rank, capsys):
+        argv = ["gen-sigma", "--family", "rank-mm", "--d", "4"]
+        with pytest.raises(SystemExit) as err:
+            main(argv + (["--rank", rank] if rank else []))
+        assert err.value.code == 2
+        message = capsys.readouterr().err
+        assert message.startswith(f"qcert: rank-mm needs --rank in 1..d, got {rank}")
 
     def test_zero_budget_is_valid(self, capsys):
         code, out = run_cli(["certify", "--d", "4", "--trials", "1", "--budget", "0",

@@ -1,16 +1,16 @@
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from qcert.haar_oracle import (
-    Permutation,
     _centralizer,
     _character_table,
     _dimension,
+    _ez2_exact,
     _partitions,
-    bracket,
     exact_transcript_divergence,
     haar_moment,
     ingster_bound,
@@ -24,6 +24,60 @@ from qcert.measurement import NonadaptiveSchedule, basis_povm
 from qcert.rng import haar_unitary
 
 from conftest import random_hermitian, random_traceless, rng_for
+
+
+@dataclass(frozen=True)
+class Permutation:
+    """A permutation in one-line notation: the S_k enumeration the references
+    below are built from."""
+
+    one_line: tuple[int, ...]
+
+    @property
+    def cycle_type(self) -> tuple[int, ...]:
+        seen = [False] * len(self.one_line)
+        lengths = []
+        for start in range(len(self.one_line)):
+            length, i = 0, start
+            while not seen[i]:
+                seen[i] = True
+                i = self.one_line[i]
+                length += 1
+            if length:
+                lengths.append(length)
+        return tuple(sorted(lengths, reverse=True))
+
+    def compose(self, other: "Permutation") -> "Permutation":
+        """self after other: (self*other)(i) = self(other(i))."""
+        return Permutation(tuple(self.one_line[j] for j in other.one_line))
+
+    def inverse(self) -> "Permutation":
+        inv = [0] * len(self.one_line)
+        for i, j in enumerate(self.one_line):
+            inv[j] = i
+        return Permutation(tuple(inv))
+
+
+def bracket(m: np.ndarray, perm: Permutation) -> float:
+    """<M>_pi = product over the cycles C of pi of Tr(M^|C|)."""
+    return math.prod(np.trace(np.linalg.matrix_power(m, c)).real for c in perm.cycle_type)
+
+
+def ez2_by_enumeration(m: np.ndarray, d: int) -> float:
+    """E[Z^2] as the Weingarten double sum over S_4 x S_4: the 768-term route
+    the character formula replaced."""
+    wg = weingarten_table(4, d)
+    perms = [Permutation(p) for p in itertools.permutations(range(4))]
+    bra = {p: bracket(m, p) for p in perms}
+
+    def moment(projector_side):
+        return sum(bra[pb] * wg(pa.inverse().compose(pb).cycle_type)
+                   for pa in projector_side for pb in perms)
+
+    # E[(u1 M u1)^4]: every projector bracket is 1. E[(u1 M u1)^2 (u2 M u2)^2]:
+    # only permutations preserving {0, 1} and {2, 3} survive on the projector side.
+    block = [p for p in perms if set(p.one_line[:2]) == {0, 1}]
+    return d * moment(perms) + d * (d - 1) * moment(block)
 
 
 class TestPermutation:
@@ -91,7 +145,7 @@ class TestWeingarten:
                 perms = [Permutation(p) for p in itertools.permutations(range(order))]
                 for sigma in perms[:8]:
                     total = sum(
-                        d ** len(sigma.compose(tau.inverse()).cycle_type) * wg(tau)
+                        d ** len(sigma.compose(tau.inverse()).cycle_type) * wg(tau.cycle_type)
                         for tau in perms
                     )
                     want = 1.0 if sigma.one_line == tuple(range(order)) else 0.0
@@ -109,7 +163,13 @@ class TestWeingarten:
             wg_ref = np.linalg.solve(np.power(float(d), cycles), rhs)
             wg = weingarten_table(order, d)
             for p, want in zip(perms, wg_ref):
-                assert wg(p) == pytest.approx(want, rel=1e-12)
+                assert wg(p.cycle_type) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("key", [(1, 0, 2, 3), (3,), (2, 1, 1, 0), (1, 3), (2, 2, 1)])
+    def test_key_must_be_a_cycle_type(self, key):
+        # the table is keyed by partitions of its order only, not by permutations
+        with pytest.raises(ValidationError):
+            weingarten_table(4, 5)(key)
 
     def test_unsupported_range(self):
         with pytest.raises(ValidationError):
@@ -128,7 +188,7 @@ class TestWeingarten:
         swap = Permutation((1, 0) + tuple(range(2, order)))
         for sigma, want in ((identity, 1.0), (swap, 0.0)):
             total = sum(
-                d ** len(sigma.compose(tau.inverse()).cycle_type) * wg(tau)
+                d ** len(sigma.compose(tau.inverse()).cycle_type) * wg(tau.cycle_type)
                 for tau in perms
             )
             assert total == pytest.approx(want, abs=1e-9)
@@ -165,6 +225,7 @@ class TestHaarMoment:
         assert abs(vals.mean() - haar_moment(a, b, order)) <= 4 * se
 
     def test_bracket_matches_power_traces(self):
+        # checks the test-side bracket that ez2_by_enumeration rests on
         gen = rng_for("oracle", "bracket")
         m = random_traceless(4, gen)
         assert bracket(m, Permutation((1, 0, 2))) == pytest.approx(
@@ -225,6 +286,23 @@ class TestPinnedValues:
         gen = rng_for("oracle", "pinned-ez2", d)
         rep = verify_moments_basic(random_traceless(d, gen), 10, gen)
         assert rep.ez2_exact == pytest.approx(self.EZ2[d], rel=1e-12)
+
+
+class TestExactSecondMoment:
+    @pytest.mark.parametrize("d", range(4, 10))
+    def test_matches_s4_enumeration(self, d):
+        gen = rng_for("oracle", "ez2-enumeration", d)
+        for m in (random_hermitian(d, gen), random_traceless(d, gen)):
+            assert _ez2_exact(m, d) == pytest.approx(ez2_by_enumeration(m, d), rel=1e-12)
+
+    def test_rank_one_projector(self):
+        # M = |0><0|: Z = sum_i |r_i|^4 over the uniform unit vector r = row 0
+        # of U, and E|r_1|^8 = 24 / (d(d+1)(d+2)(d+3)), E|r_1|^4 |r_2|^4 = 4 / (same)
+        for d in (4, 5, 9):
+            m = np.zeros((d, d))
+            m[0, 0] = 1.0
+            want = (24 * d + 4 * d * (d - 1)) / (d * (d + 1) * (d + 2) * (d + 3))
+            assert _ez2_exact(m, d) == pytest.approx(want, rel=1e-13)
 
 
 class TestVerifyMoments:

@@ -3,7 +3,7 @@ import pytest
 from scipy import stats
 
 from qcert.linalg import ValidationError
-from qcert.rng import RngHandle, block_haar, haar_isometry, haar_unitary, sample_discrete
+from qcert.rng import RngHandle, block_haar, haar_isometry, haar_unitary
 from qcert.spectrum import Spectrum, bucketize
 
 from conftest import rng_for
@@ -132,25 +132,3 @@ class TestBlockHaar:
                 outside = [c for c in range(6) if c not in idx]
                 assert np.abs(u[r, outside]).max() == 0.0
 
-
-class TestSampleDiscrete:
-    def test_point_mass(self):
-        assert sample_discrete([1.0], rng_for("rng", "pm")) == 0
-        assert sample_discrete([0.0, 1.0], rng_for("rng", "pm2")) == 1
-
-    def test_negative_weight_rejected(self):
-        with pytest.raises(ValidationError):
-            sample_discrete([1.1, -0.1], rng_for("rng"))
-
-    def test_bad_sum_rejected(self):
-        with pytest.raises(ValidationError):
-            sample_discrete([0.5, 0.4], rng_for("rng"))
-
-    def test_empirical_frequency(self):
-        gen = rng_for("rng", "freq")
-        n = 100_000
-        counts = np.zeros(2)
-        for _ in range(n):
-            counts[sample_discrete([0.3, 0.7], gen)] += 1
-        se = np.sqrt(0.3 * 0.7 / n)
-        assert abs(counts[0] / n - 0.3) <= 3 * se
