@@ -64,6 +64,11 @@ class Verdict:
         )
 
 
+def _check_delta(delta: float):
+    if not 0 < delta < 1:
+        raise ValidationError(f"delta must lie in (0, 1), got {delta}")
+
+
 def _rounds(delta: float) -> int:
     """Majority-vote round count: standard Chernoff margin for error delta."""
     return max(1, math.ceil(18 * math.log(1 / delta)))
@@ -78,17 +83,20 @@ def basic_certify(src, sigma: DensityMatrix, eps: float, delta: float,
     law, and runs the two-sample L2 test at gap l2_scale * eps / sqrt(d);
     the verdict is the majority over the rounds.
 
-    Round t draws everything from its own stream ``rng.child(t)``, in the
-    order: Ginibre matrix, discards, measured multinomial, reference
-    multinomial. The rounds run in chunks of max(1, _CHUNK_ENTRIES // d^2),
-    at most 128 KiB of stacked d x d matrices. A chunk's bases come from one
-    stacked QR, its outcome laws from one stacked Born kernel and its
-    verdicts from one row-wise L2 test, while copies are drawn and charged
-    round by round. The result equals running the rounds one at a time,
-    down to ``copies_used`` when the budget runs out mid-chunk.
+    All classical randomness comes from one generator, ``rng.generator()``
+    (stream layout v2). The rounds run in chunks of
+    max(1, _CHUNK_ENTRIES // d^2), at most 128 KiB of stacked d x d matrices,
+    and the chunk size is part of the stream contract: each chunk first draws
+    its Ginibre stack (all real parts, then all imaginary parts), then, round
+    by round, the discards, the measured multinomial and the reference
+    multinomial. A chunk's bases come from one stacked QR, its outcome laws
+    from one stacked Born kernel and its verdicts from one row-wise L2 test,
+    while copies are charged round by round: when the budget runs out
+    mid-chunk, ``copies_used`` counts only the rounds charged before that.
     """
     if not 0 < eps <= 2:
         raise ValidationError(f"eps must lie in (0, 2], got {eps}")
+    _check_delta(delta)
     d = src.dim
     if sigma.dim != d:
         raise ValidationError(f"source dim {d} != sigma dim {sigma.dim}")
@@ -103,15 +111,15 @@ def basic_certify(src, sigma: DensityMatrix, eps: float, delta: float,
     rounds = _rounds(delta)
     chunk = max(1, _CHUNK_ENTRIES // d**2)
     rejections = 0
+    gen = rng.generator()
     try:
         for first in range(0, rounds, chunk):
-            gens = [rng.child(t).generator() for t in range(first, min(first + chunk, rounds))]
-            m = Basis(haar_unitary(d, gens))
+            m = Basis(haar_unitary(d, gen, size=min(chunk, rounds - first)))
             p, accept = src.law(m)
             p_sigma = outcome_distribution(sigma, m)
             measured = np.empty(p.shape, dtype=np.int64)
             reference = np.empty(p.shape, dtype=np.int64)
-            for i, gen in enumerate(gens):
+            for i in range(len(p)):
                 measured[i] = src.draw(p[i], accept[i], n_copies, gen)
                 reference[i] = gen.multinomial(n_copies, p_sigma[i])
             accepted = l2_two_sample_test(SampleCounts(measured), SampleCounts(reference), l2_gap)
@@ -160,6 +168,7 @@ def certify(src, sigma: DensityMatrix, eps: float, delta: float,
     """
     if not 0 < eps < 1:
         raise ValidationError(f"eps must lie in (0, 1), got {eps}")
+    _check_delta(delta)
     if rng is None:
         rng = RngHandle(cfg.seed).child("certify")
     start = src.copies_used

@@ -39,7 +39,7 @@ from .haar_oracle import (
 )
 from .linalg import DensityMatrix, ValidationError, fidelity_mm, schatten_quasinorm, trace_distance
 from .measurement import CopySource, NonadaptiveSchedule, basis_povm
-from .rng import RngHandle, haar_unitary
+from .rng import RngHandle, ginibre, haar_unitary
 from .spectrum import (
     Spectrum,
     predicted_bounds,
@@ -106,7 +106,8 @@ def hidden_state(kind: str, spec: Spectrum, eps: float, rng: RngHandle) -> Densi
     if kind == "spike":
         d = spec.dim
         beta = min(eps / np.sqrt(1 - 1 / d), 1.0)
-        v = haar_unitary(d, rng.generator())[:, 0]
+        z = ginibre(d, rng.generator())[:, 0]  # the first column of a Haar unitary, up to phase
+        v = z / np.linalg.norm(z)
         sigma_m = sigma.mat
         return DensityMatrix((1 - beta) * sigma_m + beta * np.outer(v, v.conj()))
     raise ValidationError(f"unknown hidden-state family {kind!r}")
@@ -254,8 +255,12 @@ def cmd_sweep(args) -> int:
     except ValueError:
         raise ValidationError(
             f"--d-list must be comma-separated integers, got {args.d_list!r}") from None
-    if min(dims) < 1:
-        raise ValidationError(f"--d-list entries must be >= 1, got {args.d_list!r}")
+    if min(dims) < 2:
+        raise ValidationError(f"--d-list entries must be >= 2, got {args.d_list!r}")
+    if not 0 < args.target <= 1:
+        raise ValidationError(f"--target must lie in (0, 1], got {args.target}")
+    if not 0 < args.eps <= 2:
+        raise ValidationError(f"--eps must lie in (0, 2], got {args.eps}")
     rows = []
     for d in dims:
         n = minimal_copies(d, args.eps, args.seed, args.trials, args.target)

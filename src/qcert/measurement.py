@@ -91,7 +91,17 @@ class Basis:
 
     def weights(self, block: np.ndarray) -> np.ndarray:
         """Unvalidated Born weights <u_z| block |u_z> of a dim x dim matrix,
-        shaped (dim,) for one basis and (r, dim) for a stack."""
+        shaped (dim,) for one basis and (r, dim) for a stack.
+
+        A block whose off-diagonal entries are all exactly zero (a diagonal
+        sigma, or a diagonal state's conditional block) takes the O(dim^2)
+        kernel (|U|^2)^T diag(block); any other block takes the dense
+        O(dim^3) product U^dag block U.
+        """
+        diag = np.diagonal(block)
+        if np.count_nonzero(block) == np.count_nonzero(diag):
+            sq = self.u.real**2 + self.u.imag**2
+            return np.sum(sq * diag.real[:, None], axis=-2)
         return np.real(np.sum(self.u.conj() * (block @ self.u), axis=-2))
 
 

@@ -61,22 +61,12 @@ def ginibre(d: int, rng, size: int | None = None) -> np.ndarray:
 def haar_unitary(d: int, rng, size: int | None = None) -> np.ndarray:
     """Haar-random unitary over C^d via phase-fixed QR of a Ginibre matrix.
 
-    With ``size`` set, returns a stacked array of shape (size, d, d). ``rng``
-    may also be a sequence of generators or handles: each contributes one
-    Ginibre matrix, drawn exactly as ``haar_unitary(d, g)`` would draw it, and
-    the stack of shape (len(rng), d, d) goes through one QR.
+    With ``size`` set, returns a stacked array of shape (size, d, d): one
+    Ginibre stack (all real parts, then all imaginary parts) through one QR.
     """
     if d < 1:
         raise ValidationError(f"dimension must be >= 1, got {d}")
-    if isinstance(rng, (list, tuple)):
-        if size is not None:
-            raise ValidationError("size must be None when one generator is given per matrix")
-        z = np.empty((len(rng), d, d), dtype=complex)
-        for i, g in enumerate(rng):
-            z[i] = ginibre(d, g)
-    else:
-        z = ginibre(d, rng, size)
-    q, r = np.linalg.qr(z)
+    q, r = np.linalg.qr(ginibre(d, rng, size))
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     phases = diag / np.abs(diag)
     return q * phases[..., None, :]

@@ -61,6 +61,11 @@ class TestCertifyCommand:
         ["certify", "--family", "geometric", "--ratio=-inf"],
         ["certify", "--family", "geometric", "--ratio", "-1"],
         ["gen-sigma", "--family", "rank-mm", "--d", "4", "--rank", "-1"],
+        ["certify", "--delta", "0"],
+        ["certify", "--delta", "nan"],
+        ["certify", "--delta", "-0.1"],
+        ["certify", "--delta", "1.5"],
+        ["certify", "--algorithm", "basic", "--delta", "1"],
     ])
     def test_out_of_range_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as err:
@@ -126,6 +131,24 @@ class TestCertifyCommand:
 
 
 class TestSweepCommand:
+    @pytest.mark.parametrize("argv, flag", [
+        (["--d-list", "1"], "--d-list"),
+        (["--d-list", "4,1"], "--d-list"),
+        (["--target", "nan"], "--target"),
+        (["--target", "0"], "--target"),
+        (["--target", "1.5"], "--target"),
+        (["--eps", "0"], "--eps"),
+        (["--eps", "nan"], "--eps"),
+        (["--eps", "2.5"], "--eps"),
+    ])
+    def test_out_of_range_names_the_flag(self, argv, flag, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["sweep", "--trials", "2"] + argv)
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"qcert: {flag} ")
+        assert captured.out == ""
+
     def test_single_d_flagged(self, capsys):
         code, out = run_cli(["sweep", "--d-list", "4", "--eps", "0.45", "--trials", "40",
                              "--format", "json"], capsys)

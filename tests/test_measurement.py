@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcert.instances import sample_paninski, tune_paninski
 from qcert.linalg import DensityMatrix, ValidationError
@@ -16,7 +18,7 @@ from qcert.measurement import (
     project_povm_to_blocks,
 )
 from qcert.measurement import OFFDIAG_G2_CONSTANT, PANINSKI_G2_CONSTANT
-from qcert.rng import haar_unitary
+from qcert.rng import RngHandle, haar_unitary
 from qcert.spectrum import Spectrum, bucketize
 
 from conftest import exact_paninski_g2, random_density, rng_for
@@ -79,6 +81,50 @@ class TestBasis:
         us[1, :, 0] *= 1.01
         with pytest.raises(ValidationError):
             Basis(us)
+
+
+def dense_weights(u: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """Born weights <u_z| block |u_z> through the dense product U^dag block U."""
+    return np.real(np.sum(u.conj() * (block @ u), axis=-2))
+
+
+class TestDiagonalKernel:
+    """Basis.weights takes an O(d^2) kernel when the block is exactly diagonal."""
+
+    @settings(max_examples=60)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 40),
+           r=st.none() | st.integers(1, 4), zeros=st.floats(0.0, 0.9),
+           conditional=st.booleans())
+    def test_matches_dense_path(self, seed, d, r, zeros, conditional):
+        gen = RngHandle(seed).child("diag-kernel").generator()
+        lam = gen.dirichlet(np.ones(d))
+        lam[gen.random(d) < zeros] = 0.0
+        lam[int(gen.integers(d))] += 1.0  # at least one entry stays positive
+        state = DensityMatrix.from_diagonal(lam / lam.sum())
+        src, block = CopySource(state), state.mat
+        if conditional:
+            idx = np.sort(gen.choice(d, size=int(gen.integers(1, d + 1)), replace=False))
+            src, block = src.conditional(idx), block[np.ix_(idx, idx)]
+        m = Basis(haar_unitary(src.dim, gen, size=r))
+        p, accept = src.law(m)
+        assert np.abs(p - dense_weights(m.u, block)).max() <= 1e-12
+        assert np.abs(accept - np.diagonal(block).real.sum()).max() <= 1e-12
+        for t in range(len(m.u) if r else 0):  # a stack's rows are its bases held alone
+            assert np.array_equal(p[t], Basis(m.u[t]).weights(block))
+
+    @settings(max_examples=40)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 40),
+           r=st.none() | st.integers(1, 4), scale=st.sampled_from([1e-300, 1e-3, 1.0]))
+    def test_off_diagonal_entry_takes_dense_path(self, seed, d, r, scale):
+        """One nonzero off-diagonal pair, however small, selects the dense
+        product: the weights equal it bit for bit."""
+        gen = RngHandle(seed).child("dense-kernel").generator()
+        block = np.diag(gen.dirichlet(np.ones(d))).astype(complex)
+        i, j = gen.choice(d, size=2, replace=False)
+        block[i, j] = scale * (gen.random() + 1j * gen.random())
+        block[j, i] = np.conj(block[i, j])
+        u = haar_unitary(d, gen, size=r)
+        assert np.array_equal(Basis(u).weights(block), dense_weights(u, block))
 
 
 class TestOutcomeDistribution:

@@ -38,18 +38,6 @@ class TestHaarUnitary:
         with pytest.raises(ValidationError):
             haar_unitary(0, rng_for("rng"))
 
-    @pytest.mark.parametrize("d", [1, 2, 9, 40, 128])
-    def test_one_generator_per_matrix_matches_single_draws(self, d):
-        # a stack drawn from one generator per matrix goes through one QR and
-        # equals the matrices drawn one at a time, bit for bit
-        h = RngHandle(5).child("stack", d)
-        stacked = haar_unitary(d, [h.child(t).generator() for t in range(3)])
-        singles = [haar_unitary(d, h.child(t).generator()) for t in range(3)]
-        assert stacked.shape == (3, d, d)
-        assert np.array_equal(stacked, np.stack(singles))
-        with pytest.raises(ValidationError):
-            haar_unitary(d, [h.generator()], size=2)
-
     def test_first_moment(self):
         # E |U_11|^2 = 1/d, Monte Carlo within 3 standard errors
         d, n = 4, 100_000
