@@ -10,6 +10,7 @@ charges the caller's source.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -40,13 +41,11 @@ class CertifyConfig:
     eps: float = 0.3
     delta: float = 0.1
     c_basic: float = DEFAULT_C_BASIC
-    c_trace: float = DEFAULT_C_TRACE
-    l2_scale: float = DEFAULT_L2_SCALE
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.c_basic, self.c_trace, self.l2_scale) <= 0:
-            raise ValidationError("constant multipliers must be positive")
+        if self.c_basic <= 0:
+            raise ValidationError(f"c_basic must be positive, got {self.c_basic}")
 
 
 DEFAULT_CONFIG = CertifyConfig()
@@ -80,7 +79,7 @@ def basic_certify(src, sigma: DensityMatrix, eps: float, delta: float,
 
     Each round measures ceil(c_basic sqrt(d)/eps^2) copies in a fresh
     Haar-random basis, samples a same-size reference from sigma's outcome
-    law, and runs the two-sample L2 test at gap l2_scale * eps / sqrt(d);
+    law, and runs the two-sample L2 test at gap DEFAULT_L2_SCALE * eps / sqrt(d);
     the verdict is the majority over the rounds.
 
     All classical randomness comes from one generator, ``rng.generator()``
@@ -107,7 +106,7 @@ def basic_certify(src, sigma: DensityMatrix, eps: float, delta: float,
         return Verdict("YES", 0, {"trivial": "only one state exists in dimension 1"})
 
     n_copies = math.ceil(cfg.c_basic * math.sqrt(d) / eps**2)
-    l2_gap = cfg.l2_scale * eps / math.sqrt(d)
+    l2_gap = DEFAULT_L2_SCALE * eps / math.sqrt(d)
     rounds = _rounds(delta)
     chunk = max(1, _CHUNK_ENTRIES // d**2)
     rejections = 0
@@ -139,31 +138,30 @@ def _fraction_test(src, indices, n: int, rng) -> float:
     return counts[0] / n
 
 
-@dataclass
-class _Plan:
-    """Measurement-basis preprocessing for a general (non-diagonal) sigma."""
-
-    spectrum: Spectrum
-    rotation: np.ndarray | None  # eigenbasis map; None when sigma is already diagonal
-
-
-def _diagonalize(sigma: DensityMatrix) -> _Plan:
+def _diagonalize(sigma: DensityMatrix) -> tuple[Spectrum, np.ndarray | None]:
+    """sigma's spectrum, plus its eigenbasis map, or None when sigma is already diagonal."""
     off = np.abs(sigma.mat - np.diag(np.diag(sigma.mat))).max()
     if off <= 1e-12:
         lam = np.clip(sigma.diagonal(), 0.0, None)
-        return _Plan(Spectrum(lam / lam.sum()), None)
+        return Spectrum(lam / lam.sum()), None
     lam, vec = hermitian_eig(sigma.mat)
     lam = np.clip(lam, 0.0, None)
-    return _Plan(Spectrum(lam / lam.sum()), vec)
+    return Spectrum(lam / lam.sum()), vec
 
 
 def certify(src, sigma: DensityMatrix, eps: float, delta: float,
             cfg: CertifyConfig = DEFAULT_CONFIG, rng: RngHandle | None = None) -> Verdict:
     """Bucketwise certifier: YES if rho = sigma, NO if ||rho - sigma||_1 > eps.
 
-    Scenario 1 checks the mass of the low-eigenvalue tail; scenario 3 runs a
-    trace test plus a conditional basic test per bucket; scenario 4 does the
-    same per bucket pair. The off-diagonal tail/bulk scenario needs no
+    Scenario 1 checks the mass of the low-eigenvalue tail. Then each bucket
+    (scenario 3) and each bucket pair, larger bucket first (scenario 4), is
+    one stage with the same rule: measure the fraction f of copies landing
+    in the stage's indices; answer NO if f >= Tr + margin, where Tr is
+    sigma's trace there; skip the stage if f < gate = eps / (40 m^2);
+    otherwise run basic_certify on the conditional view at
+    eps_hs = min(eps / (c m^2 Tr) / sqrt(|indices|), 2). A bucket uses
+    margin = gate, c = 20 and delta / m; a pair uses margin = eps / (20 m^2),
+    c = 10 and delta / m^2. The off-diagonal tail/bulk scenario needs no
     separate test: it is excluded once scenario 1 passes. The first NO wins.
     """
     if not 0 < eps < 1:
@@ -174,10 +172,9 @@ def certify(src, sigma: DensityMatrix, eps: float, delta: float,
     start = src.copies_used
     diag: dict = {"scenario1": None, "scenario3": [], "scenario4": []}
 
-    plan = _diagonalize(sigma)
-    if plan.rotation is not None:
-        src = src.rotated(plan.rotation)
-    spec = plan.spectrum
+    spec, rotation = _diagonalize(sigma)
+    if rotation is not None:
+        src = src.rotated(rotation)
     d = spec.dim
 
     removal = remove_mass_upper(spec, eps)
@@ -188,7 +185,7 @@ def certify(src, sigma: DensityMatrix, eps: float, delta: float,
 
     try:
         # Scenario 1: mass on the removed tail.
-        n1 = math.ceil(cfg.c_trace * math.log(2 / delta) / eps**2)
+        n1 = math.ceil(DEFAULT_C_TRACE * math.log(2 / delta) / eps**2)
         frac = _fraction_test(src, tail, n1, rng.child("s1").generator()) if tail.size else 0.0
         diag["scenario1"] = {"fraction": frac, "threshold": eps**2 / 5, "copies": n1}
         if frac >= eps**2 / 5:
@@ -196,59 +193,34 @@ def certify(src, sigma: DensityMatrix, eps: float, delta: float,
 
         levels = buckets.levels
         n_trace = math.ceil(
-            20 * cfg.c_trace * m_factor**4 * math.log(4 * max(len(levels), 1) / delta) / eps**2
+            20 * DEFAULT_C_TRACE * m_factor**4 * math.log(4 * max(len(levels), 1) / delta) / eps**2
         )
         gate = eps / (40 * m_factor**2)
 
-        # Scenario 3: one bucket drifted.
-        for j in levels:
-            idx = buckets.indices(j)
-            bucket_trace = float(lam[idx].sum())
-            gen = rng.child("s3", j)
+        # Scenarios 3 and 4, one stage each:
+        # (entries, label, indices, rng, NO margin, eps_hs scale, stage delta).
+        stages = [(diag["scenario3"], {"bucket": j}, buckets.indices(j), rng.child("s3", j),
+                   gate, 20 * m_factor**2, delta / m_factor) for j in levels]
+        for j, jp in itertools.combinations(levels, 2):
+            if buckets.size(jp) > buckets.size(j):
+                j, jp = jp, j
+            idx = np.sort(np.concatenate([buckets.indices(j), buckets.indices(jp)]))
+            stages.append((diag["scenario4"], {"pair": (j, jp)}, idx, rng.child("s4", j, jp),
+                           eps / (20 * m_factor**2), 10 * m_factor**2, delta / m_factor**2))
+
+        for entries, label, idx, gen, margin, scale, stage_delta in stages:
+            trace = float(lam[idx].sum())
             frac = _fraction_test(src, idx, n_trace, gen.child("trace").generator())
-            entry = {"bucket": j, "trace": bucket_trace, "fraction": frac, "skipped": False}
-            diag["scenario3"].append(entry)
-            if frac >= bucket_trace + gate:
+            entry = {**label, "trace": trace, "fraction": frac, "skipped": False}
+            entries.append(entry)
+            if frac >= trace + margin:
                 return Verdict("NO", src.copies_used - start, diag)
             if frac < gate:
                 entry["skipped"] = True  # conditional path pointless below the trace gate
                 continue
-            eps_prime = eps / (20 * m_factor**2 * bucket_trace)
-            eps_hs = min(eps_prime / math.sqrt(len(idx)), 2.0)
-            cond = src.conditional(idx)
-            sub_sigma = DensityMatrix.from_diagonal(lam[idx] / bucket_trace)
-            verdict = basic_certify(cond, sub_sigma, eps_hs, delta / m_factor, cfg,
-                                    rng=gen.child("basic"))
-            entry["basic"] = verdict.answer
-            if verdict.answer != "YES":
-                return Verdict(verdict.answer, src.copies_used - start, diag)
-
-        # Scenario 4: an off-diagonal bucket pair drifted.
-        pairs = []
-        for a in range(len(levels)):
-            for b in range(a + 1, len(levels)):
-                j, jp = levels[a], levels[b]
-                if buckets.size(jp) > buckets.size(j):
-                    j, jp = jp, j
-                pairs.append((j, jp))
-        for j, jp in pairs:
-            idx = np.concatenate([buckets.indices(j), buckets.indices(jp)])
-            idx.sort()
-            pair_trace = float(lam[idx].sum())
-            gen = rng.child("s4", j, jp)
-            frac = _fraction_test(src, idx, n_trace, gen.child("trace").generator())
-            entry = {"pair": (j, jp), "trace": pair_trace, "fraction": frac, "skipped": False}
-            diag["scenario4"].append(entry)
-            if frac >= pair_trace + eps / (20 * m_factor**2):
-                return Verdict("NO", src.copies_used - start, diag)
-            if frac < gate:
-                entry["skipped"] = True
-                continue
-            eps_second = eps / (10 * m_factor**2 * pair_trace)
-            eps_hs = min(eps_second / math.sqrt(len(idx)), 2.0)
-            cond = src.conditional(idx)
-            sub_sigma = DensityMatrix.from_diagonal(lam[idx] / pair_trace)
-            verdict = basic_certify(cond, sub_sigma, eps_hs, delta / m_factor**2, cfg,
+            eps_hs = min(eps / (scale * trace) / math.sqrt(len(idx)), 2.0)
+            sub_sigma = DensityMatrix.from_diagonal(lam[idx] / trace)
+            verdict = basic_certify(src.conditional(idx), sub_sigma, eps_hs, stage_delta, cfg,
                                     rng=gen.child("basic"))
             entry["basic"] = verdict.answer
             if verdict.answer != "YES":

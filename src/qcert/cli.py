@@ -105,6 +105,8 @@ def hidden_state(kind: str, spec: Spectrum, eps: float, rng: RngHandle) -> Densi
         return DensityMatrix.from_diagonal(lam)
     if kind == "spike":
         d = spec.dim
+        if d < 2:
+            raise ValidationError("spike alternative needs --d >= 2")
         beta = min(eps / np.sqrt(1 - 1 / d), 1.0)
         z = ginibre(d, rng.generator())[:, 0]  # the first column of a Haar unitary, up to phase
         v = z / np.linalg.norm(z)
@@ -144,17 +146,13 @@ def _resolved(args, **extra) -> dict:
 def cmd_gen_sigma(args) -> int:
     spec = make_spectrum(args.family, args.d, args.rank, args.ratio, args.input)
     payload = {"config": _resolved(args), "lambdas": list(spec.lambdas)}
-    text = json.dumps(payload, indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    args.format = "json"
+    _emit(args, payload)
     return 0
 
 
 def _one_certify_trial(packed) -> dict:
-    (trial, family, lambdas, hidden, eps, delta, seed, algorithm, budget) = packed
+    (trial, lambdas, hidden, eps, delta, seed, algorithm, budget) = packed
     spec = Spectrum(np.asarray(lambdas))
     handle = RngHandle(seed).child("trial", trial)
     rho = hidden_state(hidden, spec, eps, handle.child("state"))
@@ -184,8 +182,8 @@ def cmd_certify(args) -> int:
         raise ValidationError(f"--budget must be >= 0, got {args.budget}")
     spec = make_spectrum(args.family, args.d, args.rank, args.ratio, args.input)
     jobs = [
-        (t, args.family, list(spec.lambdas), args.hidden, args.eps, args.delta,
-         args.seed, args.algorithm, args.budget)
+        (t, list(spec.lambdas), args.hidden, args.eps, args.delta, args.seed,
+         args.algorithm, args.budget)
         for t in range(args.trials)
     ]
     if args.threads > 1:
@@ -259,8 +257,11 @@ def cmd_sweep(args) -> int:
         raise ValidationError(f"--d-list entries must be >= 2, got {args.d_list!r}")
     if not 0 < args.target <= 1:
         raise ValidationError(f"--target must lie in (0, 1], got {args.target}")
-    if not 0 < args.eps <= 2:
-        raise ValidationError(f"--eps must lie in (0, 2], got {args.eps}")
+    # the capped spike alternative sits at HS distance sqrt(1 - 1/d) from I/d
+    reach = math.sqrt(1 - 1 / min(dims))
+    if not 0 < args.eps <= reach:
+        raise ValidationError(f"--eps must lie in (0, sqrt(1 - 1/d)] = (0, {reach:.6g}] "
+                              f"for d = {min(dims)}, got {args.eps}")
     rows = []
     for d in dims:
         n = minimal_copies(d, args.eps, args.seed, args.trials, args.target)

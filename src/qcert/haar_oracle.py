@@ -42,6 +42,11 @@ from .rng import as_generator, haar_unitary
 
 MAX_ORDER = 6
 
+# verify_moments_basic: the stated (d^-4) second-moment bound's multiplier, and
+# the number of Haar unitaries drawn per stack (part of its stream contract).
+_SECOND_MOMENT_MULTIPLIER = 1.5
+_MOMENTS_CHUNK = 100_000
+
 
 @lru_cache(maxsize=None)
 def _partitions(k: int) -> tuple[tuple[int, ...], ...]:
@@ -234,13 +239,12 @@ class MomentsReport:
         return json.dumps(self.__dict__)
 
 
-def verify_moments_basic(m, samples: int, rng, bound_multiplier: float = 1.5,
-                         chunk: int = 100_000) -> MomentsReport:
+def verify_moments_basic(m, samples: int, rng) -> MomentsReport:
     """Estimate E[Z], E[Z^2] for Z = sum_i (u_i^dag M u_i)^2 by Monte Carlo.
 
     The first clause passes when the estimate matches the exact mean within
     3 standard errors. The second compares E[Z^2] for traceless M against
-    bound_multiplier * ||M||_HS^4 / d^4.
+    1.5 ||M||_HS^4 / d^4 (_SECOND_MOMENT_MULTIPLIER).
 
     That d^-4 clause cannot hold for any nonzero traceless M at d >= 2:
     E[Z^2] >= (E[Z])^2 = ||M||_HS^4/(d+1)^2, which exceeds 1.5 ||M||_HS^4/d^4.
@@ -259,7 +263,7 @@ def verify_moments_basic(m, samples: int, rng, bound_multiplier: float = 1.5,
     z_sum = z2_sum = z4_sum = 0.0
     done = 0
     while done < samples:
-        take = min(chunk, samples - done)
+        take = min(_MOMENTS_CHUNK, samples - done)
         q = haar_unitary(d, gen, size=take)
         x = np.einsum("nji,jk,nki->ni", q.conj(), mat, q).real
         z = (x**2).sum(axis=1)
@@ -274,7 +278,7 @@ def verify_moments_basic(m, samples: int, rng, bound_multiplier: float = 1.5,
 
     ez_exact = (tr**2 + hs2) / (d + 1)
     ez2_exact = _ez2_exact(mat, d) if d >= 4 else None
-    bound = bound_multiplier * hs2**2 / d**4
+    bound = _SECOND_MOMENT_MULTIPLIER * hs2**2 / d**4
     return MomentsReport(
         d=d,
         samples=samples,

@@ -57,14 +57,14 @@ class DensityMatrix:
 
     __slots__ = ("mat", "dim")
 
-    def __init__(self, mat, *, trace_tol: float = TRACE_TOL, psd_tol: float = PSD_TOL):
+    def __init__(self, mat):
         m = check_hermitian(mat)
         tr = np.trace(m).real
-        if abs(tr - 1.0) > trace_tol:
-            raise ValidationError(f"trace = {tr!r}, not 1 within {trace_tol:.1e}")
+        if abs(tr - 1.0) > TRACE_TOL:
+            raise ValidationError(f"trace = {tr!r}, not 1 within {TRACE_TOL:.1e}")
         lam_min = np.linalg.eigvalsh(m)[0]
-        if lam_min < -psd_tol:
-            raise ValidationError(f"minimum eigenvalue {lam_min:.3e} < -{psd_tol:.1e}")
+        if lam_min < -PSD_TOL:
+            raise ValidationError(f"minimum eigenvalue {lam_min:.3e} < -{PSD_TOL:.1e}")
         self.mat = m
         self.dim = m.shape[0]
 

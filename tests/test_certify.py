@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qcert.certify import CertifyConfig, Verdict, basic_certify, certify
+from qcert.certify import DEFAULT_L2_SCALE, CertifyConfig, Verdict, basic_certify, certify
 from qcert.cli import hidden_state, minimal_copies
 from qcert.instances import build_offdiag, plan_offdiag, sample_paninski, tune_paninski
 from qcert.linalg import DensityMatrix, ValidationError
@@ -365,10 +365,31 @@ def linear_spectrum(d: int) -> Spectrum:
     return Spectrum(lam / lam.sum())
 
 
+def stages(buckets: int, pairs: int, last: str = "YES") -> list:
+    """(label, skipped, basic answer) of each scenario-3 and scenario-4 stage
+    run: ``buckets`` bucket stages, then ``pairs`` pair stages, the last stage
+    answering ``last`` and all others YES."""
+    out = [("bucket", False, "YES")] * buckets + [("pair", False, "YES")] * pairs
+    out[-1] = (out[-1][0], False, last)
+    return out
+
+
 class TestPinnedRuns:
     """Verdicts and copy counts of seeded runs, pinned exactly. Every value
     depends on the Ginibre, discard and multinomial draws, so a change that
     moves any draw of stream layout v2 fails here and must re-pin on purpose."""
+
+    # the stages each certify run went through, in order; the first NO or
+    # INCONCLUSIVE ends the run
+    STAGES = {
+        (8, "null", None): stages(4, 6),
+        (8, "offdiag", None): stages(1, 0, "NO"),
+        (16, "null", None): stages(5, 10),
+        (16, "offdiag", None): stages(1, 0, "NO"),
+        (32, "null", None): stages(5, 10),
+        (32, "offdiag", None): stages(1, 0, "NO"),
+        (16, "null", 10**12): stages(5, 1, "INCONCLUSIVE"),
+    }
 
     @pytest.mark.parametrize("d, hidden, budget, want", [
         (8, "null", None, ("YES", 554605266879)),
@@ -388,6 +409,9 @@ class TestPinnedRuns:
         v = certify(CopySource(rho, budget), sigma, 0.3, 0.2,
                     CertifyConfig(eps=0.3, delta=0.2), rng=h.child("algo"))
         assert (v.answer, v.copies_used) == want
+        run = v.diagnostics["scenario3"] + v.diagnostics["scenario4"]
+        assert [("bucket" if "bucket" in e else "pair", e["skipped"], e.get("basic"))
+                for e in run] == self.STAGES[d, hidden, budget]
 
     @pytest.mark.parametrize("d, want", [
         (2, ("YES", 63156, 1)),
@@ -455,7 +479,7 @@ def per_round_basic_certify(src, sigma, eps, delta, cfg, rng):
     d = src.dim
     start = src.copies_used
     n = math.ceil(cfg.c_basic * math.sqrt(d) / eps**2)
-    gap = cfg.l2_scale * eps / math.sqrt(d)
+    gap = DEFAULT_L2_SCALE * eps / math.sqrt(d)
     rounds = max(1, math.ceil(18 * math.log(1 / delta)))
     chunk = max(1, 8192 // d**2)
     gen = rng.generator()

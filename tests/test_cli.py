@@ -66,6 +66,7 @@ class TestCertifyCommand:
         ["certify", "--delta", "-0.1"],
         ["certify", "--delta", "1.5"],
         ["certify", "--algorithm", "basic", "--delta", "1"],
+        ["certify", "--family", "mm", "--d", "1", "--hidden", "spike", "--trials", "1"],
     ])
     def test_out_of_range_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as err:
@@ -140,6 +141,7 @@ class TestSweepCommand:
         (["--eps", "0"], "--eps"),
         (["--eps", "nan"], "--eps"),
         (["--eps", "2.5"], "--eps"),
+        (["--d-list", "2", "--eps", "2"], "--eps"),
     ])
     def test_out_of_range_names_the_flag(self, argv, flag, capsys):
         with pytest.raises(SystemExit) as err:

@@ -5,6 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from qcert import haar_oracle
 from qcert.haar_oracle import (
     _centralizer,
     _character_table,
@@ -320,10 +321,11 @@ class TestVerifyMoments:
         (3, 2.1008604952575114, 7.0288173646600045),
         (5, 3.6536165620761065, 18.474045013464607),
     ])
-    def test_monte_carlo_estimates_pinned(self, d, ez, ez2):
+    def test_monte_carlo_estimates_pinned(self, d, ez, ez2, monkeypatch):
         # bit-for-bit values of the Haar stream, drawn in chunks of 1000, 1000, 500
+        monkeypatch.setattr(haar_oracle, "_MOMENTS_CHUNK", 1000)
         gen = rng_for("oracle", "pinned-mc", d)
-        rep = verify_moments_basic(random_traceless(d, gen), 2500, gen, chunk=1000)
+        rep = verify_moments_basic(random_traceless(d, gen), 2500, gen)
         assert (rep.ez_mc, rep.ez2_mc) == (ez, ez2)
 
     def test_exact_second_moment_matches_monte_carlo(self):
