@@ -32,9 +32,7 @@ from .linalg import (
 from .measurement import (
     Basis,
     CopySource,
-    NonadaptiveSchedule,
     Povm,
-    basis_povm,
     outcome_distribution,
     phi,
     project_povm_to_blocks,

@@ -41,7 +41,6 @@ class CertifyConfig:
     eps: float = 0.3
     delta: float = 0.1
     c_basic: float = DEFAULT_C_BASIC
-    seed: int = 0
 
     def __post_init__(self):
         if self.c_basic <= 0:
@@ -74,7 +73,7 @@ def _rounds(delta: float) -> int:
 
 
 def basic_certify(src, sigma: DensityMatrix, eps: float, delta: float,
-                  cfg: CertifyConfig = DEFAULT_CONFIG, rng: RngHandle | None = None) -> Verdict:
+                  cfg: CertifyConfig = DEFAULT_CONFIG, *, rng: RngHandle) -> Verdict:
     """Haar-basis tester: YES if rho = sigma, NO if ||rho - sigma||_HS > eps.
 
     Each round measures ceil(c_basic sqrt(d)/eps^2) copies in a fresh
@@ -99,8 +98,6 @@ def basic_certify(src, sigma: DensityMatrix, eps: float, delta: float,
     d = src.dim
     if sigma.dim != d:
         raise ValidationError(f"source dim {d} != sigma dim {sigma.dim}")
-    if rng is None:
-        rng = RngHandle(cfg.seed).child("basic")
     start = src.copies_used
     if d == 1:
         return Verdict("YES", 0, {"trivial": "only one state exists in dimension 1"})
@@ -150,7 +147,7 @@ def _diagonalize(sigma: DensityMatrix) -> tuple[Spectrum, np.ndarray | None]:
 
 
 def certify(src, sigma: DensityMatrix, eps: float, delta: float,
-            cfg: CertifyConfig = DEFAULT_CONFIG, rng: RngHandle | None = None) -> Verdict:
+            cfg: CertifyConfig = DEFAULT_CONFIG, *, rng: RngHandle) -> Verdict:
     """Bucketwise certifier: YES if rho = sigma, NO if ||rho - sigma||_1 > eps.
 
     Scenario 1 checks the mass of the low-eigenvalue tail. Then each bucket
@@ -167,8 +164,6 @@ def certify(src, sigma: DensityMatrix, eps: float, delta: float,
     if not 0 < eps < 1:
         raise ValidationError(f"eps must lie in (0, 1), got {eps}")
     _check_delta(delta)
-    if rng is None:
-        rng = RngHandle(cfg.seed).child("certify")
     start = src.copies_used
     diag: dict = {"scenario1": None, "scenario3": [], "scenario4": []}
 

@@ -38,7 +38,7 @@ from .haar_oracle import (
     verify_moments_basic,
 )
 from .linalg import DensityMatrix, ValidationError, fidelity_mm, schatten_quasinorm, trace_distance
-from .measurement import CopySource, NonadaptiveSchedule, basis_povm
+from .measurement import Basis, CopySource
 from .rng import RngHandle, ginibre, haar_unitary
 from .spectrum import (
     Spectrum,
@@ -117,7 +117,7 @@ def hidden_state(kind: str, spec: Spectrum, eps: float, rng: RngHandle) -> Densi
 
 def _emit(args, payload: dict, rows: list[dict] | None = None, header: list[str] | None = None):
     """Write JSON (reports) or config-prefixed CSV (tables)."""
-    if args.format == "json":
+    if getattr(args, "format", "json") == "json":  # reports take no --format
         out = dict(payload)
         if rows is not None:
             out["rows"] = rows
@@ -145,9 +145,7 @@ def _resolved(args, **extra) -> dict:
 
 def cmd_gen_sigma(args) -> int:
     spec = make_spectrum(args.family, args.d, args.rank, args.ratio, args.input)
-    payload = {"config": _resolved(args), "lambdas": list(spec.lambdas)}
-    args.format = "json"
-    _emit(args, payload)
+    _emit(args, {"config": _resolved(args), "lambdas": list(spec.lambdas)})
     return 0
 
 
@@ -158,7 +156,7 @@ def _one_certify_trial(packed) -> dict:
     rho = hidden_state(hidden, spec, eps, handle.child("state"))
     src = CopySource(rho, budget)
     sigma = DensityMatrix.from_diagonal(spec.lambdas)
-    cfg = CertifyConfig(eps=eps, delta=delta, seed=seed)
+    cfg = CertifyConfig(eps=eps, delta=delta)
     t0 = time.perf_counter()
     if algorithm == "basic":
         verdict = basic_certify(src, sigma, eps, delta, cfg, rng=handle.child("algo"))
@@ -178,6 +176,8 @@ def _one_certify_trial(packed) -> dict:
 def cmd_certify(args) -> int:
     if args.trials < 1:
         raise ValidationError("--trials must be >= 1")
+    if args.threads < 1:
+        raise ValidationError(f"--threads must be >= 1, got {args.threads}")
     if args.budget is not None and args.budget < 0:
         raise ValidationError(f"--budget must be >= 0, got {args.budget}")
     spec = make_spectrum(args.family, args.d, args.rank, args.ratio, args.input)
@@ -214,8 +214,12 @@ def minimal_copies(d: int, eps: float, seed: int, trials: int, target: float,
     sigma = DensityMatrix.from_diagonal(spec.lambdas)
 
     def success(n_copies: int) -> float:
-        cfg = CertifyConfig(eps=eps, delta=delta, c_basic=n_copies * eps**2 / np.sqrt(d),
-                            seed=seed)
+        # basic_certify runs ceil(c_basic sqrt(d) / eps^2) copies per round;
+        # step c_basic down past the roundoff that would make that n + 1
+        c_basic = n_copies * eps**2 / math.sqrt(d)
+        while math.ceil(c_basic * math.sqrt(d) / eps**2) > n_copies:
+            c_basic = math.nextafter(c_basic, 0.0)
+        cfg = CertifyConfig(eps=eps, delta=delta, c_basic=c_basic)
         ok_null = ok_alt = 0
         for t in range(trials):
             handle = RngHandle(seed).child("sweep", d, n_copies, t)
@@ -309,9 +313,20 @@ def cmd_bounds(args) -> int:
         report["classical_path"] = "all buckets are singletons; classical bound applies"
     except ValidationError:
         report["paninski_available"] = False
-    args.format = "json"
     _emit(args, report)
     return 0
+
+
+def haar_schedule(d: int, copies: int, gen) -> Basis:
+    """A nonadaptive schedule of ``copies`` Haar bases, drawn one after
+    another from ``gen``, as one (copies, d, d) ``Basis`` stack."""
+    us = [haar_unitary(d, gen) for _ in range(copies)]
+    return Basis(np.stack(us) if us else np.empty((0, d, d), dtype=complex))
+
+
+def _phis(schedule: Basis, sigma, ens) -> list[float]:
+    """phi over every ordered ensemble pair, for each copy's basis in turn."""
+    return [x for u in schedule.u for x in phi_pairs_finite(Basis(u), sigma, ens)]
 
 
 def cmd_divergence(args) -> int:
@@ -321,16 +336,11 @@ def cmd_divergence(args) -> int:
     rows = []
     worst = {"tv": 0.0, "chi2": 0.0, "kl": 0.0}
     for s in range(args.schedules):
-        gen = handle.child("schedule", s).generator()
-        povms = tuple(basis_povm(haar_unitary(spec.dim, gen)) for _ in range(args.copies))
-        schedule = NonadaptiveSchedule(povms)
+        schedule = haar_schedule(spec.dim, args.copies, handle.child("schedule", s).generator())
         if args.ensemble == "corner":
             ens = corner_ensemble(sigma, args.eps)
             rep = exact_transcript_divergence(sigma, ens, schedule)
-            bound, se = ingster_bound(
-                np.concatenate([phi_pairs_finite(m, sigma, ens) for m in povms]),
-                args.copies,
-            )
+            bound, se = ingster_bound(_phis(schedule, sigma, ens), args.copies)
         elif args.ensemble == "paninski":
             inst = tune_paninski(spec, args.eps)
             rep = exact_transcript_divergence(
@@ -390,8 +400,7 @@ def cmd_verify(args) -> int:
     ok = True
     worst = 1.0
     for s in range(args.schedules):
-        gen = handle.child("corner-bound", s).generator()
-        schedule = NonadaptiveSchedule(tuple(basis_povm(haar_unitary(2, gen)) for _ in range(5)))
+        schedule = haar_schedule(2, 5, handle.child("corner-bound", s).generator())
         rep = exact_transcript_divergence(corner_sigma, ens, schedule)
         worst = min(worst, rep.min_likelihood_ratio)
         ok &= rep.min_likelihood_ratio >= floor - 1e-12 and rep.tv <= 1 - floor + 1e-12
@@ -400,18 +409,14 @@ def cmd_verify(args) -> int:
     # Moment-method bound dominates the exact chi-squared (finite ensemble).
     ok = True
     for s in range(args.schedules):
-        gen = handle.child("ingster", s).generator()
-        povms = tuple(basis_povm(haar_unitary(2, gen)) for _ in range(4))
-        schedule = NonadaptiveSchedule(povms)
+        schedule = haar_schedule(2, 4, handle.child("ingster", s).generator())
         rep = exact_transcript_divergence(corner_sigma, ens, schedule)
-        phis = np.concatenate([phi_pairs_finite(m, corner_sigma, ens) for m in povms])
-        bound, se = ingster_bound(phis, 4)
+        bound, se = ingster_bound(_phis(schedule, corner_sigma, ens), 4)
         ok &= rep.chi2 <= bound + 3 * se + 1e-12
     record("ingster-dominates-chi2", ok)
 
     payload = {"config": _resolved(args), "checks": checks,
                "all_ok": all(c["ok"] for c in checks)}
-    args.format = "json"
     _emit(args, payload)
     return 0 if payload["all_ok"] else 1
 
@@ -420,11 +425,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qcert", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, family=True):
-        p.add_argument("--seed", type=int, default=0, help="master seed (decimal 64-bit)")
+    def common(p, family=True, seed=True, table=True):
+        """--out always; --seed for randomized commands; --format for tables."""
+        if seed:
+            p.add_argument("--seed", type=int, default=0, help="master seed (decimal 64-bit)")
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--threads", type=int, default=1)
+        if table:
+            p.add_argument("--format", choices=("csv", "json"), default="csv")
         if family:
             p.add_argument("--family", default="mm",
                            choices=("mm", "rank-mm", "spiked", "geometric", "file"))
@@ -434,11 +441,12 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--input", default=None, help="spectrum JSON for family=file")
 
     p = sub.add_parser("gen-sigma", help="emit a reference spectrum as JSON")
-    common(p)
+    common(p, seed=False, table=False)
     p.set_defaults(func=cmd_gen_sigma)
 
     p = sub.add_parser("certify", help="run certification trials")
     common(p)
+    p.add_argument("--threads", type=int, default=1, help="processes to spread trials over")
     p.add_argument("--algorithm", choices=("certify", "basic"), default="certify")
     p.add_argument("--hidden", default="null",
                    choices=("null", "paninski", "offdiag", "corner", "tail", "spike"))
@@ -457,12 +465,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("bounds", help="predicted copy-complexity report for a spectrum")
-    common(p)
+    common(p, seed=False, table=False)
     p.add_argument("--eps", type=float, default=0.3)
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("verify", help="moment/instance/divergence verification battery")
-    common(p, family=False)
+    common(p, family=False, table=False)
     p.add_argument("--samples", type=int, default=100_000)
     p.add_argument("--fuzz", type=int, default=100)
     p.add_argument("--schedules", type=int, default=20)
@@ -484,8 +492,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.threads < 1:
-            raise ValidationError(f"--threads must be >= 1, got {args.threads}")
         return args.func(args)
     except ValidationError as exc:
         parser.exit(2, f"qcert: {exc}\n")

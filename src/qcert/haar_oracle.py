@@ -28,7 +28,6 @@ of a Haar U. With F = sum_{lam |- 4} s_lam(M) chi_lam / prod_cells (d + content)
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -37,7 +36,7 @@ from functools import lru_cache
 import numpy as np
 
 from .linalg import DensityMatrix, ValidationError, check_hermitian
-from .measurement import NonadaptiveSchedule, outcome_distribution
+from .measurement import Basis, outcome_distribution, phi
 from .rng import as_generator, haar_unitary
 
 MAX_ORDER = 6
@@ -235,9 +234,6 @@ class MomentsReport:
     second_ok: bool
     ez2_exact: float | None = None
 
-    def to_json(self) -> str:
-        return json.dumps(self.__dict__)
-
 
 def verify_moments_basic(m, samples: int, rng) -> MomentsReport:
     """Estimate E[Z], E[Z^2] for Z = sum_i (u_i^dag M u_i)^2 by Monte Carlo.
@@ -307,23 +303,19 @@ class DivergenceReport:
     p0: np.ndarray
     p1: np.ndarray
 
-    def to_json(self) -> str:
-        payload = {k: getattr(self, k) for k in ("tv", "chi2", "kl", "num_transcripts",
-                                                 "min_likelihood_ratio")}
-        return json.dumps(payload)
 
-
-def _product_distribution(state, schedule: NonadaptiveSchedule) -> np.ndarray:
+def _product_distribution(state, schedule: Basis) -> np.ndarray:
+    """Law of the whole transcript, first copy major: one stacked outcome law, folded."""
     out = np.ones(1)
-    for m in schedule:
-        out = np.outer(out, outcome_distribution(state, m)).ravel()
+    for row in outcome_distribution(state, schedule):
+        out = np.outer(out, row).ravel()
     return out
 
 
 def exact_transcript_divergence(
     sigma: DensityMatrix,
     ensemble,
-    schedule: NonadaptiveSchedule,
+    schedule: Basis,
     *,
     param_draws: int = 1000,
     rng=None,
@@ -331,16 +323,19 @@ def exact_transcript_divergence(
 ) -> DivergenceReport:
     """TV / chi-squared / KL between measuring sigma and measuring the mixture.
 
-    ``ensemble`` is either a finite list of (state, weight) pairs, averaged
-    exactly, or a callable(generator) -> DensityMatrix, averaged over
-    ``param_draws`` Monte Carlo parameter draws with per-draw exact
-    transcript products.
+    ``schedule`` is a nonadaptive rank-1 schedule held as one (N, d, d)
+    ``Basis`` stack, one basis per copy, so it has d**N transcripts; N may
+    be 0. Rank 1 loses nothing: refining a POVM into rank-1 elements never
+    lowers the divergence (data processing). ``ensemble`` is either a finite
+    list of (state, weight) pairs, averaged exactly, or a
+    callable(generator) -> DensityMatrix, averaged over ``param_draws``
+    Monte Carlo parameter draws with per-draw exact transcript products.
     """
-    size = 1
-    for m in schedule:
-        size *= len(m)
-        if size > max_transcripts:
-            raise ValidationError(f"transcript space exceeds {max_transcripts}")
+    if schedule.u.ndim != 3:
+        raise ValidationError(f"schedule must be an (N, d, d) stack, got {schedule.u.shape}")
+    size = schedule.dim ** schedule.u.shape[0]
+    if size > max_transcripts:
+        raise ValidationError(f"transcript space exceeds {max_transcripts}")
     p0 = _product_distribution(sigma, schedule)
 
     if callable(ensemble):
@@ -384,12 +379,10 @@ def exact_transcript_divergence(
 def phi_pairs_finite(m, sigma, ensemble) -> list[float]:
     """phi over all ordered alternative pairs of a finite ensemble (for the
     moment-method bound with exact pair averaging)."""
-    from .measurement import phi as phi_fn
-
     out = []
     for state_u, _ in ensemble:
         for state_v, _ in ensemble:
-            out.append(phi_fn(m, sigma, state_u, state_v))
+            out.append(phi(m, sigma, state_u, state_v))
     return out
 
 

@@ -229,11 +229,6 @@ class CornerInstance:
     second: int
     eps: float
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {"family": "corner", "top": self.top, "second": self.second, "eps": self.eps}
-        )
-
 
 def plan_corner(spec: Spectrum, eps: float) -> CornerInstance:
     lam = spec.lambdas

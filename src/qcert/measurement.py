@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .linalg import PSD_TOL, DensityMatrix, ValidationError, _mat, hermitian_part
@@ -69,11 +67,12 @@ class Basis:
     """Rank-1 measurement in the orthonormal basis of a unitary's columns.
 
     Held as the unitary itself, so the Born weights of a k x k block cost
-    O(k^2) memory where the equivalent dense ``basis_povm(u)`` costs O(k^3).
+    O(k^2) memory where the equivalent dense POVM {|u_z><u_z|} costs O(k^3).
     Outcome z is the z-th column. ``u`` may also be an (r, k, k) stack of
-    unitaries, i.e. r bases measured in r independent rounds: unitarity is
-    checked for the whole stack and ``weights`` returns one row per basis,
-    bitwise equal to the weights of that basis held alone.
+    unitaries, i.e. r bases measured in r independent rounds, or a
+    nonadaptive schedule of one basis per copy: unitarity is checked for the
+    whole stack and ``weights`` returns one row per basis, bitwise equal to
+    the weights of that basis held alone. The stack may be empty.
     """
 
     __slots__ = ("u", "dim")
@@ -84,7 +83,7 @@ class Basis:
             raise ValidationError(f"expected a square matrix or a stack of them, got {mat.shape}")
         gram = np.swapaxes(mat.conj(), -2, -1) @ mat
         gram -= np.eye(mat.shape[-1])
-        if np.abs(gram).max() > 1e-10:
+        if np.abs(gram).max(initial=0.0) > 1e-10:  # an empty stack passes
             raise ValidationError("matrix is not unitary within 1e-10")
         self.u = mat
         self.dim = mat.shape[-1]
@@ -105,19 +104,12 @@ class Basis:
         return np.real(np.sum(self.u.conj() * (block @ self.u), axis=-2))
 
 
-def basis_povm(u) -> Povm:
-    """Rank-1 POVM from the columns of a unitary: elements |u_i><u_i|."""
-    cols = Basis(u).u.T  # row k is the k-th column vector
-    elements = np.einsum("zi,zj->zij", cols, cols.conj())
-    return Povm(elements, _validated=True)
-
-
-def projector_povm(indices, dim: int, labels=("inside", "outside")) -> Povm:
+def projector_povm(indices, dim: int) -> Povm:
     """Two-outcome POVM {Pi, I - Pi} for a coordinate-subset projector."""
     pi = np.zeros((dim, dim), dtype=complex)
     idx = np.asarray(indices, dtype=int)
     pi[idx, idx] = 1.0
-    return Povm(np.stack([pi, np.eye(dim) - pi]), list(labels), _validated=True)
+    return Povm(np.stack([pi, np.eye(dim) - pi]), ["inside", "outside"], _validated=True)
 
 
 def _weights(mat: np.ndarray, m: Povm | Basis, *, total: bool = True) -> np.ndarray:
@@ -126,8 +118,8 @@ def _weights(mat: np.ndarray, m: Povm | Basis, *, total: bool = True) -> np.ndar
     if mat.shape[0] != m.dim:
         raise ValidationError(f"state dim {mat.shape[0]} != POVM dim {m.dim}")
     p = m.weights(mat)
-    off = np.abs(p.sum(axis=-1) - 1.0).max()
-    if p.min() < -1e-9 or (total and off > 1e-9):
+    off = np.abs(p.sum(axis=-1) - 1.0).max(initial=0.0)
+    if p.min(initial=0.0) < -1e-9 or (total and off > 1e-9):
         raise ValidationError(
             f"invalid outcome distribution (min {p.min():.2e}, sum off 1 by {off:.2e})"
         )
@@ -246,23 +238,6 @@ class CopySource:
         return self.draw(p, accept, n, rng)
 
 
-@dataclass(frozen=True)
-class NonadaptiveSchedule:
-    """A fixed sequence of single-copy POVMs."""
-
-    povms: tuple[Povm, ...]
-
-    @classmethod
-    def repeat(cls, m: Povm, n: int) -> "NonadaptiveSchedule":
-        return cls((m,) * n)
-
-    def __len__(self):
-        return len(self.povms)
-
-    def __iter__(self):
-        return iter(self.povms)
-
-
 def project_povm_to_blocks(m: Povm, buckets):
     """Restrict every element to the bucket principal submatrices.
 
@@ -297,8 +272,9 @@ def project_povm_to_blocks(m: Povm, buckets):
     return refined, outcome_map
 
 
-def phi(m: Povm, rho, rho_u, rho_v) -> float:
-    """Correlation of likelihood deviations under the null outcome law.
+def phi(m: Povm | Basis, rho, rho_u, rho_v) -> float:
+    """Correlation of likelihood deviations under the null outcome law of one
+    measurement (a ``Povm`` or a single ``Basis``).
 
     Outcomes with vanishing null probability are dropped when both
     alternatives also vanish there; otherwise the ratio is infinite and an
@@ -308,11 +284,11 @@ def phi(m: Povm, rho, rho_u, rho_v) -> float:
     pu = m.weights(_mat(rho_u))
     pv = m.weights(_mat(rho_v))
     total = 0.0
-    for z in range(len(m)):
+    for z in range(p0.size):
         if p0[z] <= PROB_FLOOR:
             if pu[z] > 1e-12 or pv[z] > 1e-12:
                 raise UndefinedOutcomeError(
-                    f"outcome {m.labels[z]} has null probability ~0 but alternative mass"
+                    f"outcome {z} has null probability ~0 but alternative mass"
                 )
             continue
         gu = pu[z] / p0[z] - 1.0

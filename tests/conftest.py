@@ -5,6 +5,7 @@ import pytest
 from hypothesis import settings
 
 from qcert.linalg import DensityMatrix, hermitian_part
+from qcert.measurement import Povm
 from qcert.rng import RngHandle
 
 
@@ -21,6 +22,13 @@ def handle():
 
 def rng_for(*labels) -> np.random.Generator:
     return RngHandle(20240817).child(*labels).generator()
+
+
+def dense_basis_povm(u) -> Povm:
+    """Dense (d, d, d) rank-1 POVM {|u_z><u_z|} from the columns of a unitary:
+    the reference that ``Basis`` is checked against."""
+    cols = np.asarray(u, dtype=complex).T  # row z is the z-th column
+    return Povm(np.einsum("zi,zj->zij", cols, cols.conj()))
 
 
 def random_hermitian(d: int, gen: np.random.Generator) -> np.ndarray:

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from qcert.certify import CertifyConfig, basic_certify, certify
+from qcert.cli import haar_schedule
 from qcert.haar_oracle import (
     exact_transcript_divergence,
     haar_moment,
@@ -43,9 +44,8 @@ from qcert.linalg import (
 from qcert.measurement import (
     OFFDIAG_G2_CONSTANT,
     PANINSKI_G2_CONSTANT,
+    Basis,
     CopySource,
-    NonadaptiveSchedule,
-    basis_povm,
     outcome_distribution,
     project_povm_to_blocks,
 )
@@ -188,10 +188,7 @@ def test_criterion_04_corner_lower_bound_oracle():
     ok = True
     worst = 1.0
     for _ in range(50):
-        sched = NonadaptiveSchedule(
-            tuple(basis_povm(haar_unitary(2, gen)) for _ in range(ncopies))
-        )
-        rep = exact_transcript_divergence(sigma, ens, sched)
+        rep = exact_transcript_divergence(sigma, ens, haar_schedule(2, ncopies, gen))
         worst = min(worst, rep.min_likelihood_ratio)
         ok &= rep.min_likelihood_ratio >= floor - 1e-12
         ok &= rep.tv <= 1 - floor + 1e-12
@@ -207,11 +204,11 @@ def test_criterion_05_ingster_consistency():
     ok = True
     for ncopies in (1, 2, 3, 4):
         for _ in range(10):
-            povms = tuple(basis_povm(haar_unitary(2, gen)) for _ in range(ncopies))
-            rep = exact_transcript_divergence(sigma, ens, NonadaptiveSchedule(povms))
+            sched = haar_schedule(2, ncopies, gen)
+            rep = exact_transcript_divergence(sigma, ens, sched)
             bounds = []
-            for m in povms:
-                est, se = ingster_bound(phi_pairs_finite(m, sigma, ens), ncopies)
+            for u in sched.u:
+                est, se = ingster_bound(phi_pairs_finite(Basis(u), sigma, ens), ncopies)
                 bounds.append(est + 3 * se)
             ok &= rep.chi2 <= max(bounds) + 1e-12
     report(5, ok, "chi2 <= max_t E[(1+phi_t)^N] - 1 on all instances")
@@ -243,7 +240,7 @@ def test_criterion_06_basic_certify_power_and_scaling():
     from qcert.cli import minimal_copies
 
     sigma = _power_sigma_d16()
-    cfg = CertifyConfig(seed=SEED)
+    cfg = CertifyConfig()
     err_null = err_alt = 0
     trials = 200
     for t in range(trials):
@@ -277,7 +274,7 @@ def test_criterion_07_full_certify_end_to_end():
     lam = np.array([0.16, 0.16, 0.16, 0.16, 0.119, 0.119, 0.119, 0.003])
     spec = Spectrum(lam)
     sigma = DensityMatrix.from_diagonal(lam)
-    cfg = CertifyConfig(seed=SEED)
+    cfg = CertifyConfig()
     eps, delta, trials = 0.3, 0.2, 100
 
     yes = 0

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qcert.certify import DEFAULT_L2_SCALE, CertifyConfig, Verdict, basic_certify, certify
+from qcert import cli
 from qcert.cli import hidden_state, minimal_copies
 from qcert.instances import build_offdiag, plan_offdiag, sample_paninski, tune_paninski
 from qcert.linalg import DensityMatrix, ValidationError
@@ -14,16 +15,15 @@ from qcert.measurement import (
     BudgetExhaustedError,
     CopySource,
     Povm,
-    basis_povm,
     outcome_distribution,
 )
 from qcert.rng import RngHandle, ginibre, haar_unitary
 from qcert.spectrum import Spectrum
 
-from conftest import random_density, rng_for
+from conftest import dense_basis_povm, random_density, rng_for
 
 
-CFG = CertifyConfig(seed=7)
+CFG = CertifyConfig()
 
 
 def two_bucket_sigma():
@@ -37,7 +37,7 @@ def embedded_reference(rho: DensityMatrix, idx, u):
     discard element I - sum."""
     d, k = rho.dim, len(idx)
     embedded = np.zeros((k + 1, d, d), dtype=complex)
-    for z, element in enumerate(basis_povm(u).elements):
+    for z, element in enumerate(dense_basis_povm(u).elements):
         embedded[z][np.ix_(idx, idx)] = element
     embedded[k] = np.eye(d) - embedded[:k].sum(axis=0)
     p_full = outcome_distribution(rho, Povm(embedded))
@@ -68,7 +68,8 @@ def scaled_paninski_hs(sigma: DensityMatrix, target_hs: float, rng) -> DensityMa
 class TestBasicCertify:
     def test_dimension_one_trivial_yes(self):
         sigma = DensityMatrix.from_diagonal([1.0])
-        v = basic_certify(CopySource(sigma), sigma, 0.3, 0.1, CFG)
+        v = basic_certify(CopySource(sigma), sigma, 0.3, 0.1, CFG,
+                          rng=RngHandle(7).child("basic"))
         assert v.answer == "YES" and v.copies_used == 0
 
     def test_deterministic_under_seed(self):
@@ -83,7 +84,7 @@ class TestBasicCertify:
     def test_budget_exhaustion_inconclusive(self):
         sigma = DensityMatrix.maximally_mixed(4)
         src = CopySource(sigma, budget=5)
-        v = basic_certify(src, sigma, 0.3, 0.2, CFG)
+        v = basic_certify(src, sigma, 0.3, 0.2, CFG, rng=RngHandle(7).child("basic"))
         assert v.answer == "INCONCLUSIVE"
         assert v.copies_used <= 5
 
@@ -109,7 +110,7 @@ class TestBasicCertify:
     def test_copy_accounting(self):
         sigma = DensityMatrix.maximally_mixed(4)
         src = CopySource(sigma)
-        v = basic_certify(src, sigma, 0.5, 0.4, CFG)
+        v = basic_certify(src, sigma, 0.5, 0.4, CFG, rng=RngHandle(7).child("basic"))
         assert v.copies_used == src.copies_used
 
 
@@ -118,7 +119,7 @@ class TestConditionalSource:
         sigma = DensityMatrix.maximally_mixed(4)
         src = CopySource(sigma)
         cond = src.conditional(range(4))
-        counts = cond.measure_batch(basis_povm(np.eye(4, dtype=complex)), 100,
+        counts = cond.measure_batch(Basis(np.eye(4)), 100,
                                     rng_for("cert", "pass"))
         assert counts.sum() == 100
         assert src.copies_used == 100  # no discards
@@ -128,7 +129,7 @@ class TestConditionalSource:
         lam[0] = 1.0
         src = CopySource(DensityMatrix.from_diagonal(lam))
         cond = src.conditional([0])
-        m = basis_povm(np.eye(1, dtype=complex))
+        m = Basis(np.eye(1))
         counts = cond.measure_batch(m, 1, rng_for("cert", "aligned"))
         assert counts.tolist() == [1] and src.copies_used == 1
 
@@ -137,7 +138,7 @@ class TestConditionalSource:
         src = CopySource(DensityMatrix.from_diagonal(lam))
         cond = src.conditional([0, 1])
         n = 10_000
-        cond.measure_batch(basis_povm(np.eye(2, dtype=complex)), n, rng_for("cert", "disc"))
+        cond.measure_batch(Basis(np.eye(2)), n, rng_for("cert", "disc"))
         physical = src.copies_used
         discard_rate = (physical - n) / physical
         want = 0.4
@@ -148,7 +149,7 @@ class TestConditionalSource:
         lam = np.array([0.5, 0.25, 0.125, 0.125])
         src = CopySource(DensityMatrix.from_diagonal(lam))
         cond = src.conditional([0, 1])
-        counts = cond.measure_batch(basis_povm(np.eye(2, dtype=complex)), 50_000,
+        counts = cond.measure_batch(Basis(np.eye(2)), 50_000,
                                     rng_for("cert", "law"))
         freq = counts / counts.sum()
         assert abs(freq[0] - 2 / 3) <= 0.01
@@ -159,7 +160,7 @@ class TestConditionalSource:
         cond = src.conditional([0])
         with pytest.raises(BudgetExhaustedError):
             for _ in range(50):
-                cond.measure_batch(basis_povm(np.eye(1, dtype=complex)), 1,
+                cond.measure_batch(Basis(np.eye(1)), 1,
                                    rng_for("cert", "bud"))
 
     @pytest.mark.parametrize("indices", [[], [-1], [0, 4]])
@@ -203,7 +204,7 @@ class TestConditionalSource:
         # and a basic tester that would need them answers INCONCLUSIVE
         src = CopySource(DensityMatrix.from_diagonal([5e-6, 5e-6, 1 - 1e-5]))
         v = basic_certify(src.conditional([0, 1]), DensityMatrix.maximally_mixed(2),
-                          1e-7, 0.3, CFG)
+                          1e-7, 0.3, CFG, rng=RngHandle(7).child("basic"))
         assert v.answer == "INCONCLUSIVE" and v.copies_used == src.copies_used == 0
 
     def test_charge_past_float64_integers_is_exact(self):
@@ -426,9 +427,31 @@ class TestPinnedRuns:
                           rng=RngHandle(1).child("pinned-basic", d))
         assert (v.answer, v.copies_used, v.diagnostics["rejections"]) == want
 
-    @pytest.mark.parametrize("d, want", [(4, 303), (8, 262)])
+    @pytest.mark.parametrize("d, want", [(4, 303), (8, 258)])
     def test_minimal_copies(self, d, want):
         assert minimal_copies(d, 0.3, 1, 20, 0.9) == want
+
+    @pytest.mark.parametrize("d", [4, 8])
+    def test_minimal_copies_runs_the_counts_it_probes(self, d, monkeypatch):
+        # every probe n, a doubling step or a bisection midpoint, runs exactly
+        # n copies per round (roundoff in c_basic used to make 384 run 385)
+        seen = []
+
+        def recording(*args, **kwargs):
+            verdict = basic_certify(*args, **kwargs)
+            seen.append(verdict.diagnostics["copies_per_round"])
+            return verdict
+
+        monkeypatch.setattr(cli, "basic_certify", recording)
+        n = minimal_copies(d, 0.3, 1, 20, 0.9)
+        probes = list(dict.fromkeys(seen))
+        top = probes.index(max(probes))
+        assert probes[:top + 1] == [16 * 2**i for i in range(top + 1)]
+        lo, hi = probes[top] // 2, probes[top]
+        for mid in probes[top + 1:]:
+            assert mid == (lo + hi) // 2
+            lo, hi = (lo, mid) if n <= mid else (mid, hi)
+        assert hi == n
 
 
 class TestScaling:
@@ -437,7 +460,7 @@ class TestScaling:
         beta in [1.2, 1.8]. Measured at small eps where the polylog drift in
         the per-bucket thresholds contributes less than 0.3 to the exponent."""
         eps, delta = 0.002, 0.2
-        cfg = CertifyConfig(seed=3)
+        cfg = CertifyConfig()
         copies = []
         dims = [4, 8, 16]
         for d in dims:
@@ -455,7 +478,7 @@ class TestCalibration:
         """Single-round power >= 2/3 at d = 16, eps_HS = 0.3 (fixes c_basic/l2_scale)."""
         lam = np.array([0.2] * 4 + [0.2 / 12] * 12)
         sigma = DensityMatrix.from_diagonal(lam)
-        cfg = CertifyConfig(delta=0.95, seed=0)  # one round
+        cfg = CertifyConfig(delta=0.95)  # one round
         ok_null = ok_alt = 0
         trials = 150
         for t in range(trials):

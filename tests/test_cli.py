@@ -14,8 +14,7 @@ def run_cli(args, capsys):
 
 class TestGenSigma:
     def test_mm(self, capsys):
-        code, out = run_cli(["gen-sigma", "--family", "mm", "--d", "4", "--format", "json"],
-                            capsys)
+        code, out = run_cli(["gen-sigma", "--family", "mm", "--d", "4"], capsys)
         assert code == 0
         payload = json.loads(out)
         assert payload["lambdas"] == [0.25] * 4
@@ -50,7 +49,6 @@ class TestCertifyCommand:
         ["sweep", "--d-list", "0"],
         ["sweep", "--d-list", "4,x"],
         ["certify", "--threads", "0"],
-        ["verify", "--threads", "-1"],
         ["sweep", "--trials", "0"],
         ["certify", "--budget", "-5"],
         ["verify", "--samples", "0"],
@@ -67,12 +65,29 @@ class TestCertifyCommand:
         ["certify", "--delta", "1.5"],
         ["certify", "--algorithm", "basic", "--delta", "1"],
         ["certify", "--family", "mm", "--d", "1", "--hidden", "spike", "--trials", "1"],
+        ["divergence", "--family", "spiked", "--d", "4", "--copies", "0"],
     ])
     def test_out_of_range_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as err:
             main(argv)
         assert err.value.code == 2
         assert capsys.readouterr().err.startswith("qcert: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["gen-sigma", "--seed", "9"],
+        ["gen-sigma", "--format", "csv"],
+        ["bounds", "--seed", "9"],
+        ["bounds", "--format", "json"],
+        ["verify", "--format", "json"],
+        ["verify", "--threads", "2"],
+        ["sweep", "--threads", "2"],
+        ["divergence", "--threads", "2"],
+    ])
+    def test_flags_a_command_never_reads_are_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     @pytest.mark.parametrize("rank", [None, "-1", "0", "5"])
     def test_rank_outside_one_to_d(self, rank, capsys):
@@ -162,7 +177,7 @@ class TestSweepCommand:
 class TestBoundsCommand:
     def test_mm_lower_bound_value(self, capsys):
         code, out = run_cli(["bounds", "--family", "mm", "--d", "16",
-                             "--eps", "0.02", "--format", "json"], capsys)
+                             "--eps", "0.02"], capsys)
         assert code == 0
         payload = json.loads(out)
         assert payload["bounds"]["lower_nonadaptive"] == pytest.approx(
@@ -171,7 +186,7 @@ class TestBoundsCommand:
 
     def test_pure_state_degenerate_flag(self, capsys):
         code, out = run_cli(["bounds", "--family", "rank-mm", "--d", "4", "--rank", "1",
-                             "--eps", "0.2", "--format", "json"], capsys)
+                             "--eps", "0.2"], capsys)
         assert code == 0
         payload = json.loads(out)
         assert payload["bounds"]["degenerate"] is True

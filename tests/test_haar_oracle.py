@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qcert import haar_oracle
+from qcert.cli import haar_schedule
 from qcert.haar_oracle import (
     _centralizer,
     _character_table,
@@ -21,7 +22,7 @@ from qcert.haar_oracle import (
 )
 from qcert.instances import corner_ensemble
 from qcert.linalg import DensityMatrix, ValidationError
-from qcert.measurement import NonadaptiveSchedule, basis_povm
+from qcert.measurement import Basis
 from qcert.rng import haar_unitary
 
 from conftest import random_hermitian, random_traceless, rng_for
@@ -354,12 +355,12 @@ class TestTranscriptDivergence:
 
     def test_zero_copies(self):
         rep = exact_transcript_divergence(
-            self.sigma(), corner_ensemble(self.sigma(), 0.3), NonadaptiveSchedule(())
+            self.sigma(), corner_ensemble(self.sigma(), 0.3), Basis(np.empty((0, 2, 2)))
         )
         assert rep.tv == 0.0 and rep.chi2 == 0.0 and rep.kl == 0.0
 
     def test_trivial_ensemble(self):
-        sched = NonadaptiveSchedule.repeat(basis_povm(np.eye(2, dtype=complex)), 3)
+        sched = Basis(np.stack([np.eye(2)] * 3))
         rep = exact_transcript_divergence(self.sigma(), [(self.sigma(), 1.0)], sched)
         assert rep.tv <= 1e-14 and rep.chi2 <= 1e-14
 
@@ -369,10 +370,7 @@ class TestTranscriptDivergence:
         ens = corner_ensemble(self.sigma(), eps)
         gen = rng_for("oracle", "corner")
         for _ in range(10):
-            sched = NonadaptiveSchedule(
-                tuple(basis_povm(haar_unitary(2, gen)) for _ in range(n))
-            )
-            rep = exact_transcript_divergence(self.sigma(), ens, sched)
+            rep = exact_transcript_divergence(self.sigma(), ens, haar_schedule(2, n, gen))
             assert rep.min_likelihood_ratio >= floor - 1e-12
             assert rep.tv <= 1 - floor + 1e-12
 
@@ -381,10 +379,7 @@ class TestTranscriptDivergence:
         gen = rng_for("oracle", "chain")
         ens = corner_ensemble(self.sigma(), 0.4)
         for _ in range(20):
-            sched = NonadaptiveSchedule(
-                tuple(basis_povm(haar_unitary(2, gen)) for _ in range(3))
-            )
-            rep = exact_transcript_divergence(self.sigma(), ens, sched)
+            rep = exact_transcript_divergence(self.sigma(), ens, haar_schedule(2, 3, gen))
             assert 2 * rep.tv**2 <= rep.chi2 + 1e-12
             assert rep.kl <= np.log1p(rep.chi2) + 1e-12
 
@@ -395,9 +390,7 @@ class TestTranscriptDivergence:
         spec = Spectrum(np.full(4, 0.25))
         inst = tune_paninski(spec, 0.2)
         sigma = DensityMatrix.from_diagonal(spec.lambdas)
-        sched = NonadaptiveSchedule.repeat(
-            basis_povm(haar_unitary(4, rng_for("oracle", "cont"))), 2
-        )
+        sched = Basis(np.stack([haar_unitary(4, rng_for("oracle", "cont"))] * 2))
         rep = exact_transcript_divergence(
             sigma,
             lambda g: sample_paninski(sigma, inst, g),
@@ -409,11 +402,15 @@ class TestTranscriptDivergence:
         assert 2 * rep.tv**2 <= rep.chi2 + 1e-9
 
     def test_transcript_overflow(self):
-        sched = NonadaptiveSchedule.repeat(basis_povm(np.eye(2, dtype=complex)), 3)
+        sched = Basis(np.stack([np.eye(2)] * 3))
         with pytest.raises(ValidationError):
             exact_transcript_divergence(
                 self.sigma(), [(self.sigma(), 1.0)], sched, max_transcripts=4
             )
+
+    def test_single_basis_is_not_a_schedule(self):
+        with pytest.raises(ValidationError):
+            exact_transcript_divergence(self.sigma(), [(self.sigma(), 1.0)], Basis(np.eye(2)))
 
     def test_against_bruteforce_enumeration(self):
         # independent oracle: explicit per-transcript probability products
@@ -424,11 +421,12 @@ class TestTranscriptDivergence:
         gen = rng_for("oracle", "brute")
         sigma = DensityMatrix.from_diagonal([0.8, 0.2])
         ens = corner_ensemble(sigma, 0.3)
-        povms = tuple(basis_povm(haar_unitary(2, gen)) for _ in range(3))
-        rep = exact_transcript_divergence(sigma, ens, NonadaptiveSchedule(povms))
+        us = [haar_unitary(2, gen) for _ in range(3)]
+        rep = exact_transcript_divergence(sigma, ens, Basis(np.stack(us)))
 
-        null_laws = [outcome_distribution(sigma, m) for m in povms]
-        alt_laws = [[outcome_distribution(s, m) for m in povms] for s, _ in ens]
+        # per-basis laws, each measured on its own
+        null_laws = [outcome_distribution(sigma, Basis(u)) for u in us]
+        alt_laws = [[outcome_distribution(s, Basis(u)) for u in us] for s, _ in ens]
         p0, p1 = [], []
         for z in itertools.product(range(2), repeat=3):
             p0.append(np.prod([null_laws[t][z[t]] for t in range(3)]))
@@ -454,8 +452,9 @@ class TestTranscriptDivergence:
         sigma = DensityMatrix.from_diagonal([0.8, 0.2])
         ens = corner_ensemble(sigma, 0.4)
         for _ in range(10):
-            m = basis_povm(haar_unitary(2, gen))
-            rep = exact_transcript_divergence(sigma, ens, NonadaptiveSchedule((m,)))
+            u = haar_unitary(2, gen)
+            m = Basis(u)
+            rep = exact_transcript_divergence(sigma, ens, Basis(u[None]))
             mean_phi = sum(
                 wu * wv * phi(m, sigma, su, sv)
                 for su, wu in ens
@@ -482,7 +481,8 @@ class TestIngster:
         ens = corner_ensemble(sigma, 0.3)
         gen = rng_for("oracle", "ingster")
         for n in (1, 2, 3, 4):
-            povms = tuple(basis_povm(haar_unitary(2, gen)) for _ in range(n))
-            rep = exact_transcript_divergence(sigma, ens, NonadaptiveSchedule(povms))
-            per_copy = [ingster_bound(phi_pairs_finite(m, sigma, ens), n)[0] for m in povms]
+            sched = haar_schedule(2, n, gen)
+            rep = exact_transcript_divergence(sigma, ens, sched)
+            per_copy = [ingster_bound(phi_pairs_finite(Basis(u), sigma, ens), n)[0]
+                        for u in sched.u]
             assert rep.chi2 <= max(per_copy) + 1e-12

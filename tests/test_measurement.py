@@ -9,10 +9,8 @@ from qcert.measurement import (
     Basis,
     BudgetExhaustedError,
     CopySource,
-    NonadaptiveSchedule,
     Povm,
     UndefinedOutcomeError,
-    basis_povm,
     outcome_distribution,
     phi,
     project_povm_to_blocks,
@@ -21,7 +19,7 @@ from qcert.measurement import OFFDIAG_G2_CONSTANT, PANINSKI_G2_CONSTANT
 from qcert.rng import RngHandle, haar_unitary
 from qcert.spectrum import Spectrum, bucketize
 
-from conftest import exact_paninski_g2, random_density, rng_for
+from conftest import dense_basis_povm, exact_paninski_g2, random_density, rng_for
 
 
 def random_povm(d: int, outcomes: int, gen) -> Povm:
@@ -47,32 +45,18 @@ class TestPovm:
         with pytest.raises(ValidationError):
             Povm(bad)
 
-    def test_basis_povm_completeness_and_idempotence(self):
-        u = haar_unitary(5, rng_for("meas", "basis"))
-        m = basis_povm(u)
-        assert np.abs(m.elements.sum(axis=0) - np.eye(5)).max() <= 1e-9
-        for e in m.elements:
-            assert np.abs(e @ e - e).max() <= 1e-9
-
-    def test_basis_povm_identity_is_computational(self):
-        m = basis_povm(np.eye(3, dtype=complex))
-        for k in range(3):
-            want = np.zeros((3, 3))
-            want[k, k] = 1
-            assert np.allclose(m.elements[k], want)
-
-    def test_basis_povm_rejects_nonunitary(self):
-        with pytest.raises(ValidationError):
-            basis_povm(np.ones((2, 2)))
-
 
 class TestBasis:
+    def test_rejects_nonunitary(self):
+        with pytest.raises(ValidationError):
+            Basis(np.ones((2, 2)))
+
     @pytest.mark.parametrize("d", [1, 2, 7, 32])
     def test_weights_match_dense_povm(self, d):
         gen = rng_for("meas", "basis-kernel", d)
         u = haar_unitary(d, gen)
         rho = random_density(d, gen)
-        dense = np.einsum("zij,ji->z", basis_povm(u).elements, rho.mat).real
+        dense = np.einsum("zij,ji->z", dense_basis_povm(u).elements, rho.mat).real
         assert np.abs(Basis(u).weights(rho.mat) - dense).max() <= 1e-12
 
     def test_stack_checks_every_unitary(self):
@@ -136,18 +120,18 @@ class TestOutcomeDistribution:
     def test_computational_basis_reads_diagonal(self):
         lam = [0.5, 0.3, 0.2]
         rho = DensityMatrix.from_diagonal(lam)
-        p = outcome_distribution(rho, basis_povm(np.eye(3, dtype=complex)))
+        p = outcome_distribution(rho, Basis(np.eye(3)))
         assert np.allclose(p, lam)
 
     def test_haar_basis_on_mm_is_uniform(self):
         d = 6
-        m = basis_povm(haar_unitary(d, rng_for("meas", "mm")))
+        m = Basis(haar_unitary(d, rng_for("meas", "mm")))
         p = outcome_distribution(DensityMatrix.maximally_mixed(d), m)
         assert np.abs(p - 1 / d).max() <= 1e-10
 
     def test_dim_mismatch(self):
         with pytest.raises(ValidationError):
-            outcome_distribution(DensityMatrix.maximally_mixed(3), basis_povm(np.eye(2, dtype=complex)))
+            outcome_distribution(DensityMatrix.maximally_mixed(3), Basis(np.eye(2)))
 
 
 class TestCopySource:
@@ -164,7 +148,7 @@ class TestCopySource:
 
     def test_batch_counts_budget(self):
         src = CopySource(DensityMatrix.maximally_mixed(2), budget=10)
-        m = basis_povm(np.eye(2, dtype=complex))
+        m = Basis(np.eye(2))
         counts = src.measure_batch(m, 10, rng_for("meas", "batch"))
         assert counts.sum() == 10 and src.copies_used == 10
         with pytest.raises(BudgetExhaustedError):
@@ -173,7 +157,7 @@ class TestCopySource:
     def test_empirical_frequencies(self):
         lam = [0.55, 0.25, 0.2]
         src = CopySource(DensityMatrix.from_diagonal(lam))
-        m = basis_povm(np.eye(3, dtype=complex))
+        m = Basis(np.eye(3))
         n = 100_000
         counts = src.measure_batch(m, n, rng_for("meas", "freq"))
         for k, target in enumerate(lam):
@@ -192,7 +176,7 @@ class TestBlockProjection:
     def test_computational_basis_unchanged(self):
         lam = np.array([0.4, 0.3, 0.2, 0.1])
         buckets = bucketize(Spectrum(lam))
-        m = basis_povm(np.eye(4, dtype=complex))
+        m = dense_basis_povm(np.eye(4))
         refined, fmap = project_povm_to_blocks(m, buckets)
         assert len(refined) == 4  # rank-1 diagonal elements stay whole
         for label in refined.labels:
@@ -220,7 +204,7 @@ class TestBlockProjection:
             assert np.abs(pushed - p_orig).max() <= 1e-10
 
 
-def likelihood_deviation(m: Povm, rho, alt) -> np.ndarray:
+def likelihood_deviation(m: Povm | Basis, rho, alt) -> np.ndarray:
     """g(z) = <M_z, alt> / <M_z, rho> - 1 for every outcome z of m."""
     return m.weights(alt.mat) / outcome_distribution(rho, m) - 1.0
 
@@ -234,7 +218,7 @@ def rank_one_povm(v: np.ndarray) -> Povm:
 class TestLikelihood:
     def test_same_state_zero(self):
         rho = random_density(4, rng_for("meas", "g0"))
-        m = basis_povm(haar_unitary(4, rng_for("meas", "g0b")))
+        m = Basis(haar_unitary(4, rng_for("meas", "g0b")))
         assert (likelihood_deviation(m, rho, rho) == 0.0).all()
 
     def test_vanishing_null_probability(self):
@@ -242,7 +226,7 @@ class TestLikelihood:
         rho = DensityMatrix.from_diagonal([1.0, 0.0])
         alt = DensityMatrix.from_diagonal([0.5, 0.5])
         with pytest.raises(UndefinedOutcomeError):
-            phi(basis_povm(np.eye(2, dtype=complex)), rho, alt, alt)
+            phi(Basis(np.eye(2)), rho, alt, alt)
 
     def test_corner_closed_form(self):
         from qcert.instances import build_corner
@@ -267,7 +251,7 @@ class TestLikelihood:
         for _ in range(50):
             rho = random_density(5, gen)
             alt = random_density(5, gen)
-            m = basis_povm(haar_unitary(5, gen))
+            m = Basis(haar_unitary(5, gen))
             p0 = outcome_distribution(rho, m)
             assert abs(p0 @ likelihood_deviation(m, rho, alt)) <= 1e-10
 
@@ -293,14 +277,14 @@ class TestLikelihood:
 class TestPhi:
     def test_same_state_zero(self):
         rho = random_density(3, rng_for("meas", "phi0"))
-        m = basis_povm(haar_unitary(3, rng_for("meas", "phi0b")))
+        m = Basis(haar_unitary(3, rng_for("meas", "phi0b")))
         assert phi(m, rho, rho, rho) == 0.0
 
     def test_second_moment_nonnegative(self):
         gen = rng_for("meas", "phi2")
         rho = random_density(3, gen)
         alt = random_density(3, gen)
-        m = basis_povm(haar_unitary(3, gen))
+        m = Basis(haar_unitary(3, gen))
         assert phi(m, rho, alt, alt) >= 0.0
 
     def test_bucket_decomposition_identity(self):
@@ -410,7 +394,7 @@ class TestPhiTail:
         inst = tune_paninski(spec, 0.2)
         sigma = DensityMatrix.from_diagonal(spec.lambdas)
         gen = rng_for("meas", "phitail")
-        m = basis_povm(haar_unitary(8, gen))
+        m = Basis(haar_unitary(8, gen))
         n = 10_000
         samples = np.empty(n)
         for k in range(n):
@@ -432,11 +416,3 @@ class TestPhiTail:
         for s, p in zip(grid, surv):
             if p > 0:
                 assert p <= 1.2 * np.exp(-c_fit * 8 * s**2 / (8 * var_scale**2)) + 1e-12
-
-
-class TestSchedule:
-    def test_repeat(self):
-        m = basis_povm(np.eye(2, dtype=complex))
-        sched = NonadaptiveSchedule.repeat(m, 5)
-        assert len(sched) == 5
-        assert all(p is m for p in sched)
