@@ -19,7 +19,13 @@ import numpy as np
 
 from .classical import SampleCounts, l2_two_sample_test
 from .linalg import DensityMatrix, ValidationError, hermitian_eig
-from .measurement import BudgetExhaustedError, Basis, outcome_distribution, projector_povm
+from .measurement import (
+    BudgetExhaustedError,
+    Basis,
+    outcome_distribution,
+    projector_povm,
+    sampling_probs,
+)
 from .rng import RngHandle, haar_unitary
 from .spectrum import Spectrum, bucketize_values, remove_mass_upper
 
@@ -82,15 +88,21 @@ def basic_certify(src, sigma: DensityMatrix, eps: float, delta: float,
     the verdict is the majority over the rounds.
 
     All classical randomness comes from one generator, ``rng.generator()``
-    (stream layout v2). The rounds run in chunks of
+    (stream layout v3), in two steps. Charge: ``src.charge`` pays for every
+    round up front, drawing all rounds' discards in one call (none on a full
+    source) and charging round by round; when the budget runs out in round
+    k, rounds before k are charged, no round is simulated and the answer is
+    INCONCLUSIVE. Simulate: the rounds run in chunks of
     max(1, _CHUNK_ENTRIES // d^2), at most 128 KiB of stacked d x d matrices,
-    and the chunk size is part of the stream contract: each chunk first draws
-    its Ginibre stack (all real parts, then all imaginary parts), then, round
-    by round, the discards, the measured multinomial and the reference
-    multinomial. A chunk's bases come from one stacked QR, its outcome laws
-    from one stacked Born kernel and its verdicts from one row-wise L2 test,
-    while copies are charged round by round: when the budget runs out
-    mid-chunk, ``copies_used`` counts only the rounds charged before that.
+    and the chunk size is part of the stream contract: each chunk draws its
+    Ginibre stack (all real parts, then all imaginary parts), then, round by
+    round, the measured multinomial and the reference multinomial. A chunk's
+    bases come from one stacked QR, its outcome laws from one stacked Born
+    kernel and its verdicts from one row-wise L2 test. Simulation stops at
+    the first chunk boundary where the majority is fixed, so the answer is
+    that of all rounds while ``copies_used`` counts the copies every round
+    spends. Diagnostics: ``rounds`` charged, ``rounds_run`` simulated, and
+    ``rejections`` among the rounds run.
     """
     if not 0 < eps <= 2:
         raise ValidationError(f"eps must lie in (0, 2], got {eps}")
@@ -106,25 +118,29 @@ def basic_certify(src, sigma: DensityMatrix, eps: float, delta: float,
     l2_gap = DEFAULT_L2_SCALE * eps / math.sqrt(d)
     rounds = _rounds(delta)
     chunk = max(1, _CHUNK_ENTRIES // d**2)
-    rejections = 0
     gen = rng.generator()
     try:
-        for first in range(0, rounds, chunk):
-            m = Basis(haar_unitary(d, gen, size=min(chunk, rounds - first)))
-            p, accept = src.law(m)
-            p_sigma = outcome_distribution(sigma, m)
-            measured = np.empty(p.shape, dtype=np.int64)
-            reference = np.empty(p.shape, dtype=np.int64)
-            for i in range(len(p)):
-                measured[i] = src.draw(p[i], accept[i], n_copies, gen)
-                reference[i] = gen.multinomial(n_copies, p_sigma[i])
-            accepted = l2_two_sample_test(SampleCounts(measured), SampleCounts(reference), l2_gap)
-            rejections += int(np.count_nonzero(~accepted))
+        src.charge(n_copies, rounds, gen)
     except BudgetExhaustedError as exc:
         return Verdict("INCONCLUSIVE", src.copies_used - start, {"budget": str(exc)})
-    answer = "NO" if rejections * 2 > rounds else "YES"
+    run = rejections = 0
+    # NO once rejections pass half the rounds; YES once acceptances reach the rest
+    while rejections <= rounds // 2 and run - rejections < rounds - rounds // 2:
+        m = Basis(haar_unitary(d, gen, size=min(chunk, rounds - run)))
+        p = src.law(m)
+        p_sigma = outcome_distribution(sigma, m)
+        measured = np.empty(p.shape, dtype=np.int64)
+        reference = np.empty(p.shape, dtype=np.int64)
+        for i in range(len(p)):
+            measured[i] = gen.multinomial(n_copies, sampling_probs(p[i]))
+            reference[i] = gen.multinomial(n_copies, p_sigma[i])
+        accepted = l2_two_sample_test(SampleCounts(measured), SampleCounts(reference), l2_gap)
+        rejections += int(np.count_nonzero(~accepted))
+        run += len(p)
+    answer = "NO" if rejections > rounds // 2 else "YES"
     return Verdict(answer, src.copies_used - start, {
-        "rounds": rounds, "rejections": rejections, "copies_per_round": n_copies,
+        "rounds": rounds, "rounds_run": run, "rejections": rejections,
+        "copies_per_round": n_copies,
     })
 
 

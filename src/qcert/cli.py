@@ -115,13 +115,25 @@ def hidden_state(kind: str, spec: Spectrum, eps: float, rng: RngHandle) -> Densi
     raise ValidationError(f"unknown hidden-state family {kind!r}")
 
 
+def _finite(obj):
+    """``obj`` with every NaN or infinite float replaced by None (JSON null)."""
+    if isinstance(obj, dict):
+        return {k: _finite(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(v) for v in obj]
+    if isinstance(obj, (float, np.floating)) and not math.isfinite(obj):
+        return None
+    return obj
+
+
 def _emit(args, payload: dict, rows: list[dict] | None = None, header: list[str] | None = None):
-    """Write JSON (reports) or config-prefixed CSV (tables)."""
+    """Write JSON (reports) or config-prefixed CSV (tables). JSON is strict:
+    a non-finite float is written as null."""
     if getattr(args, "format", "json") == "json":  # reports take no --format
         out = dict(payload)
         if rows is not None:
             out["rows"] = rows
-        text = json.dumps(out, indent=2, default=float) + "\n"
+        text = json.dumps(_finite(out), indent=2, default=float, allow_nan=False) + "\n"
     else:
         buf = io.StringIO()
         buf.write("# " + json.dumps(payload, default=float) + "\n")
@@ -320,8 +332,7 @@ def cmd_bounds(args) -> int:
 def haar_schedule(d: int, copies: int, gen) -> Basis:
     """A nonadaptive schedule of ``copies`` Haar bases, drawn one after
     another from ``gen``, as one (copies, d, d) ``Basis`` stack."""
-    us = [haar_unitary(d, gen) for _ in range(copies)]
-    return Basis(np.stack(us) if us else np.empty((0, d, d), dtype=complex))
+    return Basis(np.stack([haar_unitary(d, gen) for _ in range(copies)]))
 
 
 def _phis(schedule: Basis, sigma, ens) -> list[float]:
@@ -330,6 +341,10 @@ def _phis(schedule: Basis, sigma, ens) -> list[float]:
 
 
 def cmd_divergence(args) -> int:
+    if args.copies < 1:
+        raise ValidationError(f"--copies must be >= 1, got {args.copies}")
+    if args.schedules < 1:
+        raise ValidationError(f"--schedules must be >= 1, got {args.schedules}")
     spec = make_spectrum(args.family, args.d, args.rank, args.ratio, args.input)
     sigma = DensityMatrix.from_diagonal(spec.lambdas)
     handle = RngHandle(args.seed).child("divergence")

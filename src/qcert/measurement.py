@@ -75,7 +75,7 @@ class Basis:
     the weights of that basis held alone. The stack may be empty.
     """
 
-    __slots__ = ("u", "dim")
+    __slots__ = ("u", "dim", "_sq")
 
     def __init__(self, u):
         mat = np.asarray(u, dtype=complex)
@@ -87,6 +87,7 @@ class Basis:
             raise ValidationError("matrix is not unitary within 1e-10")
         self.u = mat
         self.dim = mat.shape[-1]
+        self._sq = None  # |U|^2, computed on the first diagonal block
 
     def weights(self, block: np.ndarray) -> np.ndarray:
         """Unvalidated Born weights <u_z| block |u_z> of a dim x dim matrix,
@@ -94,13 +95,15 @@ class Basis:
 
         A block whose off-diagonal entries are all exactly zero (a diagonal
         sigma, or a diagonal state's conditional block) takes the O(dim^2)
-        kernel (|U|^2)^T diag(block); any other block takes the dense
-        O(dim^3) product U^dag block U.
+        kernel (|U|^2)^T diag(block), with |U|^2 computed once per ``Basis``
+        and shared by every diagonal block it measures; any other block takes
+        the dense O(dim^3) product U^dag block U.
         """
         diag = np.diagonal(block)
         if np.count_nonzero(block) == np.count_nonzero(diag):
-            sq = self.u.real**2 + self.u.imag**2
-            return np.sum(sq * diag.real[:, None], axis=-2)
+            if self._sq is None:
+                self._sq = self.u.real**2 + self.u.imag**2
+            return np.sum(self._sq * diag.real[:, None], axis=-2)
         return np.real(np.sum(self.u.conj() * (block @ self.u), axis=-2))
 
 
@@ -112,16 +115,16 @@ def projector_povm(indices, dim: int) -> Povm:
     return Povm(np.stack([pi, np.eye(dim) - pi]), ["inside", "outside"], _validated=True)
 
 
-def _weights(mat: np.ndarray, m: Povm | Basis, *, total: bool = True) -> np.ndarray:
+def _weights(mat: np.ndarray, m: Povm | Basis, total: float = 1.0) -> np.ndarray:
     """Born weights of ``mat`` under ``m``, validated as nonnegative within 1e-9
-    and, when ``total``, as summing to 1 within 1e-9 (every row of a stack)."""
+    and as summing to ``total`` within 1e-9 (every row of a stack)."""
     if mat.shape[0] != m.dim:
         raise ValidationError(f"state dim {mat.shape[0]} != POVM dim {m.dim}")
     p = m.weights(mat)
-    off = np.abs(p.sum(axis=-1) - 1.0).max(initial=0.0)
-    if p.min(initial=0.0) < -1e-9 or (total and off > 1e-9):
+    off = np.abs(p.sum(axis=-1) - total).max(initial=0.0)
+    if p.min(initial=0.0) < -1e-9 or off > 1e-9:
         raise ValidationError(
-            f"invalid outcome distribution (min {p.min():.2e}, sum off 1 by {off:.2e})"
+            f"invalid outcome distribution (min {p.min():.2e}, sum off {total:.6g} by {off:.2e})"
         )
     return p
 
@@ -131,7 +134,8 @@ def outcome_distribution(rho, m: Povm | Basis) -> np.ndarray:
     return _weights(_mat(rho), m)
 
 
-def _sampling_probs(p: np.ndarray) -> np.ndarray:
+def sampling_probs(p: np.ndarray) -> np.ndarray:
+    """One row of outcome weights, clipped at 0 and normalised for a multinomial draw."""
     q = np.clip(p, 0.0, None)
     return q / q.sum()
 
@@ -139,19 +143,22 @@ def _sampling_probs(p: np.ndarray) -> np.ndarray:
 class CopySource:
     """Budget-tracked oracle yielding measurement outcomes on fresh copies.
 
-    A measurement takes two steps: ``law`` reads the outcome weights of the
-    measured block and the acceptance, without charging, and ``draw`` takes
-    one batch of copies from one row of that law, charging every copy it
-    consumes. ``measure_batch`` is the two in sequence; a tester running many
-    rounds computes the law of a stacked ``Basis`` once and draws round by
-    round. Exceeding the budget raises :class:`BudgetExhaustedError`.
-    ``conditional`` and ``rotated`` return views that share this source's
-    counter and budget.
+    A measurement takes two steps that need not interleave: ``charge`` pays
+    for batches of accepted copies, discards included, and ``law`` reads the
+    outcome weights of the measured block, which a caller turns into counts
+    with one multinomial draw per batch. ``measure_batch`` is ``charge`` for
+    one batch followed by that draw; a tester running many rounds charges them
+    all at once and computes the law of a stacked ``Basis`` once per chunk.
+    Exceeding the budget raises :class:`BudgetExhaustedError`. ``conditional``
+    and ``rotated`` return views that share this source's counter and budget.
+    ``acceptance`` is the probability that a copy is accepted: exactly 1 on a
+    full source, Tr(Pi rho Pi) on a conditional view, set once per view.
     """
 
     def __init__(self, state: DensityMatrix, budget: int | None = None):
         self.state = state
         self.budget = budget
+        self.acceptance = 1.0
         self._root = self
         self._indices = None  # conditioning subset of a conditional view
         self._copies = 0
@@ -160,6 +167,8 @@ class CopySource:
         view = CopySource(state, self.budget)
         view._root = self._root
         view._indices = indices
+        if indices is not None:
+            view.acceptance = float(state.mat[indices, indices].real.sum())
         return view
 
     def conditional(self, indices) -> "CopySource":
@@ -196,46 +205,53 @@ class CopySource:
             )
         root._copies += n
 
-    def law(self, m: Povm | Basis) -> tuple[np.ndarray, np.ndarray]:
-        """Outcome weights of ``m`` on the measured block, and the acceptance.
+    def law(self, m: Povm | Basis) -> np.ndarray:
+        """Outcome weights of ``m`` on the measured block, one row per basis of
+        a stacked ``Basis``; every row sums to ``acceptance`` within 1e-9.
 
-        On a full source the weights are the outcome law and the acceptance
-        is exactly 1. On a conditional view they are the Born weights of the
-        block rho[S, S]; they sum to the acceptance Tr(Pi rho Pi). A stacked
-        ``Basis`` gives one row of weights and one acceptance per basis.
-        Nothing is charged.
+        On a full source the weights are the outcome law. On a conditional
+        view they are the Born weights of the block rho[S, S], and the law of
+        an accepted copy is a row divided by its sum. Nothing is charged.
         """
-        if self._indices is None:
-            p = outcome_distribution(self.state, m)
-            return p, np.ones(p.shape[:-1])
-        p = _weights(self.state.mat[np.ix_(self._indices, self._indices)], m, total=False)
-        return p, p.sum(axis=-1)
+        mat = self.state.mat
+        if self._indices is not None:
+            mat = mat[np.ix_(self._indices, self._indices)]
+        return _weights(mat, m, self.acceptance)
 
-    def draw(self, p: np.ndarray, accept: float, n: int, rng) -> np.ndarray:
-        """n accepted outcomes from one row ``p, accept`` of ``law``.
+    def charge(self, n: int, batches: int, rng) -> None:
+        """Charge ``batches`` batches of n accepted copies each, in order.
 
-        Returns counts aligned with the outcomes. The discards before the n
-        accepted copies are drawn first, as one negative binomial, then all
-        n + discards copies are charged, then the multinomial is drawn. Zero
-        acceptance, or discards beyond the int64 range of numpy's sampler,
-        raise :class:`BudgetExhaustedError` before anything is charged.
+        The discards before each batch's n accepted copies are drawn first,
+        for all batches at once, as one ``negative_binomial(n, acceptance,
+        size=batches)`` call; an acceptance within 1e-12 of 1, as on every
+        full source, draws nothing. Then batch after batch is charged n plus
+        its discards, in exact integer arithmetic, until the budget cannot
+        pay for the next one, which raises :class:`BudgetExhaustedError` with
+        the earlier batches charged. Zero acceptance, or discards beyond the
+        int64 range of numpy's sampler, raise it before anything is charged.
         """
-        accept = float(accept)
-        if accept <= 0:
+        if self.acceptance <= 0:
             raise BudgetExhaustedError("conditional acceptance probability is zero")
-        gen = as_generator(rng)
-        try:
-            discards = int(gen.negative_binomial(n, accept)) if accept < 1.0 - 1e-12 else 0
-        except ValueError as err:  # n (1 - accept) / accept too large for int64
-            raise BudgetExhaustedError(
-                f"discards for {n} copies at acceptance {accept:.3e} exceed int64") from err
-        self._charge(n + discards)
-        return gen.multinomial(n, _sampling_probs(p))
+        discards = [0] * batches
+        if self.acceptance < 1.0 - 1e-12:
+            try:
+                discards = as_generator(rng).negative_binomial(
+                    n, self.acceptance, size=batches).tolist()
+            except ValueError as err:  # n (1 - accept) / accept too large for int64
+                raise BudgetExhaustedError(
+                    f"discards for {n} copies at acceptance {self.acceptance:.3e} exceed int64"
+                ) from err
+        for k in discards:
+            self._charge(n + k)
 
     def measure_batch(self, m: Povm | Basis, n: int, rng) -> np.ndarray:
-        """n accepted outcomes of one measurement: ``draw`` on ``law(m)``."""
-        p, accept = self.law(m)
-        return self.draw(p, accept, n, rng)
+        """n accepted outcomes of one measurement, as counts aligned with its
+        outcomes: ``charge`` for one batch, then one multinomial draw from
+        ``law(m)``, both from the same generator."""
+        gen = as_generator(rng)
+        p = self.law(m)
+        self.charge(n, 1, gen)
+        return gen.multinomial(n, sampling_probs(p))
 
 
 def project_povm_to_blocks(m: Povm, buckets):

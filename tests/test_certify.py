@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -187,8 +188,11 @@ class TestConditionalSource:
         # the view draws its discards, then its counts, from that law and acceptance
         n = 1000
         src = CopySource(rho)
-        counts = src.conditional(idx).measure_batch(Basis(u), n, rng_for("cert", "draw", d))
+        view = src.conditional(idx)
+        assert abs(view.acceptance - accept) <= 1e-12
+        counts = view.measure_batch(Basis(u), n, rng_for("cert", "draw", d))
         ref = rng_for("cert", "draw", d)
+        accept = view.acceptance
         discards = int(ref.negative_binomial(n, accept)) if accept < 1.0 - 1e-12 else 0
         assert src.copies_used == n + discards
         assert counts.tolist() == ref.multinomial(n, law).tolist()
@@ -197,9 +201,8 @@ class TestConditionalSource:
         # 1e15 accepted copies at acceptance 1e-5 need about 1e20 discards
         src = CopySource(DensityMatrix.from_diagonal([1e-5, 1 - 1e-5]))
         view = src.conditional([0])
-        p, accept = view.law(Basis(np.eye(1)))
         with pytest.raises(BudgetExhaustedError):
-            view.draw(p, accept, 10**15, rng_for("cert", "headroom"))
+            view.charge(10**15, 3, rng_for("cert", "headroom"))
         assert src.copies_used == 0
         # and a basic tester that would need them answers INCONCLUSIVE
         src = CopySource(DensityMatrix.from_diagonal([5e-6, 5e-6, 1 - 1e-5]))
@@ -208,15 +211,48 @@ class TestConditionalSource:
         assert v.answer == "INCONCLUSIVE" and v.copies_used == src.copies_used == 0
 
     def test_charge_past_float64_integers_is_exact(self):
-        # 1e13 accepted copies at acceptance 7.5e-5: about 1.3e17 discards, past 2^53
+        # 1e13 accepted copies at acceptance 7.5e-5: about 1.3e17 discards per
+        # batch, past 2^53, and over 111 batches a total past 2^63
         src = CopySource(DensityMatrix.from_diagonal([7.5e-5, 1 - 7.5e-5]))
         view = src.conditional([0])
-        p, accept = view.law(Basis(np.eye(1)))
-        n = 10**13
-        view.draw(p, accept, n, rng_for("cert", "headroom-ok"))
-        discards = int(rng_for("cert", "headroom-ok").negative_binomial(n, accept))
-        assert discards > 2**53
-        assert type(src.copies_used) is int and src.copies_used == n + discards
+        n, batches = 10**13, 111
+        view.charge(n, batches, rng_for("cert", "headroom-ok"))
+        discards = rng_for("cert", "headroom-ok").negative_binomial(
+            n, view.acceptance, size=batches).tolist()
+        assert min(discards) > 2**53
+        total = batches * n + sum(discards)
+        assert total > 2**63
+        assert type(src.copies_used) is int and src.copies_used == total
+
+    @pytest.mark.parametrize("k", [0, 1, 20, 41])
+    def test_budget_running_out_in_round_k(self, k, monkeypatch):
+        """basic_certify charges every round before simulating any: a budget
+        that runs out in round k charges exactly the rounds before k, draws
+        no Haar basis and answers INCONCLUSIVE."""
+        src = CopySource(DensityMatrix.from_diagonal([0.2, 0.2, 0.2, 0.4]))
+        sigma = DensityMatrix.maximally_mixed(3)
+        rng = RngHandle(5).child("round-k")
+        n, rounds = math.ceil(CFG.c_basic * math.sqrt(3) / 0.5**2), 42  # delta = 0.1
+        view = src.conditional([0, 1, 2])
+        discards = rng.generator().negative_binomial(n, view.acceptance, size=rounds).tolist()
+        charges = [n + x for x in discards]
+        budget = sum(charges[:k + 1]) - 1
+        drawn = []
+
+        def recording(*args, **kwargs):
+            drawn.append(args)
+            return haar_unitary(*args, **kwargs)
+
+        # qcert.certify, the attribute, is the function; patch the module
+        monkeypatch.setattr(importlib.import_module("qcert.certify"), "haar_unitary", recording)
+        v = basic_certify(CopySource(src.state, budget).conditional([0, 1, 2]), sigma, 0.5, 0.1,
+                          CFG, rng=rng)
+        assert v.answer == "INCONCLUSIVE" and v.copies_used == sum(charges[:k])
+        assert drawn == []
+        # one more copy pays for round k too
+        v = basic_certify(CopySource(src.state, budget + 1).conditional([0, 1, 2]), sigma, 0.5,
+                          0.1, CFG, rng=rng)
+        assert v.copies_used == sum(charges[:k + 1])
 
 
 class TestRotatedView:
@@ -235,10 +271,8 @@ class TestRotatedView:
             idx = np.sort(gen.choice(d, size=int(gen.integers(1, d + 1)), replace=False))
             direct, rotated = direct.conditional(idx), rotated.conditional(idx)
         m = Basis(haar_unitary(direct.dim, gen, size=r))
-        p_direct, accept_direct = direct.law(m)
-        p_rotated, accept_rotated = rotated.law(m)
-        assert np.abs(p_rotated - p_direct).max() <= 1e-12
-        assert np.abs(accept_rotated - accept_direct).max() <= 1e-12
+        assert np.abs(rotated.law(m) - direct.law(m)).max() <= 1e-12
+        assert abs(rotated.acceptance - direct.acceptance) <= 1e-12
 
 
 class TestCertify:
@@ -349,7 +383,7 @@ class TestCertify:
         rho = hidden_state("offdiag", spec, 0.3, h.child("state"))
         v = haar_unitary(16, h.child("basis").generator())
         for conj in (lambda s: s, lambda s: DensityMatrix(v @ s.mat @ v.conj().T)):
-            for state, want in ((sigma, ("YES", 2731281873665)), (rho, ("NO", 734819008021))):
+            for state, want in ((sigma, ("YES", 2731284986281)), (rho, ("NO", 734819880964))):
                 verdict = certify(CopySource(conj(state)), conj(sigma), 0.3, 0.2, cfg,
                                   rng=h.child("algo"))
                 assert (verdict.answer, verdict.copies_used) == want
@@ -378,7 +412,7 @@ def stages(buckets: int, pairs: int, last: str = "YES") -> list:
 class TestPinnedRuns:
     """Verdicts and copy counts of seeded runs, pinned exactly. Every value
     depends on the Ginibre, discard and multinomial draws, so a change that
-    moves any draw of stream layout v2 fails here and must re-pin on purpose."""
+    moves any draw of stream layout v3 fails here and must re-pin on purpose."""
 
     # the stages each certify run went through, in order; the first NO or
     # INCONCLUSIVE ends the run
@@ -393,14 +427,14 @@ class TestPinnedRuns:
     }
 
     @pytest.mark.parametrize("d, hidden, budget, want", [
-        (8, "null", None, ("YES", 554605266879)),
-        (8, "offdiag", None, ("NO", 167841855037)),
-        (16, "null", None, ("YES", 2731283758831)),
-        (16, "offdiag", None, ("NO", 734820461910)),
-        (32, "null", None, ("YES", 11188579875323)),
-        (32, "offdiag", None, ("NO", 3035556343637)),
+        (8, "null", None, ("YES", 554604613595)),
+        (8, "offdiag", None, ("NO", 167842054525)),
+        (16, "null", None, ("YES", 2731283517342)),
+        (16, "offdiag", None, ("NO", 734820537047)),
+        (32, "null", None, ("YES", 11188586390118)),
+        (32, "offdiag", None, ("NO", 3035555600635)),
         # the budget runs out inside a conditional basic test
-        (16, "null", 10**12, ("INCONCLUSIVE", 996835503268)),
+        (16, "null", 10**12, ("INCONCLUSIVE", 996836397130)),
     ])
     def test_certify_linear_spectrum(self, d, hidden, budget, want):
         spec = linear_spectrum(d)
@@ -415,17 +449,19 @@ class TestPinnedRuns:
                 for e in run] == self.STAGES[d, hidden, budget]
 
     @pytest.mark.parametrize("d, want", [
-        (2, ("YES", 63156, 1)),
-        (8, ("YES", 127237, 0)),
-        (32, ("YES", 253156, 0)),
+        (2, ("YES", 63391, 0, 42)),
+        (8, ("YES", 127020, 1, 42)),
+        (32, ("YES", 253582, 0, 24)),
     ])
     def test_basic_certify_maximally_mixed(self, d, want):
         # I/d measured through a conditional view of I/2d, so the copy count
-        # includes the drawn discards
+        # includes the drawn discards; at d = 32 the chunks hold 8 rounds and
+        # the majority is fixed after 3 of them
         src = CopySource(DensityMatrix.maximally_mixed(2 * d)).conditional(range(d))
         v = basic_certify(src, DensityMatrix.maximally_mixed(d), 0.3, 0.1, CFG,
                           rng=RngHandle(1).child("pinned-basic", d))
-        assert (v.answer, v.copies_used, v.diagnostics["rejections"]) == want
+        diag = v.diagnostics
+        assert (v.answer, v.copies_used, diag["rejections"], diag["rounds_run"]) == want
 
     @pytest.mark.parametrize("d, want", [(4, 303), (8, 258)])
     def test_minimal_copies(self, d, want):
@@ -495,29 +531,37 @@ class TestCalibration:
 
 
 def per_round_basic_certify(src, sigma, eps, delta, cfg, rng):
-    """basic_certify as a loop over single rounds in stream layout v2: one
-    generator per call; per chunk of max(1, 8192 // d^2) rounds one Ginibre
-    stack, then per round one QR, one ``measure_batch``, one reference draw
-    and one L2 test. Returns (answer, rejections or None, copies used)."""
+    """basic_certify in stream layout v3 with every round simulated, one at a
+    time: one generator per call; all rounds' discards from one negative
+    binomial draw (none on a full source), charged round by round against
+    ``src``'s budget; then per chunk of max(1, 8192 // d^2) rounds one
+    Ginibre stack, and per round one QR, one measured and one reference
+    multinomial and one L2 test. Charges nothing to ``src``. Returns (answer,
+    copies charged, the per-round rejections, or None when INCONCLUSIVE)."""
     d = src.dim
-    start = src.copies_used
     n = math.ceil(cfg.c_basic * math.sqrt(d) / eps**2)
     gap = DEFAULT_L2_SCALE * eps / math.sqrt(d)
     rounds = max(1, math.ceil(18 * math.log(1 / delta)))
     chunk = max(1, 8192 // d**2)
     gen = rng.generator()
-    rejections = 0
-    try:
-        for first in range(0, rounds, chunk):
-            for z in ginibre(d, gen, size=min(chunk, rounds - first)):
-                q, r = np.linalg.qr(z)
-                m = Basis(q * (np.diag(r) / np.abs(np.diag(r))))
-                x = src.measure_batch(m, n, gen).astype(float)
-                y = gen.multinomial(n, outcome_distribution(sigma, m)).astype(float)
-                rejections += float(((x - y) ** 2 - x - y).sum()) > n**2 * gap**2 / 2
-    except BudgetExhaustedError:
-        return "INCONCLUSIVE", None, src.copies_used - start
-    return ("NO" if 2 * rejections > rounds else "YES"), rejections, src.copies_used - start
+    discards = [0] * rounds
+    if src.acceptance < 1.0 - 1e-12:
+        discards = gen.negative_binomial(n, src.acceptance, size=rounds).tolist()
+    copies = 0
+    for k in discards:
+        if src.budget is not None and copies + n + k > src.budget:
+            return "INCONCLUSIVE", copies, None
+        copies += n + k
+    rejected = []
+    for first in range(0, rounds, chunk):
+        for z in ginibre(d, gen, size=min(chunk, rounds - first)):
+            q, r = np.linalg.qr(z)
+            m = Basis(q * (np.diag(r) / np.abs(np.diag(r))))
+            p = np.clip(src.law(m), 0.0, None)
+            x = gen.multinomial(n, p / p.sum()).astype(float)
+            y = gen.multinomial(n, outcome_distribution(sigma, m)).astype(float)
+            rejected.append(float(((x - y) ** 2 - x - y).sum()) > n**2 * gap**2 / 2)
+    return ("NO" if 2 * sum(rejected) > rounds else "YES"), copies, rejected
 
 
 def source_case(seed: int, d: int, conditional: bool, alternative: bool):
@@ -540,8 +584,9 @@ def source_case(seed: int, d: int, conditional: bool, alternative: bool):
 
 
 class TestBatchedRounds:
-    """basic_certify draws its rounds in chunks of stacked bases; every result
-    must equal the loop over single rounds that draws the same streams."""
+    """basic_certify charges every round, then simulates chunks of stacked
+    bases until the majority is fixed; its answer and copies must equal the
+    loop that simulates every round one at a time from the same stream."""
 
     @settings(max_examples=60)
     @given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 40), rounds=st.integers(1, 120),
@@ -564,37 +609,46 @@ class TestBatchedRounds:
         rng = RngHandle(seed).child("batched")
         budget = None
         if budget_frac is not None:
-            total = per_round_basic_certify(make(None), sigma, eps, delta, CFG, rng)[2]
+            total = per_round_basic_certify(make(None), sigma, eps, delta, CFG, rng)[1]
             budget = int(budget_frac * total)
         src = make(budget)
         v = basic_certify(src, sigma, eps, delta, CFG, rng=rng)
-        want = per_round_basic_certify(make(budget), sigma, eps, delta, CFG, rng)
-        assert (v.answer, v.diagnostics.get("rejections"), v.copies_used) == want
+        answer, copies, rejected = per_round_basic_certify(make(budget), sigma, eps, delta,
+                                                           CFG, rng)
+        assert (v.answer, v.copies_used) == (answer, copies)
         assert src.copies_used == v.copies_used
-        if v.answer != "INCONCLUSIVE":
-            assert v.diagnostics["rounds"] == rounds
+        if answer == "INCONCLUSIVE":
+            return
+        # the simulation stops at the first chunk boundary where the majority is fixed
+        chunk = max(1, 8192 // d**2)
+        for run in range(chunk, rounds + chunk, chunk):
+            run = min(run, rounds)
+            no = sum(rejected[:run])
+            if no > rounds // 2 or run - no >= rounds - rounds // 2:
+                break
+        diag = v.diagnostics
+        assert diag["rounds"] == rounds and diag["rounds_run"] == run <= rounds
+        assert diag["rejections"] == sum(rejected[:run])
 
     @settings(max_examples=30)
     @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 40), r=st.integers(1, 12),
            conditional=st.booleans())
     def test_stacked_law_rows(self, seed, d, r, conditional):
         """Each row of a stacked law is the law of its basis held alone, and
-        sums to its acceptance: exactly on a conditional view, within 1e-9 of
-        an acceptance of exactly 1 on a full source."""
+        sums to the source's acceptance within 1e-9: exactly 1 on a full
+        source, in (0, 1] on a conditional view."""
         make, _ = source_case(seed, d, conditional, False)
         src = make(None)
         us = haar_unitary(d, RngHandle(seed).generator(), size=r)
-        p, accept = src.law(Basis(us))
-        assert p.shape == (r, d) and accept.shape == (r,)
+        p = src.law(Basis(us))
+        assert p.shape == (r, d)
         for t in range(r):
-            p_t, accept_t = src.law(Basis(us[t]))
-            assert np.array_equal(p[t], p_t) and accept[t] == accept_t
+            assert np.array_equal(p[t], src.law(Basis(us[t])))
+        assert np.abs(p.sum(axis=-1) - src.acceptance).max() <= 1e-9
         if conditional:
-            assert np.array_equal(p.sum(axis=-1), accept)
-            assert (accept > 0).all() and (accept <= 1 + 1e-12).all()
+            assert 0 < src.acceptance <= 1 + 1e-12
         else:
-            assert (accept == 1.0).all()
-            assert np.abs(p.sum(axis=-1) - 1.0).max() <= 1e-9
+            assert src.acceptance == 1.0
         assert src.copies_used == 0
 
     @settings(max_examples=30)
@@ -603,13 +657,12 @@ class TestBatchedRounds:
     def test_charge_is_accepted_plus_discards(self, seed, d, r, n, conditional):
         make, _ = source_case(seed, d, conditional, False)
         src = make(None)
-        us = haar_unitary(d, RngHandle(seed).generator(), size=r)
-        p, accept = src.law(Basis(us))
-        for t in range(r):
-            before = src.copies_used
-            counts = src.draw(p[t], accept[t], n, RngHandle(seed).child("draw", t))
-            twin = RngHandle(seed).child("draw", t).generator()
-            discards = int(twin.negative_binomial(n, accept[t])) if accept[t] < 1 - 1e-12 else 0
-            assert counts.sum() == n
-            assert src.copies_used - before == n + discards
-
+        src.charge(n, r, RngHandle(seed).child("charge"))
+        twin = RngHandle(seed).child("charge").generator()
+        accept = src.acceptance
+        discards = [0] * r
+        if accept < 1 - 1e-12:
+            discards = twin.negative_binomial(n, accept, size=r).tolist()
+        assert src.copies_used == r * n + sum(discards)
+        counts = src.measure_batch(Basis(haar_unitary(d, twin)), n, twin)
+        assert counts.sum() == n

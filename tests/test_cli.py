@@ -66,6 +66,9 @@ class TestCertifyCommand:
         ["certify", "--algorithm", "basic", "--delta", "1"],
         ["certify", "--family", "mm", "--d", "1", "--hidden", "spike", "--trials", "1"],
         ["divergence", "--family", "spiked", "--d", "4", "--copies", "0"],
+        ["divergence", "--family", "mm", "--d", "4", "--ensemble", "paninski", "--copies", "-3",
+         "--schedules", "1", "--param-draws", "3"],
+        ["divergence", "--family", "spiked", "--d", "4", "--schedules", "0"],
     ])
     def test_out_of_range_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as err:
@@ -234,3 +237,36 @@ class TestDivergenceCommand:
         assert payload["worst"]["tv"] <= 1.0
         assert all(r["chi2"] <= r["ingster_bound"] + 3 * r["ingster_se"] + 1e-12
                    for r in payload["rows"])
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["--ensemble", "corner", "--copies", "0"], "--copies"),
+        (["--ensemble", "paninski", "--copies", "-3"], "--copies"),
+        (["--ensemble", "paninski", "--schedules", "0"], "--schedules"),
+    ])
+    def test_counts_below_one_name_the_flag(self, argv, flag, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["divergence", "--family", "mm", "--d", "4", "--param-draws", "3"] + argv)
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"qcert: {flag} must be >= 1")
+        assert captured.out == ""
+
+    def test_json_report_is_strict(self, capsys):
+        """The Paninski rows carry no Ingster bound: JSON writes it as null,
+        which a strict parser accepts, and CSV keeps writing nan."""
+        base = ["divergence", "--family", "mm", "--d", "4", "--ensemble", "paninski",
+                "--copies", "2", "--schedules", "2", "--param-draws", "3"]
+
+        def reject(constant):
+            raise ValueError(f"non-JSON constant {constant}")
+
+        code, out = run_cli(base + ["--format", "json"], capsys)
+        assert code == 0
+        payload = json.loads(out, parse_constant=reject)
+        assert [(r["ingster_bound"], r["ingster_se"]) for r in payload["rows"]] == [(None, None)] * 2
+        assert all(isinstance(r["tv"], float) for r in payload["rows"])
+        code, out = run_cli(base + ["--format", "csv"], capsys)
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[1].endswith(",ingster_bound,ingster_se")
+        assert all(line.endswith(",nan,nan") for line in lines[2:]) and len(lines) == 4

@@ -90,9 +90,9 @@ class TestDiagonalKernel:
             idx = np.sort(gen.choice(d, size=int(gen.integers(1, d + 1)), replace=False))
             src, block = src.conditional(idx), block[np.ix_(idx, idx)]
         m = Basis(haar_unitary(src.dim, gen, size=r))
-        p, accept = src.law(m)
+        p = src.law(m)
         assert np.abs(p - dense_weights(m.u, block)).max() <= 1e-12
-        assert np.abs(accept - np.diagonal(block).real.sum()).max() <= 1e-12
+        assert abs(src.acceptance - np.diagonal(block).real.sum()) <= 1e-12
         for t in range(len(m.u) if r else 0):  # a stack's rows are its bases held alone
             assert np.array_equal(p[t], Basis(m.u[t]).weights(block))
 
@@ -109,6 +109,28 @@ class TestDiagonalKernel:
         block[j, i] = np.conj(block[i, j])
         u = haar_unitary(d, gen, size=r)
         assert np.array_equal(Basis(u).weights(block), dense_weights(u, block))
+
+
+    @settings(max_examples=30)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 40),
+           r=st.none() | st.integers(1, 4))
+    def test_squared_moduli_shared_across_blocks(self, seed, d, r):
+        """One Basis computes |U|^2 once and serves every diagonal block from
+        it, bit for bit as a fresh Basis would; a dense block in between
+        leaves it as it was."""
+        gen = RngHandle(seed).child("shared-kernel").generator()
+        m = Basis(haar_unitary(d, gen, size=r))
+        blocks = [np.diag(gen.dirichlet(np.ones(d))).astype(complex) for _ in range(2)]
+        dense = blocks[0] + np.triu(np.full((d, d), 1e-3), 1) + np.tril(np.full((d, d), 1e-3), -1)
+        fresh = [Basis(m.u).weights(b) for b in blocks]
+        sq = m.u.real**2 + m.u.imag**2
+        for b, want in zip(blocks + [dense] + blocks, fresh + [None] + fresh):
+            got = m.weights(b)
+            if want is None:
+                assert np.array_equal(got, dense_weights(m.u, b))
+            else:
+                assert np.array_equal(got, want)
+                assert np.array_equal(got, np.sum(sq * np.diagonal(b).real[:, None], axis=-2))
 
 
 class TestOutcomeDistribution:
