@@ -23,7 +23,6 @@ from .measurement import (
     BudgetExhaustedError,
     Basis,
     outcome_distribution,
-    projector_povm,
     sampling_probs,
 )
 from .rng import RngHandle, haar_unitary
@@ -145,10 +144,14 @@ def basic_certify(src, sigma: DensityMatrix, eps: float, delta: float,
 
 
 def _fraction_test(src, indices, n: int, rng) -> float:
-    """Observed fraction of outcomes landing in the coordinate subset."""
-    m = projector_povm(indices, src.dim)
-    counts = src.measure_batch(m, n, rng)
-    return counts[0] / n
+    """Observed fraction of n copies landing in the coordinate subset.
+
+    Measuring {Pi, I - Pi} charges n copies; the count landing in Pi is one
+    binomial draw at Tr(Pi rho), the acceptance of the conditional view,
+    clipped to [0, 1] against the trace tolerance of a ``DensityMatrix``.
+    """
+    src.charge(n, 1, rng)
+    return rng.binomial(n, min(max(src.conditional(indices).acceptance, 0.0), 1.0)) / n
 
 
 def _diagonalize(sigma: DensityMatrix) -> tuple[Spectrum, np.ndarray | None]:

@@ -379,6 +379,9 @@ def cmd_divergence(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    for flag in ("samples", "fuzz", "schedules"):
+        if getattr(args, flag) < 1:
+            raise ValidationError(f"--{flag} must be >= 1, got {getattr(args, flag)}")
     handle = RngHandle(args.seed)
     checks: list[dict] = []
 

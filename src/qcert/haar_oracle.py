@@ -37,7 +37,7 @@ import numpy as np
 
 from .linalg import DensityMatrix, ValidationError, check_hermitian
 from .measurement import Basis, outcome_distribution, phi
-from .rng import as_generator, haar_unitary
+from .rng import as_generator, haar_blocks
 
 MAX_ORDER = 6
 
@@ -247,6 +247,11 @@ def verify_moments_basic(m, samples: int, rng) -> MomentsReport:
     So `second_ok` is False there by construction and only reports that the
     stated bound fails. The quantity to check is `ez2_exact` (exact from the
     S_4 characters, d >= 4), whose true scale is ||M||_HS^4/d^2.
+
+    Each chunk of up to _MOMENTS_CHUNK samples is one Haar stack, read
+    sub-stack by sub-stack from ``haar_blocks``: only the chunk's real parts
+    (8 * take * d^2 bytes), one sub-stack and the per-sample Z are held, and
+    the estimates equal those of the one-shot stack bit for bit.
     """
     if samples < 1:
         raise ValidationError(f"samples must be >= 1, got {samples}")
@@ -260,9 +265,12 @@ def verify_moments_basic(m, samples: int, rng) -> MomentsReport:
     done = 0
     while done < samples:
         take = min(_MOMENTS_CHUNK, samples - done)
-        q = haar_unitary(d, gen, size=take)
-        x = np.einsum("nji,jk,nki->ni", q.conj(), mat, q).real
-        z = (x**2).sum(axis=1)
+        z = np.empty(take)
+        start = 0
+        for q in haar_blocks(d, gen, take):
+            x = np.einsum("nji,jk,nki->ni", q.conj(), mat, q).real
+            z[start:start + len(q)] = (x**2).sum(axis=1)
+            start += len(q)
         z_sum += z.sum()
         z2_sum += (z**2).sum()
         z4_sum += (z**4).sum()

@@ -6,7 +6,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qcert.certify import DEFAULT_L2_SCALE, CertifyConfig, Verdict, basic_certify, certify
+from qcert.certify import (
+    DEFAULT_L2_SCALE,
+    CertifyConfig,
+    Verdict,
+    _fraction_test,
+    basic_certify,
+    certify,
+)
 from qcert import cli
 from qcert.cli import hidden_state, minimal_copies
 from qcert.instances import build_offdiag, plan_offdiag, sample_paninski, tune_paninski
@@ -17,6 +24,8 @@ from qcert.measurement import (
     CopySource,
     Povm,
     outcome_distribution,
+    projector_povm,
+    sampling_probs,
 )
 from qcert.rng import RngHandle, ginibre, haar_unitary
 from qcert.spectrum import Spectrum
@@ -273,6 +282,40 @@ class TestRotatedView:
         m = Basis(haar_unitary(direct.dim, gen, size=r))
         assert np.abs(rotated.law(m) - direct.law(m)).max() <= 1e-12
         assert abs(rotated.acceptance - direct.acceptance) <= 1e-12
+
+
+class TestFractionTest:
+    def test_binomial_is_multinomial_first_count(self):
+        """numpy draws multinomial(n, [p, 1 - p])[0] as binomial(n, p): the
+        same value from the same generator state."""
+        for seed in range(2000):
+            gen = np.random.default_rng(seed)
+            n = int(gen.integers(1, 10**7))
+            p = float(gen.random())
+            a, b = np.random.default_rng([seed, 1]), np.random.default_rng([seed, 1])
+            assert a.binomial(n, p) == b.multinomial(n, [p, 1 - p])[0]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_projector_measurement(self, seed):
+        """Same fraction and copies as measuring the dense {Pi, I - Pi} POVM
+        with one multinomial draw, as the fraction test did before."""
+        gen = rng_for("fraction", seed)
+        rho = random_density(6, gen)
+        idx = np.array([0, 2, 3])
+        src = CopySource(rho)
+        frac = _fraction_test(src, idx, 5000, rng_for("fraction-draw", seed))
+        ref_gen = rng_for("fraction-draw", seed)
+        m = projector_povm(idx, 6)
+        counts = ref_gen.multinomial(5000, sampling_probs(CopySource(rho).law(m)))
+        assert frac == counts[0] / 5000
+        assert src.copies_used == 5000
+
+    def test_acceptance_clipped_to_unit_interval(self):
+        """A subset holding the whole trace may sum past 1 by rounding."""
+        lam = np.array([0.5 + 4e-10, 0.5, 0.0])
+        src = CopySource(DensityMatrix.from_diagonal(lam))
+        assert src.conditional([0, 1]).acceptance > 1.0
+        assert _fraction_test(src, [0, 1], 100, rng_for("fraction-clip")) == 1.0
 
 
 class TestCertify:

@@ -213,6 +213,24 @@ class TestVerifyCommand:
             else:
                 assert ok, name
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["--samples", "0"], "--samples"),
+        (["--samples", "-5"], "--samples"),
+        (["--fuzz", "0"], "--fuzz"),
+        (["--fuzz", "-3", "--schedules", "0"], "--fuzz"),
+        (["--schedules", "0"], "--schedules"),
+        (["--schedules", "-2"], "--schedules"),
+    ])
+    def test_counts_below_one_name_the_flag(self, argv, flag, capsys):
+        """A count below 1 is a usage error before any check runs, rather
+        than checks reported as passed after zero trials."""
+        with pytest.raises(SystemExit) as err:
+            main(["verify"] + argv)
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"qcert: {flag} must be >= 1")
+        assert captured.out == ""
+
 
 class TestInstanceSerialization:
     def test_json_tags(self):

@@ -1,11 +1,13 @@
 import itertools
 import math
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from qcert import haar_oracle
+from qcert import rng as rng_module
 from qcert.cli import haar_schedule
 from qcert.haar_oracle import (
     _centralizer,
@@ -328,6 +330,33 @@ class TestVerifyMoments:
         gen = rng_for("oracle", "pinned-mc", d)
         rep = verify_moments_basic(random_traceless(d, gen), 2500, gen)
         assert (rep.ez_mc, rep.ez2_mc) == (ez, ez2)
+
+    @pytest.mark.parametrize("entries", [1, 7 * 25, 1000])
+    def test_estimates_independent_of_sub_stack_size(self, entries, monkeypatch):
+        # haar_blocks' sub-stacks (1, 7 or 40 unitaries at d=5) leave every bit
+        def estimates():
+            gen = rng_for("oracle", "blocked-mc")
+            rep = verify_moments_basic(random_traceless(5, gen), 2500, gen)
+            return rep.ez_mc, rep.ez2_mc
+
+        monkeypatch.setattr(haar_oracle, "_MOMENTS_CHUNK", 1000)
+        want = estimates()
+        monkeypatch.setattr(rng_module, "_BLOCK_ENTRIES", entries)
+        assert estimates() == want
+
+    def test_working_memory_is_the_real_parts_plus_one_sub_stack(self):
+        # one chunk of 20 000 unitaries at d=8: the real parts take 9.77 MiB;
+        # the unblocked draw peaked near eight times that
+        d, samples = 8, 20_000
+        gen = rng_for("oracle", "memory")
+        m = random_traceless(d, gen)
+        tracemalloc.start()
+        try:
+            verify_moments_basic(m, samples, gen)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * samples * d * d * 8
 
     def test_exact_second_moment_matches_monte_carlo(self):
         # the order-4 Weingarten route is the oracle for E[Z^2]

@@ -3,7 +3,8 @@ import pytest
 from scipy import stats
 
 from qcert.linalg import ValidationError
-from qcert.rng import RngHandle, block_haar, haar_isometry, haar_unitary
+from qcert import rng as rng_module
+from qcert.rng import RngHandle, block_haar, ginibre, haar_blocks, haar_isometry, haar_unitary
 from qcert.spectrum import Spectrum, bucketize
 
 from conftest import rng_for
@@ -59,6 +60,71 @@ class TestHaarUnitary:
         t2 = np.einsum("ij,nji->n", a, np.einsum("nji,jk,nkl->nil", u2.conj(), b, u2)).real
         crit = 1.628 * np.sqrt(2 / n)  # two-sample KS critical value at 1%
         assert stats.ks_2samp(t1, t2).statistic < crit
+
+
+def one_shot_haar(d, gen, size=None):
+    """The one-shot formula: one Ginibre stack (all real parts, then all
+    imaginary parts), one QR, then the phase fix."""
+    shape = (d, d) if size is None else (size, d, d)
+    z = (gen.standard_normal(shape) + 1j * gen.standard_normal(shape)) / np.sqrt(2)
+    q, r = np.linalg.qr(z)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[..., None, :]
+
+
+class TestBlockedDraw:
+    @pytest.mark.parametrize("d, size", [(8, 3 * 1024 + 100), (3, 3 * 7281 + 5), (260, 3), (5, 1)])
+    def test_blocked_stack_matches_one_shot(self, d, size):
+        """At least three sub-stacks (or one) equal the one-shot stack bit for
+        bit, and leave the generator where the one-shot draw does."""
+        gen, ref = rng_for("blocks", d, size), rng_for("blocks", d, size)
+        u = haar_unitary(d, gen, size)
+        assert np.array_equal(u, one_shot_haar(d, ref, size))
+        assert gen.random() == ref.random()
+
+    def test_sub_stack_sizes(self):
+        rows = rng_module._BLOCK_ENTRIES // 64
+        sizes = [len(q) for q in haar_blocks(8, rng_for("blocks", "sizes"), 3 * rows + 100)]
+        assert sizes == [rows, rows, rows, 100]
+
+    def test_single_block_is_returned_without_copy(self, monkeypatch):
+        yielded = []
+        blocks = rng_module.haar_blocks
+
+        def recording(*args):
+            for q in blocks(*args):
+                yielded.append(q)
+                yield q
+
+        monkeypatch.setattr(rng_module, "haar_blocks", recording)
+        u = haar_unitary(8, rng_for("blocks", "nocopy"), 100)
+        assert len(yielded) == 1 and u is yielded[0]
+
+    @pytest.mark.parametrize("d", [1, 4, 9])
+    def test_single_matrix_matches_one_shot(self, d):
+        gen, ref = rng_for("blocks", "one", d), rng_for("blocks", "one", d)
+        u = haar_unitary(d, gen)
+        assert u.shape == (d, d)
+        assert np.array_equal(u, one_shot_haar(d, ref))
+        assert gen.random() == ref.random()
+
+    @pytest.mark.parametrize("size", [None, 1, 50])
+    def test_ginibre_matches_one_shot(self, size):
+        gen, ref = rng_for("ginibre", size), rng_for("ginibre", size)
+        shape = (6, 6) if size is None else (size, 6, 6)
+        want = (ref.standard_normal(shape) + 1j * ref.standard_normal(shape)) / np.sqrt(2)
+        assert np.array_equal(ginibre(6, gen, size), want)
+        assert gen.random() == ref.random()
+
+    def test_real_parts_drawn_at_call(self):
+        """haar_blocks draws every real part before the first sub-stack is
+        taken, and validates the dimension at once."""
+        gen, ref = rng_for("blocks", "eager"), rng_for("blocks", "eager")
+        haar_blocks(4, gen, 10)
+        ref.standard_normal((10, 4, 4))
+        assert gen.random() == ref.random()
+        with pytest.raises(ValidationError):
+            haar_blocks(0, gen, 3)
 
 
 class TestHaarIsometry:
