@@ -1,7 +1,7 @@
 """Instance-optimal quantum state certification: simulation and validation tools."""
 
 from .certify import CertifyConfig, Verdict, basic_certify, certify
-from .classical import SampleCounts, chi_squared, l2_two_sample_test, l23_functional, tv_distance
+from .classical import SampleCounts, l2_two_sample_test, l23_functional
 from .haar_oracle import (
     WeingartenTable,
     exact_transcript_divergence,
@@ -24,19 +24,10 @@ from .linalg import (
     DensityMatrix,
     fidelity_mm,
     hermitian_eig,
-    is_psd,
     schatten_quasinorm,
-    schur_psd_check,
     trace_distance,
 )
-from .measurement import (
-    Basis,
-    CopySource,
-    Povm,
-    outcome_distribution,
-    phi,
-    project_povm_to_blocks,
-)
+from .measurement import Basis, CopySource, outcome_distribution, phi
 from .rng import RngHandle, block_haar, haar_isometry, haar_unitary
 from .spectrum import (
     BucketDecomposition,

@@ -1,4 +1,4 @@
-"""Classical distribution subroutines: the two-sample L2 tester and divergences."""
+"""Classical distribution subroutines: the two-sample L2 tester and the 2/3-quasinorm functional."""
 
 from __future__ import annotations
 
@@ -65,33 +65,6 @@ def l2_two_sample_test(x: SampleCounts, y: SampleCounts, eps: float):
     # which conditional stages at small eps reach.
     accept = np.asarray(z <= np.asarray(n, dtype=float) ** 2 * eps**2 / 2)
     return bool(accept) if accept.ndim == 0 else accept
-
-
-def _check_dist(p) -> np.ndarray:
-    arr = np.asarray(p, dtype=float)
-    if (arr < -1e-12).any() or abs(arr.sum() - 1.0) > 1e-9:
-        raise ValidationError("not a probability vector")
-    return np.clip(arr, 0.0, None)
-
-
-def tv_distance(p, q) -> float:
-    """Total variation distance, half the L1 difference."""
-    a, b = _check_dist(p), _check_dist(q)
-    if a.size != b.size:
-        raise ValidationError("domain size mismatch")
-    return float(np.abs(a - b).sum() / 2)
-
-
-def chi_squared(p, q) -> float:
-    """chi^2(p || q) = sum (p_i - q_i)^2 / q_i; requires supp(p) within supp(q)."""
-    a, b = _check_dist(p), _check_dist(q)
-    if a.size != b.size:
-        raise ValidationError("domain size mismatch")
-    bad = (b <= 0) & (a > 0)
-    if bad.any():
-        raise ValidationError("p puts mass outside the support of q")
-    pos = b > 0
-    return float(((a[pos] - b[pos]) ** 2 / b[pos]).sum())
 
 
 def l23_functional(p, eps: float) -> float:

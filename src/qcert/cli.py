@@ -14,13 +14,14 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .certify import CertifyConfig, basic_certify, certify
+from .certify import DEFAULT_CONFIG, CertifyConfig, basic_certify, certify
 from .classical import l23_functional
 from .instances import (
     EnsembleUnavailableError,
@@ -168,12 +169,9 @@ def _one_certify_trial(packed) -> dict:
     rho = hidden_state(hidden, spec, eps, handle.child("state"))
     src = CopySource(rho, budget)
     sigma = DensityMatrix.from_diagonal(spec.lambdas)
-    cfg = CertifyConfig(eps=eps, delta=delta)
     t0 = time.perf_counter()
-    if algorithm == "basic":
-        verdict = basic_certify(src, sigma, eps, delta, cfg, rng=handle.child("algo"))
-    else:
-        verdict = certify(src, sigma, eps, delta, cfg, rng=handle.child("algo"))
+    run = basic_certify if algorithm == "basic" else certify
+    verdict = run(src, sigma, eps, delta, DEFAULT_CONFIG, rng=handle.child("algo"))
     wall_ms = (time.perf_counter() - t0) * 1e3
     return {
         "trial": trial,
@@ -198,8 +196,11 @@ def cmd_certify(args) -> int:
          args.algorithm, args.budget)
         for t in range(args.trials)
     ]
-    if args.threads > 1:
-        with ProcessPoolExecutor(max_workers=args.threads) as pool:
+    # a fork-based pool starts every worker on the first submit, so never ask
+    # for more processes than there are trials or CPUs
+    workers = min(args.threads, args.trials, os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_one_certify_trial, jobs))
     else:
         rows = [_one_certify_trial(j) for j in jobs]
@@ -231,7 +232,7 @@ def minimal_copies(d: int, eps: float, seed: int, trials: int, target: float,
         c_basic = n_copies * eps**2 / math.sqrt(d)
         while math.ceil(c_basic * math.sqrt(d) / eps**2) > n_copies:
             c_basic = math.nextafter(c_basic, 0.0)
-        cfg = CertifyConfig(eps=eps, delta=delta, c_basic=c_basic)
+        cfg = CertifyConfig(c_basic=c_basic)
         ok_null = ok_alt = 0
         for t in range(trials):
             handle = RngHandle(seed).child("sweep", d, n_copies, t)
@@ -510,6 +511,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "seed", 0) < 0:
+            raise ValidationError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
     except ValidationError as exc:
         parser.exit(2, f"qcert: {exc}\n")

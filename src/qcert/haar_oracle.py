@@ -223,7 +223,7 @@ class MomentsReport:
 
     d: int
     samples: int
-    hs_norm_sq: float
+    frobenius_sq: float
     ez_mc: float
     ez_se: float
     ez_exact: float
@@ -286,7 +286,7 @@ def verify_moments_basic(m, samples: int, rng) -> MomentsReport:
     return MomentsReport(
         d=d,
         samples=samples,
-        hs_norm_sq=hs2,
+        frobenius_sq=hs2,
         ez_mc=float(ez_mc),
         ez_se=float(ez_se),
         ez_exact=float(ez_exact),

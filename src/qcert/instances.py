@@ -6,7 +6,6 @@ from a diagonal reference state; preconditions guarantee positivity.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -55,16 +54,6 @@ class PaninskiInstance:
             total += 2 * (dj // 2) * e
         if abs(total - self.eps) > 1e-8:
             raise ValidationError(f"bucket magnitudes sum to {total!r}, want {self.eps}")
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "family": "paninski",
-                "eps": self.eps,
-                "zeta": self.zeta,
-                "eps_per_bucket": {str(j): e for j, e in self.eps_per_bucket.items()},
-            }
-        )
 
 
 def _magnitude_sum(zeta: float, multi: list[tuple[int, int]]) -> float:
@@ -154,18 +143,6 @@ class OffDiagInstance:
     @property
     def amplitude(self) -> float:
         return self.eps / (2 * len(self.cols))
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "family": "offdiag",
-                "j_row": self.j_row,
-                "j_col": self.j_col,
-                "rows": list(self.rows),
-                "cols": list(self.cols),
-                "eps": self.eps,
-            }
-        )
 
 
 def plan_offdiag(
@@ -266,11 +243,6 @@ def build_corner(sigma: DensityMatrix, eps: float, u: int) -> DensityMatrix:
         raise InfeasibleError(
             f"corner perturbation is not positive for this spectrum: {exc}"
         ) from exc
-
-
-def corner_trace_distance(eps: float) -> float:
-    """Closed form ||sigma - sigma^u||_1 = 2 sqrt(eps^4/16 + eps^2/4)."""
-    return 2 * math.sqrt(eps**4 / 16 + eps**2 / 4)
 
 
 def corner_ensemble(sigma: DensityMatrix, eps: float) -> list[tuple[DensityMatrix, float]]:

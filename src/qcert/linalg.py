@@ -99,11 +99,6 @@ def hermitian_eig(h) -> tuple[np.ndarray, np.ndarray]:
     return lam, vec
 
 
-def hs_norm(a) -> float:
-    """Hilbert-Schmidt (Frobenius) norm."""
-    return float(np.linalg.norm(_mat(a)))
-
-
 def trace_norm(a) -> float:
     """Schatten-1 norm of a Hermitian matrix: sum of |eigenvalues|."""
     lam = np.linalg.eigvalsh(check_hermitian(a))
@@ -132,35 +127,3 @@ def fidelity_mm(sigma: DensityMatrix) -> float:
     m = _mat(sigma)
     lam = np.clip(np.linalg.eigvalsh(m), 0.0, None)
     return float(np.sqrt(lam).sum() ** 2 / m.shape[0])
-
-
-def is_psd(h, tol: float = PSD_TOL) -> bool:
-    """True iff the minimum eigenvalue is >= -tol."""
-    lam_min = np.linalg.eigvalsh(check_hermitian(h))[0]
-    return bool(lam_min >= -tol)
-
-
-def schur_psd_check(a, b, c, tol: float = PSD_TOL) -> bool:
-    """Positivity of the block matrix [[A, B], [B^dag, C]] via the Schur complement.
-
-    A and C must be square positive definite; raises on singular A.
-    """
-    ma, mb, mc = np.asarray(a, complex), np.asarray(b, complex), np.asarray(c, complex)
-    ma = check_hermitian(ma)
-    mc = check_hermitian(mc)
-    if np.linalg.eigvalsh(ma)[0] <= 0:
-        raise ValidationError("block A must be positive definite")
-    try:
-        x = np.linalg.solve(ma, mb)
-    except np.linalg.LinAlgError as exc:
-        raise ValidationError("block A is singular") from exc
-    schur = mc - mb.conj().T @ x
-    return is_psd(schur, tol)
-
-
-def assemble_block(a, b, c) -> np.ndarray:
-    """Assemble [[A, B], [B^dag, C]] into one Hermitian matrix."""
-    ma, mb, mc = np.asarray(a, complex), np.asarray(b, complex), np.asarray(c, complex)
-    top = np.hstack([ma, mb])
-    bot = np.hstack([mb.conj().T, mc])
-    return np.vstack([top, bot])

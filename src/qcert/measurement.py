@@ -1,21 +1,13 @@
-"""POVMs, copy-budgeted measurement sources, and likelihood-ratio quantities."""
+"""Rank-1 basis measurements, copy-budgeted measurement sources, and likelihood-ratio quantities."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .linalg import PSD_TOL, DensityMatrix, ValidationError, _mat, hermitian_part
+from .linalg import DensityMatrix, ValidationError, _mat
 from .rng import as_generator
 
 PROB_FLOOR = 1e-15
-
-# Audited constants for the ensemble second-moment bounds, stored beside the
-# checks that use them. The bucketwise bound E_U[g^2] <= C * 2^(2j) eps_j^2 / d_j
-# is provable with C = 4 (the sharper form has d_j + 1 in the denominator); the
-# nominal C = 2 fails for rank-1 elements aligned with eigenvalues at the lower
-# bucket edge. The off-diagonal bound uses the default audited constant.
-PANINSKI_G2_CONSTANT = 4.0
-OFFDIAG_G2_CONSTANT = 16.0
 
 
 class BudgetExhaustedError(RuntimeError):
@@ -24,43 +16,6 @@ class BudgetExhaustedError(RuntimeError):
 
 class UndefinedOutcomeError(ValueError):
     """Likelihood ratio requested at an outcome with vanishing null probability."""
-
-
-class Povm:
-    """A finite POVM: PSD elements summing to the identity.
-
-    Completeness and element positivity are validated once, at construction.
-    ``labels`` defaults to 0..m-1.
-    """
-
-    __slots__ = ("elements", "labels", "dim")
-
-    def __init__(self, elements, labels=None, *, _validated: bool = False):
-        elems = np.asarray(elements, dtype=complex)
-        if elems.ndim != 3 or elems.shape[1] != elems.shape[2]:
-            raise ValidationError(f"elements must be a stack of square matrices, got {elems.shape}")
-        self.elements = elems
-        self.dim = elems.shape[1]
-        self.labels = list(labels) if labels is not None else list(range(elems.shape[0]))
-        if len(self.labels) != elems.shape[0]:
-            raise ValidationError("one label per element required")
-        if not _validated:
-            total = elems.sum(axis=0)
-            if np.abs(total - np.eye(self.dim)).max() > 1e-9:
-                raise ValidationError("POVM elements do not sum to the identity within 1e-9")
-            for k, e in enumerate(elems):
-                herm = hermitian_part(e)
-                if np.abs(e - herm).max() > 1e-9:
-                    raise ValidationError(f"element {k} is not Hermitian")
-                if np.linalg.eigvalsh(herm)[0] < -PSD_TOL:
-                    raise ValidationError(f"element {k} is not PSD within {PSD_TOL:.0e}")
-
-    def __len__(self):
-        return self.elements.shape[0]
-
-    def weights(self, block: np.ndarray) -> np.ndarray:
-        """Unvalidated Born weights <M_z, block> of a dim x dim matrix."""
-        return np.einsum("zij,ji->z", self.elements, block).real
 
 
 class Basis:
@@ -107,19 +62,11 @@ class Basis:
         return np.real(np.sum(self.u.conj() * (block @ self.u), axis=-2))
 
 
-def projector_povm(indices, dim: int) -> Povm:
-    """Two-outcome POVM {Pi, I - Pi} for a coordinate-subset projector."""
-    pi = np.zeros((dim, dim), dtype=complex)
-    idx = np.asarray(indices, dtype=int)
-    pi[idx, idx] = 1.0
-    return Povm(np.stack([pi, np.eye(dim) - pi]), ["inside", "outside"], _validated=True)
-
-
-def _weights(mat: np.ndarray, m: Povm | Basis, total: float = 1.0) -> np.ndarray:
+def _weights(mat: np.ndarray, m: Basis, total: float = 1.0) -> np.ndarray:
     """Born weights of ``mat`` under ``m``, validated as nonnegative within 1e-9
     and as summing to ``total`` within 1e-9 (every row of a stack)."""
     if mat.shape[0] != m.dim:
-        raise ValidationError(f"state dim {mat.shape[0]} != POVM dim {m.dim}")
+        raise ValidationError(f"state dim {mat.shape[0]} != basis dim {m.dim}")
     p = m.weights(mat)
     off = np.abs(p.sum(axis=-1) - total).max(initial=0.0)
     if p.min(initial=0.0) < -1e-9 or off > 1e-9:
@@ -129,8 +76,8 @@ def _weights(mat: np.ndarray, m: Povm | Basis, total: float = 1.0) -> np.ndarray
     return p
 
 
-def outcome_distribution(rho, m: Povm | Basis) -> np.ndarray:
-    """Born-rule outcome probabilities <M_z, rho>; one row per basis of a stack."""
+def outcome_distribution(rho, m: Basis) -> np.ndarray:
+    """Born-rule outcome probabilities <u_z| rho |u_z>; one row per basis of a stack."""
     return _weights(_mat(rho), m)
 
 
@@ -146,9 +93,8 @@ class CopySource:
     A measurement takes two steps that need not interleave: ``charge`` pays
     for batches of accepted copies, discards included, and ``law`` reads the
     outcome weights of the measured block, which a caller turns into counts
-    with one multinomial draw per batch. ``measure_batch`` is ``charge`` for
-    one batch followed by that draw; a tester running many rounds charges them
-    all at once and computes the law of a stacked ``Basis`` once per chunk.
+    with one multinomial draw per batch. A tester running many rounds charges
+    them all at once and computes the law of a stacked ``Basis`` once per chunk.
     Exceeding the budget raises :class:`BudgetExhaustedError`. ``conditional``
     and ``rotated`` return views that share this source's counter and budget.
     ``acceptance`` is the probability that a copy is accepted: exactly 1 on a
@@ -205,7 +151,7 @@ class CopySource:
             )
         root._copies += n
 
-    def law(self, m: Povm | Basis) -> np.ndarray:
+    def law(self, m: Basis) -> np.ndarray:
         """Outcome weights of ``m`` on the measured block, one row per basis of
         a stacked ``Basis``; every row sums to ``acceptance`` within 1e-9.
 
@@ -244,53 +190,10 @@ class CopySource:
         for k in discards:
             self._charge(n + k)
 
-    def measure_batch(self, m: Povm | Basis, n: int, rng) -> np.ndarray:
-        """n accepted outcomes of one measurement, as counts aligned with its
-        outcomes: ``charge`` for one batch, then one multinomial draw from
-        ``law(m)``, both from the same generator."""
-        gen = as_generator(rng)
-        p = self.law(m)
-        self.charge(n, 1, gen)
-        return gen.multinomial(n, sampling_probs(p))
 
-
-def project_povm_to_blocks(m: Povm, buckets):
-    """Restrict every element to the bucket principal submatrices.
-
-    Returns the refined POVM with elements Pi_j M_z Pi_j (plus a residual
-    pseudo-bucket covering coordinates outside every bucket) and the outcome
-    map sending refined labels (j, z) back to z. For block-diagonal states
-    the pushforward of the refined outcome distribution equals the original.
-    """
-    d = m.dim
-    groups: list[tuple[object, np.ndarray]] = []
-    covered = np.zeros(d, dtype=bool)
-    for j in buckets.levels:
-        idx = buckets.indices(j)
-        covered[idx] = True
-        groups.append((j, idx))
-    rest = np.flatnonzero(~covered)
-    if rest.size:
-        groups.append(("rest", rest))
-
-    elements, labels, outcome_map = [], [], {}
-    for j, idx in groups:
-        sub = np.zeros((len(m), d, d), dtype=complex)
-        sub[:, idx[:, None], idx[None, :]] = m.elements[:, idx[:, None], idx[None, :]]
-        for z, e in enumerate(sub):
-            if np.abs(e).max() == 0.0:
-                continue
-            label = (j, m.labels[z])
-            elements.append(e)
-            labels.append(label)
-            outcome_map[label] = m.labels[z]
-    refined = Povm(np.stack(elements), labels, _validated=True)
-    return refined, outcome_map
-
-
-def phi(m: Povm | Basis, rho, rho_u, rho_v) -> float:
+def phi(m: Basis, rho, rho_u, rho_v) -> float:
     """Correlation of likelihood deviations under the null outcome law of one
-    measurement (a ``Povm`` or a single ``Basis``).
+    basis measurement (a single ``Basis``, not a stack).
 
     Outcomes with vanishing null probability are dropped when both
     alternatives also vanish there; otherwise the ratio is infinite and an

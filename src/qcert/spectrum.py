@@ -44,9 +44,6 @@ class Spectrum:
     def dim(self) -> int:
         return int(self.lambdas.size)
 
-    def to_json(self) -> str:
-        return json.dumps(list(self.lambdas))
-
     @classmethod
     def from_json(cls, text: str) -> "Spectrum":
         data = json.loads(text)
@@ -122,23 +119,6 @@ class MassRemovalResult:
     trimmed: np.ndarray | None = None
     kept: np.ndarray | None = None
     extra: tuple[int, ...] = ()
-
-    def to_json(self) -> str:
-        payload = {
-            "variant": self.variant,
-            "tail": list(self.tail),
-            "light": list(self.light),
-            "top_index": self.top_index,
-            "extra": list(self.extra),
-            "d_eff": self.d_eff,
-            "removed_mass": self.removed_mass,
-            "effective": list(self.effective),
-        }
-        if self.trimmed is not None:
-            payload["trimmed"] = list(self.trimmed)
-        if self.kept is not None:
-            payload["kept"] = list(self.kept)
-        return json.dumps(payload)
 
 
 def _check_eps(eps: float):

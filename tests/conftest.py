@@ -5,7 +5,7 @@ import pytest
 from hypothesis import settings
 
 from qcert.linalg import DensityMatrix, hermitian_part
-from qcert.measurement import Povm
+from qcert.measurement import sampling_probs
 from qcert.rng import RngHandle
 
 
@@ -24,11 +24,12 @@ def rng_for(*labels) -> np.random.Generator:
     return RngHandle(20240817).child(*labels).generator()
 
 
-def dense_basis_povm(u) -> Povm:
-    """Dense (d, d, d) rank-1 POVM {|u_z><u_z|} from the columns of a unitary:
-    the reference that ``Basis`` is checked against."""
-    cols = np.asarray(u, dtype=complex).T  # row z is the z-th column
-    return Povm(np.einsum("zi,zj->zij", cols, cols.conj()))
+def measure(src, m, n: int, gen: np.random.Generator) -> np.ndarray:
+    """n accepted outcomes of basis ``m`` on ``src``, as counts: its law, then
+    one charged batch, then one multinomial draw, all from ``gen``."""
+    p = src.law(m)
+    src.charge(n, 1, gen)
+    return gen.multinomial(n, sampling_probs(p))
 
 
 def random_hermitian(d: int, gen: np.random.Generator) -> np.ndarray:

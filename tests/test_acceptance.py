@@ -29,26 +29,12 @@ from qcert.instances import (
     build_corner,
     build_offdiag,
     corner_ensemble,
-    corner_trace_distance,
     plan_offdiag,
     sample_paninski,
     tune_paninski,
 )
-from qcert.linalg import (
-    DensityMatrix,
-    assemble_block,
-    is_psd,
-    schur_psd_check,
-    trace_distance,
-)
-from qcert.measurement import (
-    OFFDIAG_G2_CONSTANT,
-    PANINSKI_G2_CONSTANT,
-    Basis,
-    CopySource,
-    outcome_distribution,
-    project_povm_to_blocks,
-)
+from qcert.linalg import DensityMatrix, trace_distance
+from qcert.measurement import Basis, CopySource, outcome_distribution
 from qcert.rng import RngHandle, haar_unitary
 from qcert.spectrum import Spectrum, bucketize, predicted_bounds
 
@@ -59,6 +45,16 @@ from conftest import (
     random_spectrum_values,
     random_traceless,
     rng_for,
+)
+from reference import (
+    OFFDIAG_G2_CONSTANT,
+    PANINSKI_G2_CONSTANT,
+    assemble_block,
+    corner_trace_distance,
+    is_psd,
+    project_povm_to_blocks,
+    random_povm,
+    schur_psd_check,
 )
 
 SEED = 424242
@@ -82,7 +78,7 @@ def test_criterion_01_moment_identities():
             ez2_exact = 4 / 5
         else:
             ez2_exact = rep.ez2_exact
-        scale_bound = 1.5 * rep.hs_norm_sq**2 / d**2
+        scale_bound = 1.5 * rep.frobenius_sq**2 / d**2
         first_ok &= rep.first_ok
         second_ok &= abs(rep.ez2_mc - ez2_exact) <= 3 * rep.ez2_se
         second_ok &= rep.ez_exact**2 <= ez2_exact <= scale_bound
@@ -330,8 +326,6 @@ def test_criterion_08_bound_formulas():
 
 def test_criterion_09_block_povm_pushforward():
     """100 fuzzed (POVM, block-diagonal state) pairs: exact pushforward."""
-    from test_measurement import random_povm
-
     gen = rng_for("c9")
     ok = True
     worst = 0.0

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from qcert.certify import (
     DEFAULT_L2_SCALE,
     CertifyConfig,
-    Verdict,
     _fraction_test,
     basic_certify,
     certify,
@@ -22,15 +21,14 @@ from qcert.measurement import (
     Basis,
     BudgetExhaustedError,
     CopySource,
-    Povm,
     outcome_distribution,
-    projector_povm,
     sampling_probs,
 )
 from qcert.rng import RngHandle, ginibre, haar_unitary
 from qcert.spectrum import Spectrum
 
-from conftest import dense_basis_povm, random_density, rng_for
+from conftest import measure, random_density, rng_for
+from reference import Povm, dense_basis_povm
 
 
 CFG = CertifyConfig()
@@ -129,8 +127,7 @@ class TestConditionalSource:
         sigma = DensityMatrix.maximally_mixed(4)
         src = CopySource(sigma)
         cond = src.conditional(range(4))
-        counts = cond.measure_batch(Basis(np.eye(4)), 100,
-                                    rng_for("cert", "pass"))
+        counts = measure(cond, Basis(np.eye(4)), 100, rng_for("cert", "pass"))
         assert counts.sum() == 100
         assert src.copies_used == 100  # no discards
 
@@ -140,7 +137,7 @@ class TestConditionalSource:
         src = CopySource(DensityMatrix.from_diagonal(lam))
         cond = src.conditional([0])
         m = Basis(np.eye(1))
-        counts = cond.measure_batch(m, 1, rng_for("cert", "aligned"))
+        counts = measure(cond, m, 1, rng_for("cert", "aligned"))
         assert counts.tolist() == [1] and src.copies_used == 1
 
     def test_discard_rate(self):
@@ -148,7 +145,7 @@ class TestConditionalSource:
         src = CopySource(DensityMatrix.from_diagonal(lam))
         cond = src.conditional([0, 1])
         n = 10_000
-        cond.measure_batch(Basis(np.eye(2)), n, rng_for("cert", "disc"))
+        measure(cond, Basis(np.eye(2)), n, rng_for("cert", "disc"))
         physical = src.copies_used
         discard_rate = (physical - n) / physical
         want = 0.4
@@ -159,8 +156,7 @@ class TestConditionalSource:
         lam = np.array([0.5, 0.25, 0.125, 0.125])
         src = CopySource(DensityMatrix.from_diagonal(lam))
         cond = src.conditional([0, 1])
-        counts = cond.measure_batch(Basis(np.eye(2)), 50_000,
-                                    rng_for("cert", "law"))
+        counts = measure(cond, Basis(np.eye(2)), 50_000, rng_for("cert", "law"))
         freq = counts / counts.sum()
         assert abs(freq[0] - 2 / 3) <= 0.01
 
@@ -170,8 +166,7 @@ class TestConditionalSource:
         cond = src.conditional([0])
         with pytest.raises(BudgetExhaustedError):
             for _ in range(50):
-                cond.measure_batch(Basis(np.eye(1)), 1,
-                                   rng_for("cert", "bud"))
+                measure(cond, Basis(np.eye(1)), 1, rng_for("cert", "bud"))
 
     @pytest.mark.parametrize("indices", [[], [-1], [0, 4]])
     def test_subset_outside_the_state_rejected(self, indices):
@@ -181,7 +176,7 @@ class TestConditionalSource:
     def test_zero_acceptance_raises_without_charge(self):
         src = CopySource(DensityMatrix.from_diagonal([0.5, 0.5, 0.0]))
         with pytest.raises(BudgetExhaustedError):
-            src.conditional([2]).measure_batch(Basis(np.eye(1)), 1, rng_for("cert", "zero"))
+            measure(src.conditional([2]), Basis(np.eye(1)), 1, rng_for("cert", "zero"))
         assert src.copies_used == 0
 
     @pytest.mark.parametrize("d", [1, 2, 7, 32])
@@ -199,7 +194,7 @@ class TestConditionalSource:
         src = CopySource(rho)
         view = src.conditional(idx)
         assert abs(view.acceptance - accept) <= 1e-12
-        counts = view.measure_batch(Basis(u), n, rng_for("cert", "draw", d))
+        counts = measure(view, Basis(u), n, rng_for("cert", "draw", d))
         ref = rng_for("cert", "draw", d)
         accept = view.acceptance
         discards = int(ref.negative_binomial(n, accept)) if accept < 1.0 - 1e-12 else 0
@@ -305,8 +300,10 @@ class TestFractionTest:
         src = CopySource(rho)
         frac = _fraction_test(src, idx, 5000, rng_for("fraction-draw", seed))
         ref_gen = rng_for("fraction-draw", seed)
-        m = projector_povm(idx, 6)
-        counts = ref_gen.multinomial(5000, sampling_probs(CopySource(rho).law(m)))
+        pi = np.zeros((6, 6), dtype=complex)
+        pi[idx, idx] = 1.0
+        m = Povm(np.stack([pi, np.eye(6) - pi]))
+        counts = ref_gen.multinomial(5000, sampling_probs(outcome_distribution(rho, m)))
         assert frac == counts[0] / 5000
         assert src.copies_used == 5000
 
@@ -415,27 +412,34 @@ class TestCertify:
             wrong += v.answer != "NO"
         assert wrong <= 1
 
+    def test_scenario1_reports_the_copies_it_charged(self):
+        """An empty tail is never measured and reports 0 copies; a nonempty
+        one reports n1, which a budget of exactly n1 pays for before the
+        first stage runs out."""
+        mm = DensityMatrix.maximally_mixed(4)
+        v = certify(CopySource(mm), mm, 0.3, 0.2, CFG, rng=RngHandle(1))
+        assert v.diagnostics["scenario1"] == {"fraction": 0.0, "threshold": 0.3**2 / 5,
+                                              "copies": 0}
+        _, sigma = two_bucket_sigma()  # its smallest entry forms the tail
+        n1 = math.ceil(80 * math.log(2 / 0.2) / 0.3**2)
+        v = certify(CopySource(sigma, budget=n1), sigma, 0.3, 0.2, CFG, rng=RngHandle(1))
+        assert v.answer == "INCONCLUSIVE" and v.copies_used == n1
+        assert v.diagnostics["scenario1"]["copies"] == n1
+
     def test_pinned_seed_verdicts_and_copies(self):
         """Fixed seeds give fixed verdicts and copy counts, and conjugating
         both sigma and rho by one Haar unitary changes neither."""
         lam = np.arange(1, 17, dtype=float)
         spec = Spectrum(lam / lam.sum())
         sigma = DensityMatrix.from_diagonal(spec.lambdas)
-        cfg = CertifyConfig(eps=0.3, delta=0.2)
         h = RngHandle(0).child("g", 16)
         rho = hidden_state("offdiag", spec, 0.3, h.child("state"))
         v = haar_unitary(16, h.child("basis").generator())
         for conj in (lambda s: s, lambda s: DensityMatrix(v @ s.mat @ v.conj().T)):
             for state, want in ((sigma, ("YES", 2731284986281)), (rho, ("NO", 734819880964))):
-                verdict = certify(CopySource(conj(state)), conj(sigma), 0.3, 0.2, cfg,
+                verdict = certify(CopySource(conj(state)), conj(sigma), 0.3, 0.2, CFG,
                                   rng=h.child("algo"))
                 assert (verdict.answer, verdict.copies_used) == want
-
-    def test_verdict_serializes(self):
-        import json
-
-        v = Verdict("YES", 10, {"note": "x"})
-        assert json.loads(v.to_json())["copies"] == 10
 
 
 def linear_spectrum(d: int) -> Spectrum:
@@ -485,7 +489,7 @@ class TestPinnedRuns:
         h = RngHandle(1).child("pinned", d, hidden)
         rho = hidden_state(hidden, spec, 0.3, h.child("state"))
         v = certify(CopySource(rho, budget), sigma, 0.3, 0.2,
-                    CertifyConfig(eps=0.3, delta=0.2), rng=h.child("algo"))
+                    CFG, rng=h.child("algo"))
         assert (v.answer, v.copies_used) == want
         run = v.diagnostics["scenario3"] + v.diagnostics["scenario4"]
         assert [("bucket" if "bucket" in e else "pair", e["skipped"], e.get("basic"))
@@ -557,16 +561,15 @@ class TestCalibration:
         """Single-round power >= 2/3 at d = 16, eps_HS = 0.3 (fixes c_basic/l2_scale)."""
         lam = np.array([0.2] * 4 + [0.2 / 12] * 12)
         sigma = DensityMatrix.from_diagonal(lam)
-        cfg = CertifyConfig(delta=0.95)  # one round
         ok_null = ok_alt = 0
         trials = 150
         for t in range(trials):
             handle = RngHandle(100).child("cal", t)
-            v = basic_certify(CopySource(sigma), sigma, 0.3, 0.95, cfg,
+            v = basic_certify(CopySource(sigma), sigma, 0.3, 0.95, CFG,
                               rng=handle.child("null"))
             ok_null += v.answer == "YES"
             rho = scaled_paninski_hs(sigma, 0.3, handle.child("draw").generator())
-            v = basic_certify(CopySource(rho), sigma, 0.3, 0.95, cfg,
+            v = basic_certify(CopySource(rho), sigma, 0.3, 0.95, CFG,
                               rng=handle.child("alt"))
             ok_alt += v.answer == "NO"
         assert ok_null / trials >= 2 / 3
@@ -707,5 +710,5 @@ class TestBatchedRounds:
         if accept < 1 - 1e-12:
             discards = twin.negative_binomial(n, accept, size=r).tolist()
         assert src.copies_used == r * n + sum(discards)
-        counts = src.measure_batch(Basis(haar_unitary(d, twin)), n, twin)
+        counts = measure(src, Basis(haar_unitary(d, twin)), n, twin)
         assert counts.sum() == n

@@ -1,14 +1,7 @@
 import numpy as np
 import pytest
 
-from qcert.classical import (
-    SampleCounts,
-    chi_squared,
-    l2_statistic,
-    l2_two_sample_test,
-    l23_functional,
-    tv_distance,
-)
+from qcert.classical import SampleCounts, l2_statistic, l2_two_sample_test, l23_functional
 from qcert.linalg import ValidationError
 
 from conftest import rng_for
@@ -118,37 +111,6 @@ class TestL2Tester:
         assert l2_two_sample_test(SampleCounts(x), SampleCounts(y), eps=1e-3)
         assert l2_two_sample_test(SampleCounts(x[None]), SampleCounts(y[None]),
                                   eps=1e-3).tolist() == [True]
-
-
-class TestDivergences:
-    def test_tv_basics(self):
-        assert tv_distance([0.5, 0.5], [0.5, 0.5]) == 0.0
-        assert tv_distance([1.0, 0.0], [0.0, 1.0]) == 1.0
-        assert tv_distance([0.3, 0.7], [0.5, 0.5]) == pytest.approx(0.2, abs=1e-12)
-
-    def test_chi_squared_basics(self):
-        assert chi_squared([0.5, 0.5], [0.5, 0.5]) == 0.0
-        assert chi_squared([1.0, 0.0], [0.5, 0.5]) == pytest.approx(1.0, abs=1e-12)
-
-    def test_chi_squared_support_violation(self):
-        with pytest.raises(ValidationError):
-            chi_squared([0.5, 0.5], [1.0, 0.0])
-
-    def test_chi_squared_matches_bruteforce(self):
-        gen = rng_for("classical", "chi2")
-        for _ in range(100):
-            p = gen.dirichlet(np.full(6, 1.5))
-            q = gen.dirichlet(np.full(6, 1.5))
-            brute = sum((pi - qi) ** 2 / qi for pi, qi in zip(p, q))
-            assert chi_squared(p, q) == pytest.approx(brute, abs=1e-12)
-
-    def test_pinsker_type_chain(self):
-        gen = rng_for("classical", "pinsker")
-        for _ in range(300):
-            p = gen.dirichlet(np.full(8, 0.8))
-            q = gen.dirichlet(np.full(8, 0.8)) + 1e-6
-            q /= q.sum()
-            assert 2 * tv_distance(p, q) ** 2 <= chi_squared(p, q) + 1e-12
 
 
 class TestL23Functional:

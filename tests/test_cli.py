@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from qcert import cli
 from qcert.cli import main, make_spectrum
 
 
@@ -69,6 +70,10 @@ class TestCertifyCommand:
         ["divergence", "--family", "mm", "--d", "4", "--ensemble", "paninski", "--copies", "-3",
          "--schedules", "1", "--param-draws", "3"],
         ["divergence", "--family", "spiked", "--d", "4", "--schedules", "0"],
+        ["certify", "--seed", "-1"],
+        ["sweep", "--seed", "-1"],
+        ["divergence", "--seed", "-1"],
+        ["verify", "--seed", "-1"],
     ])
     def test_out_of_range_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as err:
@@ -138,6 +143,39 @@ class TestCertifyCommand:
         _, out2 = run_cli(base + ["--threads", "2"], capsys)
         strip = lambda rows: [{k: v for k, v in r.items() if k != "wall_ms"} for r in rows]
         assert strip(json.loads(out1)["rows"]) == strip(json.loads(out2)["rows"])
+
+    def test_negative_seed_names_the_flag(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["certify", "--seed", "-1"])
+        assert err.value.code == 2
+        assert capsys.readouterr().err == "qcert: --seed must be >= 0, got -1\n"
+
+    def test_pool_capped_at_trials_and_cpus(self, capsys, monkeypatch):
+        """The pool never asks for more processes than trials or CPUs, and a
+        cap of one runs the trials inline."""
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+        base = ["certify", "--algorithm", "basic", "--d", "4", "--eps", "0.4", "--delta", "0.5"]
+        for cpus, threads, trials in ((8, 100_000, 3), (8, 2, 5), (8, 100_000, 1),
+                                      (None, 4, 4), (3, 100_000, 5)):
+            monkeypatch.setattr(cli.os, "cpu_count", lambda cpus=cpus: cpus)
+            code, _ = run_cli(base + ["--threads", str(threads), "--trials", str(trials)], capsys)
+            assert code == 0
+        assert sizes == [3, 2, 3]
 
     def test_csv_schema(self, capsys):
         code, out = run_cli(["certify", "--algorithm", "basic", "--family", "mm",
@@ -230,17 +268,6 @@ class TestVerifyCommand:
         captured = capsys.readouterr()
         assert captured.err.startswith(f"qcert: {flag} must be >= 1")
         assert captured.out == ""
-
-
-class TestInstanceSerialization:
-    def test_json_tags(self):
-        from qcert.instances import plan_offdiag, tune_paninski
-
-        spec = make_spectrum("mm", 4)
-        pan = tune_paninski(spec, 0.2)
-        assert json.loads(pan.to_json())["family"] == "paninski"
-        off = plan_offdiag(spec, 0.3)
-        assert json.loads(off.to_json())["family"] == "offdiag"
 
 
 class TestDivergenceCommand:

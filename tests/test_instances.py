@@ -7,16 +7,16 @@ from qcert.instances import (
     build_corner,
     build_offdiag,
     corner_ensemble,
-    corner_trace_distance,
     plan_corner,
     plan_offdiag,
     sample_paninski,
     tune_paninski,
 )
-from qcert.linalg import DensityMatrix, is_psd, trace_distance
+from qcert.linalg import DensityMatrix, trace_distance
 from qcert.spectrum import Spectrum
 
 from conftest import rng_for
+from reference import corner_trace_distance, is_psd
 
 
 def two_bucket_spectrum() -> Spectrum:

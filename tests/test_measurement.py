@@ -9,30 +9,22 @@ from qcert.measurement import (
     Basis,
     BudgetExhaustedError,
     CopySource,
-    Povm,
     UndefinedOutcomeError,
     outcome_distribution,
     phi,
-    project_povm_to_blocks,
 )
-from qcert.measurement import OFFDIAG_G2_CONSTANT, PANINSKI_G2_CONSTANT
 from qcert.rng import RngHandle, haar_unitary
 from qcert.spectrum import Spectrum, bucketize
 
-from conftest import dense_basis_povm, exact_paninski_g2, random_density, rng_for
-
-
-def random_povm(d: int, outcomes: int, gen) -> Povm:
-    """A generic POVM from normalized random PSD parts."""
-    parts = []
-    for _ in range(outcomes):
-        g = gen.standard_normal((d, d)) + 1j * gen.standard_normal((d, d))
-        parts.append(g @ g.conj().T)
-    total = sum(parts)
-    lam, vec = np.linalg.eigh(total)
-    inv_sqrt = vec @ np.diag(lam**-0.5) @ vec.conj().T
-    elems = np.stack([inv_sqrt @ p @ inv_sqrt for p in parts])
-    return Povm(elems)
+from conftest import exact_paninski_g2, measure, random_density, rng_for
+from reference import (
+    OFFDIAG_G2_CONSTANT,
+    PANINSKI_G2_CONSTANT,
+    Povm,
+    dense_basis_povm,
+    project_povm_to_blocks,
+    random_povm,
+)
 
 
 class TestPovm:
@@ -158,30 +150,29 @@ class TestOutcomeDistribution:
 
 class TestCopySource:
     def test_deterministic_povm_single_outcome(self):
-        src = CopySource(DensityMatrix.maximally_mixed(2))
-        m = Povm(np.eye(2, dtype=complex)[None])
-        assert src.measure_batch(m, 1, rng_for("meas", "det")).tolist() == [1]
+        src = CopySource(DensityMatrix.from_diagonal([1.0, 0.0]))
+        assert measure(src, Basis(np.eye(2)), 1, rng_for("meas", "det")).tolist() == [1, 0]
         assert src.copies_used == 1
 
     def test_budget_zero_errors(self):
         src = CopySource(DensityMatrix.maximally_mixed(2), budget=0)
         with pytest.raises(BudgetExhaustedError):
-            src.measure_batch(Povm(np.eye(2, dtype=complex)[None]), 1, rng_for("meas", "b0"))
+            measure(src, Basis(np.eye(2)), 1, rng_for("meas", "b0"))
 
     def test_batch_counts_budget(self):
         src = CopySource(DensityMatrix.maximally_mixed(2), budget=10)
         m = Basis(np.eye(2))
-        counts = src.measure_batch(m, 10, rng_for("meas", "batch"))
+        counts = measure(src, m, 10, rng_for("meas", "batch"))
         assert counts.sum() == 10 and src.copies_used == 10
         with pytest.raises(BudgetExhaustedError):
-            src.measure_batch(m, 1, rng_for("meas", "batch2"))
+            measure(src, m, 1, rng_for("meas", "batch2"))
 
     def test_empirical_frequencies(self):
         lam = [0.55, 0.25, 0.2]
         src = CopySource(DensityMatrix.from_diagonal(lam))
         m = Basis(np.eye(3))
         n = 100_000
-        counts = src.measure_batch(m, n, rng_for("meas", "freq"))
+        counts = measure(src, m, n, rng_for("meas", "freq"))
         for k, target in enumerate(lam):
             se = np.sqrt(target * (1 - target) / n)
             assert abs(counts[k] / n - target) <= 3 * se
