@@ -82,18 +82,6 @@ def make_spectrum(family: str, d: int, rank: int | None = None, ratio: float = 0
 
 def hidden_state(kind: str, spec: Spectrum, eps: float, rng: RngHandle) -> DensityMatrix:
     """Draw the certification target for one trial."""
-    sigma = DensityMatrix.from_diagonal(spec.lambdas)
-    if kind == "null":
-        return sigma
-    if kind == "paninski":
-        inst = tune_paninski(spec, eps)
-        return sample_paninski(sigma, inst, rng)
-    if kind == "offdiag":
-        inst = plan_offdiag(spec, eps)
-        return build_offdiag(sigma, inst, rng)
-    if kind == "corner":
-        u = 1 if rng.generator().random() < 0.5 else -1
-        return build_corner(sigma, eps, u)
     if kind == "tail":
         # move eps^2/4 extra mass into the removed tail, taken from the top entry
         removal = remove_mass_upper(spec, eps)
@@ -111,8 +99,22 @@ def hidden_state(kind: str, spec: Spectrum, eps: float, rng: RngHandle) -> Densi
         beta = min(eps / np.sqrt(1 - 1 / d), 1.0)
         z = ginibre(d, rng.generator())[:, 0]  # the first column of a Haar unitary, up to phase
         v = z / np.linalg.norm(z)
-        sigma_m = sigma.mat
+        # diag(lambdas) bit for bit as DensityMatrix.from_diagonal stores it,
+        # without validating sigma: the mixture below is validated
+        sigma_m = np.diag(spec.lambdas).astype(complex)
         return DensityMatrix((1 - beta) * sigma_m + beta * np.outer(v, v.conj()))
+    sigma = DensityMatrix.from_diagonal(spec.lambdas)
+    if kind == "null":
+        return sigma
+    if kind == "paninski":
+        inst = tune_paninski(spec, eps)
+        return sample_paninski(sigma, inst, rng)
+    if kind == "offdiag":
+        inst = plan_offdiag(spec, eps)
+        return build_offdiag(sigma, inst, rng)
+    if kind == "corner":
+        u = 1 if rng.generator().random() < 0.5 else -1
+        return build_corner(sigma, eps, u)
     raise ValidationError(f"unknown hidden-state family {kind!r}")
 
 
@@ -219,34 +221,70 @@ def cmd_certify(args) -> int:
     return 0
 
 
+def sweep_success(d: int, eps: float, seed: int, trials: int, target: float, n_copies: int,
+                  delta: float = 0.85) -> bool:
+    """Whether basic_certify at ``n_copies`` per round (majority of 3 rounds)
+    is right on at least a ``target`` share of ``trials`` trials under both
+    hypotheses: YES on I/d, NO on the spike alternative.
+
+    Trial t draws from ``RngHandle(seed).child("sweep", d, n_copies, t)``
+    alone, so trials can be skipped without moving what the others draw.
+    A hypothesis stops once it has ``need`` right verdicts, the least k with
+    ``k / trials >= target``; the probe stops with False once either
+    hypothesis has more than ``trials - need`` wrong ones. The answer is
+    that of running every trial and testing ``min(right) / trials >= target``.
+    """
+    if trials < 1:
+        raise ValidationError(f"trials must be >= 1, got {trials}")
+    if not 0 < target <= 1:
+        raise ValidationError(f"target must lie in (0, 1], got {target}")
+    # the same float comparison as the share test, not ceil(target * trials),
+    # which is 56 for 0.55 * 100
+    need = next(k for k in range(trials + 1) if k / trials >= target)
+    spec = Spectrum(np.full(d, 1.0 / d))
+    sigma = DensityMatrix.from_diagonal(spec.lambdas)
+    # basic_certify runs ceil(c_basic sqrt(d) / eps^2) copies per round;
+    # step c_basic down past the roundoff that would make that n + 1
+    c_basic = n_copies * eps**2 / math.sqrt(d)
+    while math.ceil(c_basic * math.sqrt(d) / eps**2) > n_copies:
+        c_basic = math.nextafter(c_basic, 0.0)
+    cfg = CertifyConfig(c_basic=c_basic)
+    right = {"null": 0, "alt": 0}
+    wrong = {"null": 0, "alt": 0}
+    for t in range(trials):
+        if min(right.values()) >= need:
+            break
+        handle = RngHandle(seed).child("sweep", d, n_copies, t)
+        for hyp, want in (("null", "YES"), ("alt", "NO")):
+            if right[hyp] >= need:
+                continue
+            rho = sigma if hyp == "null" else hidden_state("spike", spec, eps, handle.child("state"))
+            verdict = basic_certify(CopySource(rho), sigma, eps, delta, cfg, rng=handle.child(hyp))
+            if verdict.answer == want:
+                right[hyp] += 1
+            else:
+                wrong[hyp] += 1
+                if wrong[hyp] > trials - need:
+                    return False
+    return min(right.values()) >= need
+
+
 def minimal_copies(d: int, eps: float, seed: int, trials: int, target: float,
                    delta: float = 0.85) -> int:
     """Doubling plus bisection for the least per-round copy count reaching the
-    target success rate on both hypotheses (majority of 3 rounds)."""
-    spec = Spectrum(np.full(d, 1.0 / d))
-    sigma = DensityMatrix.from_diagonal(spec.lambdas)
+    target success rate on both hypotheses (majority of 3 rounds).
 
-    def success(n_copies: int) -> float:
-        # basic_certify runs ceil(c_basic sqrt(d) / eps^2) copies per round;
-        # step c_basic down past the roundoff that would make that n + 1
-        c_basic = n_copies * eps**2 / math.sqrt(d)
-        while math.ceil(c_basic * math.sqrt(d) / eps**2) > n_copies:
-            c_basic = math.nextafter(c_basic, 0.0)
-        cfg = CertifyConfig(c_basic=c_basic)
-        ok_null = ok_alt = 0
-        for t in range(trials):
-            handle = RngHandle(seed).child("sweep", d, n_copies, t)
-            vn = basic_certify(CopySource(sigma), sigma, eps, delta, cfg,
-                               rng=handle.child("null"))
-            ok_null += vn.answer == "YES"
-            rho = hidden_state("spike", spec, eps, handle.child("state"))
-            va = basic_certify(CopySource(rho), sigma, eps, delta, cfg,
-                               rng=handle.child("alt"))
-            ok_alt += va.answer == "NO"
-        return min(ok_null, ok_alt) / trials
+    Each probe is ``sweep_success``, which stops a probe's trials once its
+    comparison with the target is fixed; the probes, and so the result, are
+    those of running all ``trials`` trials at every probe. The first probe
+    rejects ``trials < 1`` and a target outside (0, 1].
+    """
+
+    def success(n_copies: int) -> bool:
+        return sweep_success(d, eps, seed, trials, target, n_copies, delta)
 
     n = 16
-    while success(n) < target:
+    while not success(n):
         n *= 2
         if n > 10**7:
             raise ValidationError("sweep failed to reach the target success rate")
@@ -255,7 +293,7 @@ def minimal_copies(d: int, eps: float, seed: int, trials: int, target: float,
         mid = (lo + hi) // 2
         if mid == lo:
             break
-        if success(mid) >= target:
+        if success(mid):
             hi = mid
         else:
             lo = mid

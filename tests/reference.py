@@ -7,14 +7,20 @@ only ``.dim`` and ``.weights``, so a test may pass a ``Povm`` where they take
 a ``Basis``. The Schur-complement positivity test (criterion 10), the corner
 alternative's closed-form trace distance (criterion 03) and the audited
 second-moment constants (criterion 10) are the facts the acceptance criteria
-check.
+check. ``eager_success`` and ``eager_minimal_copies`` run every trial of every
+sweep probe, the rule the program's early-stopping sweep must reproduce.
 """
 
 import math
 
 import numpy as np
 
-from qcert.linalg import PSD_TOL, ValidationError, check_hermitian, hermitian_part
+from qcert import cli
+from qcert.certify import CertifyConfig
+from qcert.linalg import PSD_TOL, DensityMatrix, ValidationError, check_hermitian, hermitian_part
+from qcert.measurement import CopySource
+from qcert.rng import RngHandle
+from qcert.spectrum import Spectrum
 
 # Audited constants for the ensemble second-moment bounds. The bucketwise
 # bound E_U[g^2] <= C * 2^(2j) eps_j^2 / d_j is provable with C = 4 (the
@@ -143,3 +149,50 @@ def assemble_block(a, b, c) -> np.ndarray:
 def corner_trace_distance(eps: float) -> float:
     """Closed form ||sigma - sigma^u||_1 = 2 sqrt(eps^4/16 + eps^2/4)."""
     return 2 * math.sqrt(eps**4 / 16 + eps**2 / 4)
+
+
+def eager_success(d: int, eps: float, seed: int, trials: int, n_copies: int,
+                  delta: float = 0.85) -> float:
+    """min(right null verdicts, right alternative verdicts) / trials over all
+    ``trials`` trials of one sweep probe. Calls go through ``cli.basic_certify``
+    so a test can count them."""
+    spec = Spectrum(np.full(d, 1.0 / d))
+    sigma = DensityMatrix.from_diagonal(spec.lambdas)
+    c_basic = n_copies * eps**2 / math.sqrt(d)
+    while math.ceil(c_basic * math.sqrt(d) / eps**2) > n_copies:
+        c_basic = math.nextafter(c_basic, 0.0)
+    cfg = CertifyConfig(c_basic=c_basic)
+    ok_null = ok_alt = 0
+    for t in range(trials):
+        handle = RngHandle(seed).child("sweep", d, n_copies, t)
+        vn = cli.basic_certify(CopySource(sigma), sigma, eps, delta, cfg,
+                               rng=handle.child("null"))
+        ok_null += vn.answer == "YES"
+        rho = cli.hidden_state("spike", spec, eps, handle.child("state"))
+        va = cli.basic_certify(CopySource(rho), sigma, eps, delta, cfg,
+                               rng=handle.child("alt"))
+        ok_alt += va.answer == "NO"
+    return min(ok_null, ok_alt) / trials
+
+
+def eager_minimal_copies(d: int, eps: float, seed: int, trials: int, target: float,
+                         delta: float = 0.85) -> int:
+    """Doubling plus bisection over ``eager_success`` probes."""
+    def success(n_copies: int) -> float:
+        return eager_success(d, eps, seed, trials, n_copies, delta)
+
+    n = 16
+    while success(n) < target:
+        n *= 2
+        if n > 10**7:
+            raise ValidationError("sweep failed to reach the target success rate")
+    lo, hi = n // 2, n
+    for _ in range(8):
+        mid = (lo + hi) // 2
+        if mid == lo:
+            break
+        if success(mid) >= target:
+            hi = mid
+        else:
+            lo = mid
+    return hi

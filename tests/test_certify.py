@@ -28,7 +28,7 @@ from qcert.rng import RngHandle, ginibre, haar_unitary
 from qcert.spectrum import Spectrum
 
 from conftest import measure, random_density, rng_for
-from reference import Povm, dense_basis_povm
+from reference import Povm, dense_basis_povm, eager_minimal_copies, eager_success
 
 
 CFG = CertifyConfig()
@@ -535,6 +535,88 @@ class TestPinnedRuns:
             assert mid == (lo + hi) // 2
             lo, hi = (lo, mid) if n <= mid else (mid, hi)
         assert hi == n
+
+
+class TestLazySweep:
+    """A sweep probe stops its trials once the comparison with the target is
+    fixed; its answers, and so minimal_copies' results, are those of running
+    every trial (``reference.eager_success``)."""
+
+    @staticmethod
+    def record_calls(monkeypatch):
+        """Patch cli.basic_certify to log (trial, hypothesis, right verdict)."""
+        calls = []
+
+        def recording(src, sigma, *args, rng, **kwargs):
+            verdict = basic_certify(src, sigma, *args, rng=rng, **kwargs)
+            hyp = "null" if src.state is sigma else "alt"
+            calls.append((rng.stream[-2], hyp, verdict.answer == ("YES" if hyp == "null" else "NO")))
+            return verdict
+
+        monkeypatch.setattr(cli, "basic_certify", recording)
+        return calls
+
+    @pytest.mark.parametrize("d, seed, trials, target, n, want", [
+        # 55 of 100 right: 55 / 100 >= 0.55, though ceil(0.55 * 100) is 56
+        (4, 1, 100, 0.55, 80, True),
+        (4, 1, 100, 0.55, 88, False),
+        (4, 2, 10, 1.0, 512, False),
+        (4, 2, 10, 1.0, 1024, True),
+        (8, 1, 7, 0.8, 256, False),
+        (8, 1, 7, 0.8, 512, True),
+        (16, 2, 13, 0.55, 64, True),
+        (32, 1, 40, 0.9, 16, False),
+    ])
+    def test_probe_matches_all_trials(self, d, seed, trials, target, n, want):
+        assert (eager_success(d, 0.3, seed, trials, n) >= target) is want
+        assert cli.sweep_success(d, 0.3, seed, trials, target, n) is want
+
+    @pytest.mark.parametrize("d", [4, 8])
+    @pytest.mark.parametrize("trials, target", [(13, 0.55), (10, 1.0), (20, 0.9)])
+    def test_minimal_copies_matches_all_trials(self, d, trials, target):
+        assert minimal_copies(d, 0.3, 2, trials, target) == \
+            eager_minimal_copies(d, 0.3, 2, trials, target)
+
+    @pytest.mark.parametrize("n, bound", [(16, 12), (4, 10)])
+    def test_below_threshold_stops_at_the_deciding_failure(self, n, bound, monkeypatch):
+        # need = 36 of 40, so 5 wrong verdicts of one hypothesis fix False
+        trials, need = 40, 36
+        calls = self.record_calls(monkeypatch)
+        assert not cli.sweep_success(32, 0.3, 1, trials, 0.9, n)
+        _, hyp, right = calls[-1]
+        verdicts = [ok for _, h, ok in calls if h == hyp]
+        assert not right and verdicts.count(False) == trials - need + 1
+        # two calls per trial run, and each trial run is a wrong or a right
+        # verdict of the deciding hypothesis: 2 (trials - need + 1) calls when
+        # it is never right (n = 4), two more for each right one (n = 16)
+        assert len(calls) <= 2 * (trials - need + 1 + verdicts.count(True)) == bound
+
+    def test_fewer_calls_than_all_trials(self, monkeypatch):
+        calls = self.record_calls(monkeypatch)
+        lazy = minimal_copies(8, 0.3, 1, 20, 0.9)
+        lazy_calls = list(calls)
+        calls.clear()
+        assert eager_minimal_copies(8, 0.3, 1, 20, 0.9) == lazy
+        assert len(lazy_calls) < len(calls)
+
+    @pytest.mark.parametrize("trials, target", [
+        (0, 0.9), (-1, 0.9), (20, 0.0), (20, -0.5), (20, 1.5), (20, float("nan")),
+    ])
+    def test_bad_trials_or_target_is_a_validation_error(self, trials, target):
+        with pytest.raises(ValidationError):
+            minimal_copies(4, 0.3, 1, trials, target)
+
+    @pytest.mark.parametrize("d", [2, 5, 16])
+    def test_spike_matches_the_validated_sigma_mixture(self, d):
+        spec = Spectrum(np.full(d, 1.0 / d))
+        h = RngHandle(3).child("spike", d)
+        beta = min(0.3 / np.sqrt(1 - 1 / d), 1.0)
+        z = ginibre(d, h.generator())[:, 0]
+        v = z / np.linalg.norm(z)
+        sigma = DensityMatrix.from_diagonal(spec.lambdas)
+        want = DensityMatrix((1 - beta) * sigma.mat + beta * np.outer(v, v.conj())).mat
+        got = hidden_state("spike", spec, 0.3, h).mat
+        assert got.tobytes() == want.tobytes()
 
 
 class TestScaling:
