@@ -36,7 +36,7 @@ from functools import lru_cache
 import numpy as np
 
 from .linalg import DensityMatrix, ValidationError, check_hermitian
-from .measurement import Basis, outcome_distribution, phi
+from .measurement import Basis, born_weights, outcome_distribution, phi
 from .rng import as_generator, haar_blocks
 
 MAX_ORDER = 6
@@ -249,9 +249,12 @@ def verify_moments_basic(m, samples: int, rng) -> MomentsReport:
     S_4 characters, d >= 4), whose true scale is ||M||_HS^4/d^2.
 
     Each chunk of up to _MOMENTS_CHUNK samples is one Haar stack, read
-    sub-stack by sub-stack from ``haar_blocks``: only the chunk's real parts
-    (8 * take * d^2 bytes), one sub-stack and the per-sample Z are held, and
-    the estimates equal those of the one-shot stack bit for bit.
+    sub-stack by sub-stack from ``haar_blocks``, which streams the real parts
+    and, at d <= 6, orthonormalises by Gram-Schmidt. The Born weights come
+    from ``born_weights`` without building a ``Basis``, which would check
+    unitarity at one matmul per sample. Only the per-sample Z (8 * take
+    bytes) and a fixed number of sub-stacks are held, whatever d^2 * samples,
+    and the estimates equal those of the one-shot stack bit for bit.
     """
     if samples < 1:
         raise ValidationError(f"samples must be >= 1, got {samples}")
@@ -268,7 +271,7 @@ def verify_moments_basic(m, samples: int, rng) -> MomentsReport:
         z = np.empty(take)
         start = 0
         for q in haar_blocks(d, gen, take):
-            x = np.einsum("nji,jk,nki->ni", q.conj(), mat, q).real
+            x = born_weights(q, mat)
             z[start:start + len(q)] = (x**2).sum(axis=1)
             start += len(q)
         z_sum += z.sum()

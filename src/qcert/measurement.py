@@ -45,21 +45,40 @@ class Basis:
         self._sq = None  # |U|^2, computed on the first diagonal block
 
     def weights(self, block: np.ndarray) -> np.ndarray:
-        """Unvalidated Born weights <u_z| block |u_z> of a dim x dim matrix,
-        shaped (dim,) for one basis and (r, dim) for a stack.
+        """Unvalidated Born weights of a dim x dim matrix (``born_weights``),
+        with |U|^2 computed on the first diagonal block and shared by every
+        diagonal block this basis measures."""
+        if not _is_diagonal(block):
+            return _dense_weights(self.u, block)
+        if self._sq is None:
+            self._sq = self.u.real**2 + self.u.imag**2
+        return _diagonal_weights(self._sq, block)
 
-        A block whose off-diagonal entries are all exactly zero (a diagonal
-        sigma, or a diagonal state's conditional block) takes the O(dim^2)
-        kernel (|U|^2)^T diag(block), with |U|^2 computed once per ``Basis``
-        and shared by every diagonal block it measures; any other block takes
-        the dense O(dim^3) product U^dag block U.
-        """
-        diag = np.diagonal(block)
-        if np.count_nonzero(block) == np.count_nonzero(diag):
-            if self._sq is None:
-                self._sq = self.u.real**2 + self.u.imag**2
-            return np.sum(self._sq * diag.real[:, None], axis=-2)
-        return np.real(np.sum(self.u.conj() * (block @ self.u), axis=-2))
+
+def _is_diagonal(block: np.ndarray) -> bool:
+    return np.count_nonzero(block) == np.count_nonzero(np.diagonal(block))
+
+
+def _diagonal_weights(sq: np.ndarray, block: np.ndarray) -> np.ndarray:
+    return np.sum(sq * np.diagonal(block).real[:, None], axis=-2)
+
+
+def _dense_weights(u: np.ndarray, block: np.ndarray) -> np.ndarray:
+    return np.real(np.sum(u.conj() * (block @ u), axis=-2))
+
+
+def born_weights(u: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """Unvalidated Born weights <u_z| block |u_z> over the columns u_z of a
+    unitary, shaped (k,), or of each unitary in an (r, k, k) stack, shaped (r, k).
+
+    Nothing checks that ``u`` is unitary. A block whose off-diagonal entries
+    are all exactly zero (a diagonal sigma, or a diagonal state's conditional
+    block) takes the O(k^2) kernel (|U|^2)^T diag(block); any other block
+    takes the dense O(k^3) kernel Re sum_rows conj(U) * (block U).
+    """
+    if _is_diagonal(block):
+        return _diagonal_weights(u.real**2 + u.imag**2, block)
+    return _dense_weights(u, block)
 
 
 def _weights(mat: np.ndarray, m: Basis, total: float = 1.0) -> np.ndarray:

@@ -119,9 +119,13 @@ def test_criterion_02_weingarten_exactness():
         done = 0
         while done < n_total:
             us = haar_unitary(d, gen, size=chunk)
-            us_dag = us.conj().transpose(0, 2, 1)
+            # Tr(A U^dag B U) = sum (B U) * conj(U A) for Hermitian A. With
+            # cols[k, (n, l)] = U_n[k, l], B U and U A are one product each.
+            cols = us.transpose(1, 0, 2).reshape(d, chunk * d)
             for k, (a, b, order, _) in enumerate(cases):
-                t = np.einsum("ij,nji->n", a, us_dag @ b @ us).real ** order
+                bu = (b @ cols).reshape(d, chunk, d)
+                ua = (cols.reshape(d * chunk, d) @ a).reshape(d, chunk, d)
+                t = np.einsum("knl,knl->n", bu, ua.conj()).real ** order
                 sums[k] += t.sum()
                 sq_sums[k] += (t**2).sum()
             done += chunk

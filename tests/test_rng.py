@@ -64,12 +64,64 @@ class TestHaarUnitary:
 
 def one_shot_haar(d, gen, size=None):
     """The one-shot formula: one Ginibre stack (all real parts, then all
-    imaginary parts), one QR, then the phase fix."""
+    imaginary parts), then Gram-Schmidt for a stack of at least 256 at d <= 6,
+    else one QR and the phase fix."""
     shape = (d, d) if size is None else (size, d, d)
-    z = (gen.standard_normal(shape) + 1j * gen.standard_normal(shape)) / np.sqrt(2)
-    q, r = np.linalg.qr(z)
+    re, im = gen.standard_normal(shape), gen.standard_normal(shape)
+    if size is not None and d <= 6 and size >= 256:
+        return rng_module._cgs2(re, im)
+    q, r = np.linalg.qr((re + 1j * im) / np.sqrt(2))
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (diag / np.abs(diag))[..., None, :]
+
+
+class CountingGenerator(np.random.Generator):
+    """A Generator that counts its standard_normal calls."""
+
+    def __init__(self, seed):
+        super().__init__(np.random.Philox(seed))
+        self.normal_calls = 0
+
+    def standard_normal(self, *args, **kwargs):
+        self.normal_calls += 1
+        return super().standard_normal(*args, **kwargs)
+
+
+class TestGramSchmidtKernel:
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_matches_phase_fixed_qr(self, d):
+        gen = rng_for("cgs2", "qr", d)
+        re, im = gen.standard_normal((2, 300, d, d))
+        q = rng_module._cgs2(re, im)
+        want, r = np.linalg.qr(re + 1j * im)
+        diag = np.diagonal(r, axis1=-2, axis2=-1)
+        want *= (diag / np.abs(diag))[..., None, :]
+        assert np.abs(q - want).max() <= 1e-12
+        gram = np.swapaxes(q.conj(), -2, -1) @ q
+        assert np.abs(gram - np.eye(d)).max() <= 1e-13
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_bits_independent_of_stack_grouping(self, d):
+        gen = rng_for("cgs2", "grouping", d)
+        re, im = gen.standard_normal((2, 99, d, d))
+        whole = rng_module._cgs2(re, im)
+        for split in (1, 2, 3, 4, 8, 33):
+            parts = [rng_module._cgs2(re[s:s + split], im[s:s + split])
+                     for s in range(0, len(re), split)]
+            assert np.array_equal(np.concatenate(parts), whole), split
+
+    @pytest.mark.parametrize("d, size", [(4, None), (4, 300), (8, 1024), (40, 40)])
+    def test_one_sub_stack_draw_makes_two_normal_calls(self, d, size):
+        # no snapshot and no redraw: real parts, then imaginary parts
+        gen = CountingGenerator(5)
+        haar_unitary(d, gen, size)
+        assert gen.normal_calls == 2
+
+    def test_streamed_draw_skips_then_draws_imaginary_parts(self):
+        # three sub-stacks: three skipped real-part draws, three imaginary ones
+        gen = CountingGenerator(5)
+        haar_unitary(8, gen, 3 * rng_module._block_rows(8))
+        assert gen.normal_calls == 6
 
 
 class TestBlockedDraw:
@@ -118,13 +170,29 @@ class TestBlockedDraw:
 
     def test_real_parts_drawn_at_call(self):
         """haar_blocks draws every real part before the first sub-stack is
-        taken, and validates the dimension at once."""
-        gen, ref = rng_for("blocks", "eager"), rng_for("blocks", "eager")
-        haar_blocks(4, gen, 10)
-        ref.standard_normal((10, 4, 4))
-        assert gen.random() == ref.random()
+        taken, in one sub-stack or in several, and validates the dimension
+        at once."""
+        for size in (10, 3 * 4096 + 1):
+            gen, ref = rng_for("blocks", "eager", size), rng_for("blocks", "eager", size)
+            haar_blocks(4, gen, size)
+            ref.standard_normal((size, 4, 4))
+            assert gen.random() == ref.random()
         with pytest.raises(ValidationError):
             haar_blocks(0, gen, 3)
+
+    @pytest.mark.parametrize("size", [-1, 2.0, 2.5, "3", True, None])
+    def test_rejects_bad_size(self, size):
+        gen = rng_for("blocks", "bad-size")
+        with pytest.raises(ValidationError):
+            haar_blocks(4, gen, size)
+        if size is not None:
+            with pytest.raises(ValidationError):
+                haar_unitary(4, gen, size)
+
+    def test_empty_stack(self):
+        gen = rng_for("blocks", "empty")
+        assert haar_unitary(3, gen, 0).shape == (0, 3, 3)
+        assert list(haar_blocks(3, gen, 0)) == []
 
 
 class TestHaarIsometry:
