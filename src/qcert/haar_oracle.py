@@ -37,9 +37,11 @@ import numpy as np
 
 from .linalg import DensityMatrix, ValidationError, check_hermitian
 from .measurement import Basis, born_weights, outcome_distribution, phi
-from .rng import as_generator, haar_blocks
+from .rng import haar_blocks
 
 MAX_ORDER = 6
+# exact_transcript_divergence refuses schedules with more transcripts than this.
+MAX_TRANSCRIPTS = 10**6
 
 # verify_moments_basic: the stated (d^-4) second-moment bound's multiplier, and
 # the number of Haar unitaries drawn per stack (part of its stream contract).
@@ -145,11 +147,10 @@ def _schur(mat: np.ndarray, order: int) -> np.ndarray:
 
 
 class WeingartenTable:
-    """Weingarten function values for S_order at dimension d, keyed by cycle type."""
+    """Weingarten function values for S_order at one dimension, keyed by cycle type."""
 
-    def __init__(self, order: int, d: int, values: dict[tuple[int, ...], float]):
+    def __init__(self, order: int, values: dict[tuple[int, ...], float]):
         self.order = order
-        self.d = d
         self.values = values
 
     def __call__(self, cycle_type) -> float:
@@ -178,21 +179,20 @@ def weingarten_table(order: int, d: int) -> WeingartenTable:
     denominator = math.factorial(order) * common
     values = {mu: sum(w * int(chi[i, j]) for i, w in enumerate(weights)) / denominator
               for j, mu in enumerate(parts)}
-    return WeingartenTable(order, d, values)
+    return WeingartenTable(order, values)
 
 
-def haar_moment(a, b, order: int, d: int | None = None) -> float:
+def haar_moment(a, b, order: int) -> float:
     """E_U[Tr(A U^dag B U)^order] as a sum over the partitions lam of order.
 
     Computes sum_lam chi_lam(1) s_lam(A) s_lam(B) / s_lam(1^d) with
-    s_lam(M) = sum_mu chi_lam(mu) p_mu(M) / z_mu and p_i = Tr(M^i); ``d``
-    defaults to the matrix dimension and must be >= order.
+    s_lam(M) = sum_mu chi_lam(mu) p_mu(M) / z_mu and p_i = Tr(M^i); d is the
+    matrix dimension and must be >= order.
     """
     ma, mb = check_hermitian(a), check_hermitian(b)
     if ma.shape != mb.shape:
         raise ValidationError("A and B must share a dimension")
-    if d is None:
-        d = ma.shape[0]
+    d = ma.shape[0]
     _check_order(order, d)
     # chi_lam(1) / s_lam(1^d) = k! / prod_cells (d + content)
     weight = np.array([math.factorial(order) / _content_product(lam, d)
@@ -235,7 +235,7 @@ class MomentsReport:
     ez2_exact: float | None = None
 
 
-def verify_moments_basic(m, samples: int, rng) -> MomentsReport:
+def verify_moments_basic(m, samples: int, rng: np.random.Generator) -> MomentsReport:
     """Estimate E[Z], E[Z^2] for Z = sum_i (u_i^dag M u_i)^2 by Monte Carlo.
 
     The first clause passes when the estimate matches the exact mean within
@@ -260,7 +260,6 @@ def verify_moments_basic(m, samples: int, rng) -> MomentsReport:
         raise ValidationError(f"samples must be >= 1, got {samples}")
     mat = check_hermitian(m)
     d = mat.shape[0]
-    gen = as_generator(rng)
     tr = float(np.trace(mat).real)
     hs2 = float(np.trace(mat @ mat).real)
 
@@ -270,7 +269,7 @@ def verify_moments_basic(m, samples: int, rng) -> MomentsReport:
         take = min(_MOMENTS_CHUNK, samples - done)
         z = np.empty(take)
         start = 0
-        for q in haar_blocks(d, gen, take):
+        for q in haar_blocks(d, rng, take):
             x = born_weights(q, mat)
             z[start:start + len(q)] = (x**2).sum(axis=1)
             start += len(q)
@@ -323,48 +322,33 @@ def _product_distribution(state, schedule: Basis) -> np.ndarray:
     return out
 
 
-def exact_transcript_divergence(
-    sigma: DensityMatrix,
-    ensemble,
-    schedule: Basis,
-    *,
-    param_draws: int = 1000,
-    rng=None,
-    max_transcripts: int = 10**6,
-) -> DivergenceReport:
+def exact_transcript_divergence(sigma: DensityMatrix, ensemble,
+                                schedule: Basis) -> DivergenceReport:
     """TV / chi-squared / KL between measuring sigma and measuring the mixture.
 
     ``schedule`` is a nonadaptive rank-1 schedule held as one (N, d, d)
-    ``Basis`` stack, one basis per copy, so it has d**N transcripts; N may
-    be 0. Rank 1 loses nothing: refining a POVM into rank-1 elements never
-    lowers the divergence (data processing). ``ensemble`` is either a finite
-    list of (state, weight) pairs, averaged exactly, or a
-    callable(generator) -> DensityMatrix, averaged over ``param_draws``
-    Monte Carlo parameter draws with per-draw exact transcript products.
+    ``Basis`` stack, one basis per copy, so it has d**N transcripts, at most
+    MAX_TRANSCRIPTS; N may be 0. Rank 1 loses nothing: refining a POVM into
+    rank-1 elements never lowers the divergence (data processing).
+    ``ensemble`` is a nonempty iterable of equally likely states, such as a
+    finite ensemble's list or a generator of Monte Carlo parameter draws,
+    which is read once, one state at a time; the mixture's law is the sum of
+    the states' transcript laws over their count.
     """
     if schedule.u.ndim != 3:
         raise ValidationError(f"schedule must be an (N, d, d) stack, got {schedule.u.shape}")
     size = schedule.dim ** schedule.u.shape[0]
-    if size > max_transcripts:
-        raise ValidationError(f"transcript space exceeds {max_transcripts}")
+    if size > MAX_TRANSCRIPTS:
+        raise ValidationError(f"transcript space exceeds {MAX_TRANSCRIPTS}")
     p0 = _product_distribution(sigma, schedule)
-
-    if callable(ensemble):
-        if param_draws < 1:
-            raise ValidationError(f"param_draws must be >= 1, got {param_draws}")
-        gen = as_generator(rng)
-        p1 = np.zeros_like(p0)
-        for _ in range(param_draws):
-            p1 += _product_distribution(ensemble(gen), schedule)
-        p1 /= param_draws
-    else:
-        p1 = np.zeros_like(p0)
-        total_w = 0.0
-        for state, weight in ensemble:
-            p1 += weight * _product_distribution(state, schedule)
-            total_w += weight
-        if abs(total_w - 1.0) > 1e-9:
-            raise ValidationError(f"ensemble weights sum to {total_w}, not 1")
+    p1 = np.zeros_like(p0)
+    count = 0
+    for state in ensemble:
+        p1 += _product_distribution(state, schedule)
+        count += 1
+    if not count:
+        raise ValidationError("the ensemble holds no state")
+    p1 /= count
 
     tv = float(np.abs(p1 - p0).sum() / 2)
     pos = p0 > 0
@@ -388,13 +372,11 @@ def exact_transcript_divergence(
 
 
 def phi_pairs_finite(m, sigma, ensemble) -> list[float]:
-    """phi over all ordered alternative pairs of a finite ensemble (for the
-    moment-method bound with exact pair averaging)."""
-    out = []
-    for state_u, _ in ensemble:
-        for state_v, _ in ensemble:
-            out.append(phi(m, sigma, state_u, state_v))
-    return out
+    """phi over all ordered pairs of a finite ensemble's equally likely states
+    (for the moment-method bound with exact pair averaging). The ensemble is
+    read once, so a generator gives the pairs of the states it yields."""
+    states = list(ensemble)
+    return [phi(m, sigma, u, v) for u in states for v in states]
 
 
 def ingster_bound(phi_samples, num_copies: int) -> tuple[float, float]:

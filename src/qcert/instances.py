@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import DensityMatrix, ValidationError
-from .rng import as_generator, block_haar, haar_isometry
+from .rng import block_haar, haar_isometry
 from .spectrum import BucketDecomposition, Spectrum, bucketize
 
 ZETA_RESIDUAL = 1e-10
@@ -39,11 +39,9 @@ class PaninskiInstance:
     the magnitudes satisfy sum_j 2*floor(d_j/2)*eps_j = eps.
     """
 
-    spectrum: Spectrum
     buckets: BucketDecomposition
     eps: float
     eps_per_bucket: dict[int, float]
-    zeta: float
 
     def __post_init__(self):
         total = 0.0
@@ -64,10 +62,9 @@ def _magnitude_sum(zeta: float, multi: list[tuple[int, int]]) -> float:
     return total
 
 
-def tune_paninski(spec: Spectrum, eps: float, buckets: BucketDecomposition | None = None) -> PaninskiInstance:
+def tune_paninski(spec: Spectrum, eps: float) -> PaninskiInstance:
     """Solve for the normalizer zeta by bisection so the magnitudes sum to eps."""
-    if buckets is None:
-        buckets = bucketize(spec)
+    buckets = bucketize(spec)
     multi = [(j, buckets.size(j)) for j in buckets.levels if buckets.size(j) > 1]
     if not multi:
         raise EnsembleUnavailableError(
@@ -101,7 +98,7 @@ def tune_paninski(spec: Spectrum, eps: float, buckets: BucketDecomposition | Non
         j: min(2.0 ** (-j - 1), zeta * 2.0 ** (-2 * (j + 1) / 3) * dj ** (2 / 3))
         for j, dj in multi
     }
-    return PaninskiInstance(spec, buckets, eps, eps_per_bucket, zeta)
+    return PaninskiInstance(buckets, eps, eps_per_bucket)
 
 
 def perturbation_diagonal(inst: PaninskiInstance) -> np.ndarray:
@@ -115,11 +112,12 @@ def perturbation_diagonal(inst: PaninskiInstance) -> np.ndarray:
     return diag
 
 
-def sample_paninski(sigma: DensityMatrix, inst: PaninskiInstance, rng) -> DensityMatrix:
+def sample_paninski(sigma: DensityMatrix, inst: PaninskiInstance,
+                    rng: np.random.Generator) -> DensityMatrix:
     """One draw sigma + U^dag E U with a fresh block-Haar U."""
     if sigma.dim != inst.buckets.ambient_dim:
         raise ValidationError("state dimension does not match the tuned instance")
-    u = block_haar(inst.buckets, as_generator(rng))
+    u = block_haar(inst.buckets, rng)
     pert = u.conj().T @ np.diag(perturbation_diagonal(inst)).astype(complex) @ u
     return DensityMatrix(sigma.mat + pert)
 
@@ -150,15 +148,13 @@ def plan_offdiag(
     eps: float,
     j_row: int | None = None,
     j_col: int | None = None,
-    buckets: BucketDecomposition | None = None,
 ) -> OffDiagInstance:
     """Choose the bucket pair and validate the feasibility bound on eps.
 
     Defaults: rows from the bucket maximizing d_j, columns from the bucket
     maximizing d_j^2 2^-j (ties to the smaller level).
     """
-    if buckets is None:
-        buckets = bucketize(spec)
+    buckets = bucketize(spec)
     levels = buckets.levels
     if not levels:
         raise ValidationError("empty spectrum")
@@ -188,9 +184,10 @@ def plan_offdiag(
     return OffDiagInstance(j_row, j_col, tuple(rows.tolist()), tuple(cols.tolist()), eps, max_eps)
 
 
-def build_offdiag(sigma: DensityMatrix, inst: OffDiagInstance, rng) -> DensityMatrix:
+def build_offdiag(sigma: DensityMatrix, inst: OffDiagInstance,
+                  rng: np.random.Generator) -> DensityMatrix:
     """sigma plus the Hermitian dilation of amplitude * W, W a Haar isometry."""
-    w = haar_isometry(len(inst.rows), len(inst.cols), as_generator(rng))
+    w = haar_isometry(len(inst.rows), len(inst.cols), rng)
     mat = sigma.mat.copy()
     block = inst.amplitude * w
     mat[np.ix_(inst.rows, inst.cols)] += block
@@ -200,11 +197,10 @@ def build_offdiag(sigma: DensityMatrix, inst: OffDiagInstance, rng) -> DensityMa
 
 @dataclass(frozen=True)
 class CornerInstance:
-    """A +/- eps/2 off-diagonal perturbation between the two largest entries."""
+    """The two largest entries, which a +/- eps/2 off-diagonal perturbation couples."""
 
     top: int
     second: int
-    eps: float
 
 
 def plan_corner(spec: Spectrum, eps: float) -> CornerInstance:
@@ -217,7 +213,7 @@ def plan_corner(spec: Spectrum, eps: float) -> CornerInstance:
         raise InfeasibleError(f"largest entry {lam[top]} < 3/4")
     if eps > 0.5:
         raise InfeasibleError(f"eps = {eps} > 1/2", max_eps=0.5)
-    return CornerInstance(top, second, eps)
+    return CornerInstance(top, second)
 
 
 def build_corner(sigma: DensityMatrix, eps: float, u: int) -> DensityMatrix:
@@ -245,6 +241,6 @@ def build_corner(sigma: DensityMatrix, eps: float, u: int) -> DensityMatrix:
         ) from exc
 
 
-def corner_ensemble(sigma: DensityMatrix, eps: float) -> list[tuple[DensityMatrix, float]]:
-    """The two equally weighted corner alternatives."""
-    return [(build_corner(sigma, eps, +1), 0.5), (build_corner(sigma, eps, -1), 0.5)]
+def corner_ensemble(sigma: DensityMatrix, eps: float) -> list[DensityMatrix]:
+    """The two equally likely corner alternatives."""
+    return [build_corner(sigma, eps, +1), build_corner(sigma, eps, -1)]

@@ -115,15 +115,21 @@ def trace_distance(a, b) -> float:
 
 def schatten_quasinorm(h, p: float) -> float:
     """Schatten-p (quasi)norm (sum |lam_i|^p)^(1/p) of a Hermitian matrix."""
+    return spectral_quasinorm(np.linalg.eigvalsh(check_hermitian(h)), p)
+
+
+def spectral_quasinorm(lam: np.ndarray, p: float) -> float:
+    """``schatten_quasinorm`` from eigenvalues, summed in their order (ascending: bit for bit)."""
     if p <= 0:
         raise ValidationError(f"p must be positive, got {p}")
-    lam = np.abs(np.linalg.eigvalsh(check_hermitian(h)))
-    total = float((lam**p).sum())
-    return total ** (1.0 / p)
+    return float((np.abs(lam) ** p).sum()) ** (1.0 / p)
 
 
 def fidelity_mm(sigma: DensityMatrix) -> float:
     """Fidelity with the maximally mixed state, (Tr sqrt(sigma))^2 / d."""
-    m = _mat(sigma)
-    lam = np.clip(np.linalg.eigvalsh(m), 0.0, None)
-    return float(np.sqrt(lam).sum() ** 2 / m.shape[0])
+    return spectral_fidelity_mm(np.linalg.eigvalsh(_mat(sigma)))
+
+
+def spectral_fidelity_mm(lam: np.ndarray) -> float:
+    """``fidelity_mm`` from eigenvalues, summed in their order (ascending: bit for bit)."""
+    return float(np.sqrt(np.clip(lam, 0.0, None)).sum() ** 2 / len(lam))

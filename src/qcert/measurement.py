@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import DensityMatrix, ValidationError, _mat
-from .rng import as_generator
 
 PROB_FLOOR = 1e-15
 
@@ -183,7 +182,7 @@ class CopySource:
             mat = mat[np.ix_(self._indices, self._indices)]
         return _weights(mat, m, self.acceptance)
 
-    def charge(self, n: int, batches: int, rng) -> None:
+    def charge(self, n: int, batches: int, rng: np.random.Generator) -> None:
         """Charge ``batches`` batches of n accepted copies each, in order.
 
         The discards before each batch's n accepted copies are drawn first,
@@ -200,8 +199,7 @@ class CopySource:
         discards = [0] * batches
         if self.acceptance < 1.0 - 1e-12:
             try:
-                discards = as_generator(rng).negative_binomial(
-                    n, self.acceptance, size=batches).tolist()
+                discards = rng.negative_binomial(n, self.acceptance, size=batches).tolist()
             except ValueError as err:  # n (1 - accept) / accept too large for int64
                 raise BudgetExhaustedError(
                     f"discards for {n} copies at acceptance {self.acceptance:.3e} exceed int64"

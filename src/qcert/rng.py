@@ -43,15 +43,6 @@ class RngHandle:
         return np.random.Generator(np.random.Philox(seq))
 
 
-def as_generator(rng) -> np.random.Generator:
-    """Accept an RngHandle or a ready numpy Generator."""
-    if isinstance(rng, RngHandle):
-        return rng.generator()
-    if isinstance(rng, np.random.Generator):
-        return rng
-    raise ValidationError(f"expected RngHandle or numpy Generator, got {type(rng)!r}")
-
-
 # Haar stacks are factored in sub-stacks of at most this many matrix entries
 # (size * d * d), so the QR and its temporaries never span a whole stack.
 _BLOCK_ENTRIES = 2**16
@@ -84,14 +75,13 @@ def _complex_gaussian(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     return z
 
 
-def ginibre(d: int, rng, size: int | None = None) -> np.ndarray:
+def ginibre(d: int, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
     """Complex Ginibre matrix/matrices with i.i.d. standard complex Gaussians.
 
     All real parts are drawn first, then all imaginary parts, in one call.
     """
-    gen = as_generator(rng)
     shape = (d, d) if size is None else (size, d, d)
-    parts = gen.standard_normal((2,) + shape)
+    parts = rng.standard_normal((2,) + shape)
     return _complex_gaussian(parts[0], parts[1])
 
 
@@ -157,7 +147,7 @@ def _cgs2(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     return q
 
 
-def haar_blocks(d: int, rng, size: int):
+def haar_blocks(d: int, gen: np.random.Generator, size: int):
     """One stack of ``size`` Haar unitaries over C^d, as consecutive sub-stacks.
 
     The stream is that of one Ginibre stack: all real parts, then all
@@ -179,7 +169,6 @@ def haar_blocks(d: int, rng, size: int):
     """
     _check_count("dimension", d, 1)
     _check_count("size", size, 0)
-    gen = as_generator(rng)
     step = _block_rows(d)
     if d <= _CGS2_MAX_DIM and size >= _CGS2_MIN_SIZE:
         orthonormalise = _cgs2
@@ -203,7 +192,7 @@ def _orthonormalised(real, gen: np.random.Generator, orthonormalise):
         yield orthonormalise(re, gen.standard_normal(re.shape))
 
 
-def haar_unitary(d: int, rng, size: int | None = None) -> np.ndarray:
+def haar_unitary(d: int, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
     """Haar-random unitary over C^d via phase-fixed QR of a Ginibre matrix.
 
     With ``size`` set, returns a stacked array of shape (size, d, d): the
@@ -228,14 +217,14 @@ def haar_unitary(d: int, rng, size: int | None = None) -> np.ndarray:
     return out
 
 
-def haar_isometry(rows: int, cols: int, rng) -> np.ndarray:
+def haar_isometry(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
     """The first ``cols`` columns of a Haar unitary over C^rows."""
     if cols > rows or cols < 1:
         raise ValidationError(f"need rows >= cols >= 1, got rows={rows}, cols={cols}")
     return haar_unitary(rows, rng)[:, :cols]
 
 
-def block_haar(buckets, rng) -> np.ndarray:
+def block_haar(buckets, rng: np.random.Generator) -> np.ndarray:
     """Block-diagonal unitary with an independent Haar block per bucket.
 
     Within a bucket of size d_j > 1 the block is a Haar unitary on the first
@@ -243,7 +232,6 @@ def block_haar(buckets, rng) -> np.ndarray:
     size-1 buckets get the identity. Coordinates outside every bucket (zero
     spectrum entries) are also fixed.
     """
-    gen = as_generator(rng)
     d = buckets.ambient_dim
     u = np.eye(d, dtype=complex)
     for j in buckets.levels:
@@ -251,7 +239,7 @@ def block_haar(buckets, rng) -> np.ndarray:
         k = 2 * (len(idx) // 2)
         if k < 2:
             continue
-        sub = haar_unitary(k, gen)
+        sub = haar_unitary(k, rng)
         active = idx[:k]
         u[np.ix_(active, active)] = sub
     return u

@@ -37,7 +37,7 @@ class Spectrum:
         if (lam < 0).any():
             raise ValidationError(f"negative eigenvalue: min = {lam.min():.3e}")
         total = lam.sum()
-        if abs(total - 1.0) > 1e-9:
+        if not abs(total - 1.0) <= 1e-9:  # a NaN entry makes the sum NaN: rejected
             raise ValidationError(f"spectrum sums to {total!r}, not 1 within 1e-9")
 
     @property
@@ -46,10 +46,14 @@ class Spectrum:
 
     @classmethod
     def from_json(cls, text: str) -> "Spectrum":
-        data = json.loads(text)
-        if isinstance(data, dict):
-            data = data["lambdas"]
-        return cls(np.asarray(data, dtype=float))
+        """A JSON list of eigenvalues, or an object holding one under "lambdas"."""
+        try:
+            data = json.loads(text)
+            lam = np.asarray(data["lambdas"] if isinstance(data, dict) else data, dtype=float)
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ValidationError(f"not a list of eigenvalues nor an object with one under "
+                                  f"'lambdas': {exc!r}") from None
+        return cls(lam)
 
 
 def bucket_index(lam: float) -> int:
@@ -109,16 +113,13 @@ class MassRemovalResult:
     ``kept`` has tail plus light buckets zeroed (the 1/2-norm object).
     """
 
-    variant: str
     tail: tuple[int, ...]
-    light: tuple[int, ...]
     top_index: int | None
     effective: np.ndarray
     d_eff: int
     removed_mass: float
     trimmed: np.ndarray | None = None
     kept: np.ndarray | None = None
-    extra: tuple[int, ...] = ()
 
 
 def _check_eps(eps: float):
@@ -181,16 +182,13 @@ def remove_mass_lower_nonadaptive(spec: Spectrum, eps: float) -> MassRemovalResu
     effective[extra] = 0.0
 
     return MassRemovalResult(
-        variant="lower-nonadaptive",
         tail=tuple(sorted(tail.tolist())),
-        light=tuple(light_arr.tolist()),
         top_index=top,
         effective=effective,
         d_eff=int((effective > 0).sum()),
         removed_mass=float(1.0 - effective.sum()),
         trimmed=trimmed,
         kept=kept,
-        extra=tuple(sorted(extra.tolist())),
     )
 
 
@@ -210,9 +208,7 @@ def remove_mass_adaptive(spec: Spectrum, eps: float) -> MassRemovalResult:
     effective[top] = 0.0
 
     return MassRemovalResult(
-        variant="lower-adaptive",
         tail=tuple(sorted(tail.tolist())),
-        light=(),
         top_index=top,
         effective=effective,
         d_eff=int((effective > 0).sum()),
@@ -237,9 +233,7 @@ def remove_mass_upper(spec: Spectrum, eps: float) -> MassRemovalResult:
     effective[tail] = 0.0
 
     return MassRemovalResult(
-        variant="upper",
         tail=tuple(sorted(tail.tolist())),
-        light=(),
         top_index=None,
         effective=effective,
         d_eff=int((effective > 0).sum()),
@@ -267,9 +261,6 @@ class PredictedBounds:
     log_factor: float
     degenerate: bool
 
-    def to_json(self) -> str:
-        return json.dumps(self.__dict__)
-
 
 def predicted_bounds(spec: Spectrum, eps: float) -> PredictedBounds:
     """Evaluate the three rate formulas with their respective mass removals."""
@@ -290,5 +281,3 @@ def predicted_bounds(spec: Spectrum, eps: float) -> PredictedBounds:
         log_factor=_floored_log(d, eps),
         degenerate=degenerate,
     )
-
-

@@ -82,4 +82,4 @@ def exact_paninski_g2(lam_bucket: np.ndarray, eps_j: float, gen: np.random.Gener
         element = np.outer(v, v.conj())
     denom = np.einsum("ij,ji->", element, np.diag(lam_bucket).astype(complex)).real
     scaled = element[:k2, :k2] / denom
-    return haar_moment(scaled, np.diag(pert[:k2]).astype(complex), 2, k2)
+    return haar_moment(scaled, np.diag(pert[:k2]).astype(complex), 2)

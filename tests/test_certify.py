@@ -785,7 +785,7 @@ class TestBatchedRounds:
     def test_charge_is_accepted_plus_discards(self, seed, d, r, n, conditional):
         make, _ = source_case(seed, d, conditional, False)
         src = make(None)
-        src.charge(n, r, RngHandle(seed).child("charge"))
+        src.charge(n, r, RngHandle(seed).child("charge").generator())
         twin = RngHandle(seed).child("charge").generator()
         accept = src.acceptance
         discards = [0] * r

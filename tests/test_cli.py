@@ -5,6 +5,8 @@ import pytest
 
 from qcert import cli
 from qcert.cli import main, make_spectrum
+from qcert.linalg import DensityMatrix, fidelity_mm, schatten_quasinorm
+from qcert.spectrum import remove_mass_lower_nonadaptive
 
 
 def run_cli(args, capsys):
@@ -37,6 +39,22 @@ class TestGenSigma:
         assert code == 0
         spec = make_spectrum("file", 0, path=str(path))
         assert spec.dim == 5
+
+    @pytest.mark.parametrize("content", ['{"foo": 1}', "not json", '"abc"', None,
+                                         "[0.5, NaN, 0.5]"])
+    def test_malformed_input_is_a_usage_error(self, content, tmp_path, capsys):
+        """A missing "lambdas" key, text that is not JSON, entries that are not
+        numbers, a missing file (None) and a NaN entry exit 2 with a message
+        naming --input, not with a traceback or a NaN spectrum."""
+        path = tmp_path / "spec.json"
+        if content is not None:
+            path.write_text(content)
+        with pytest.raises(SystemExit) as err:
+            main(["gen-sigma", "--family", "file", "--input", str(path)])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"qcert: --input {path}: ")
+        assert captured.out == ""
 
 
 class TestCertifyCommand:
@@ -233,6 +251,29 @@ class TestBoundsCommand:
         assert payload["bounds"]["degenerate"] is True
         assert payload["paninski_available"] is False
 
+    @pytest.mark.parametrize("family, d, rank, ratio, eps", [
+        ("mm", 6, None, 0.5, 0.02),
+        ("rank-mm", 7, 3, 0.5, 0.05),
+        ("spiked", 5, None, 0.5, 0.01),
+        ("geometric", 9, None, 0.6, 0.05),
+        ("geometric", 12, None, 0.8, 0.3),
+    ])
+    def test_norms_equal_the_matrix_route(self, family, d, rank, ratio, eps, capsys):
+        """The report's norms and fidelity, taken from the spectrum, equal
+        those of the diagonal matrices' eigensolves exactly."""
+        argv = ["bounds", "--family", family, "--d", str(d), "--ratio", str(ratio),
+                "--eps", str(eps)] + (["--rank", str(rank)] if rank else [])
+        code, out = run_cli(argv, capsys)
+        assert code == 0
+        payload = json.loads(out)
+        spec = make_spectrum(family, d, rank, ratio)
+        removal = remove_mass_lower_nonadaptive(spec, eps)
+        for key, values, p in (("trimmed_norm_2_5", removal.trimmed, 2 / 5),
+                               ("kept_norm_1_2", removal.kept, 0.5)):
+            want = schatten_quasinorm(np.diag(values.astype(complex)), p) if values.sum() > 0 else 0.0
+            assert payload[key] == want, key
+        assert payload["fidelity_mm"] == fidelity_mm(DensityMatrix.from_diagonal(spec.lambdas))
+
 
 class TestVerifyCommand:
     def test_battery_reports_known_defect_and_exits_1(self, capsys):
@@ -287,6 +328,7 @@ class TestDivergenceCommand:
         (["--ensemble", "corner", "--copies", "0"], "--copies"),
         (["--ensemble", "paninski", "--copies", "-3"], "--copies"),
         (["--ensemble", "paninski", "--schedules", "0"], "--schedules"),
+        (["--ensemble", "paninski", "--param-draws", "0"], "--param-draws"),
     ])
     def test_counts_below_one_name_the_flag(self, argv, flag, capsys):
         with pytest.raises(SystemExit) as err:
@@ -295,6 +337,11 @@ class TestDivergenceCommand:
         captured = capsys.readouterr()
         assert captured.err.startswith(f"qcert: {flag} must be >= 1")
         assert captured.out == ""
+
+    def test_corner_ignores_param_draws(self, capsys):
+        code, _ = run_cli(["divergence", "--family", "spiked", "--d", "4", "--ensemble", "corner",
+                           "--copies", "2", "--schedules", "1", "--param-draws", "0"], capsys)
+        assert code == 0
 
     def test_json_report_is_strict(self, capsys):
         """The Paninski rows carry no Ingster bound: JSON writes it as null,

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import tracemalloc
 from dataclasses import dataclass
@@ -274,10 +275,6 @@ class TestPinnedValues:
         for order, want in self.MOMENTS[d].items():
             assert haar_moment(a, b, order) == pytest.approx(want, rel=1e-12)
 
-    def test_haar_moment_explicit_dimension(self):
-        a, b = self.pair(6)
-        assert haar_moment(a, b, 4, 8) == pytest.approx(1693.3039793951402, rel=1e-12)
-
     @pytest.mark.parametrize("d", [6, 8])
     def test_weingarten_order_six(self, d):
         wg = weingarten_table(6, d)
@@ -391,7 +388,7 @@ class TestTranscriptDivergence:
 
     def test_trivial_ensemble(self):
         sched = Basis(np.stack([np.eye(2)] * 3))
-        rep = exact_transcript_divergence(self.sigma(), [(self.sigma(), 1.0)], sched)
+        rep = exact_transcript_divergence(self.sigma(), [self.sigma()], sched)
         assert rep.tv <= 1e-14 and rep.chi2 <= 1e-14
 
     def test_corner_likelihood_floor(self):
@@ -421,26 +418,63 @@ class TestTranscriptDivergence:
         inst = tune_paninski(spec, 0.2)
         sigma = DensityMatrix.from_diagonal(spec.lambdas)
         sched = Basis(np.stack([haar_unitary(4, rng_for("oracle", "cont"))] * 2))
+        gen = rng_for("oracle", "cont-draws")
         rep = exact_transcript_divergence(
-            sigma,
-            lambda g: sample_paninski(sigma, inst, g),
-            sched,
-            param_draws=400,
-            rng=rng_for("oracle", "cont-draws"),
+            sigma, (sample_paninski(sigma, inst, gen) for _ in range(400)), sched
         )
         assert rep.tv < 0.2  # tiny at N = 2
         assert 2 * rep.tv**2 <= rep.chi2 + 1e-9
 
-    def test_transcript_overflow(self):
+    def test_transcript_overflow(self, monkeypatch):
         sched = Basis(np.stack([np.eye(2)] * 3))
+        monkeypatch.setattr(haar_oracle, "MAX_TRANSCRIPTS", 4)
         with pytest.raises(ValidationError):
-            exact_transcript_divergence(
-                self.sigma(), [(self.sigma(), 1.0)], sched, max_transcripts=4
-            )
+            exact_transcript_divergence(self.sigma(), [self.sigma()], sched)
 
     def test_single_basis_is_not_a_schedule(self):
         with pytest.raises(ValidationError):
-            exact_transcript_divergence(self.sigma(), [(self.sigma(), 1.0)], Basis(np.eye(2)))
+            exact_transcript_divergence(self.sigma(), [self.sigma()], Basis(np.eye(2)))
+
+    @pytest.mark.parametrize("empty", [[], iter(())])
+    def test_empty_ensemble_rejected(self, empty):
+        with pytest.raises(ValidationError, match="no state"):
+            exact_transcript_divergence(self.sigma(), empty, Basis(np.stack([np.eye(2)] * 2)))
+
+    def test_generator_ensemble_equals_its_list(self):
+        """A generator is read once, state by state, and gives the report of
+        the list of the same states, bit for bit."""
+        from qcert.instances import sample_paninski, tune_paninski
+        from qcert.spectrum import Spectrum
+
+        spec = Spectrum(np.full(4, 0.25))
+        inst = tune_paninski(spec, 0.3)
+        sigma = DensityMatrix.from_diagonal(spec.lambdas)
+        sched = haar_schedule(4, 3, rng_for("oracle", "gen-list"))
+
+        def draws():
+            gen = rng_for("oracle", "gen-list-draws")
+            return (sample_paninski(sigma, inst, gen) for _ in range(50))
+
+        lazy = exact_transcript_divergence(sigma, draws(), sched)
+        held = exact_transcript_divergence(sigma, list(draws()), sched)
+        for field in ("tv", "chi2", "kl", "num_transcripts", "min_likelihood_ratio"):
+            assert getattr(lazy, field) == getattr(held, field), field
+        assert np.array_equal(lazy.p0, held.p0) and np.array_equal(lazy.p1, held.p1)
+
+    @pytest.mark.parametrize("argv, tv, chi2", [
+        (["--family", "spiked", "--d", "4", "--ensemble", "corner", "--eps", "0.3",
+          "--copies", "5", "--schedules", "5"], 0.06225743287305878, 0.032388399506702886),
+        (["--family", "mm", "--d", "4", "--ensemble", "paninski", "--eps", "0.3",
+          "--copies", "4", "--schedules", "3", "--param-draws", "200"],
+         0.006980409963496996, 0.00031474791855667174),
+    ])
+    def test_pinned_divergence_rows(self, argv, tv, chi2, capsys):
+        """The first row of ``qcert divergence`` at seed 0, pinned exactly."""
+        from qcert.cli import main
+
+        assert main(["divergence", "--format", "json", "--seed", "0"] + argv) == 0
+        row = json.loads(capsys.readouterr().out)["rows"][0]
+        assert (row["tv"], row["chi2"]) == (tv, chi2)
 
     def test_against_bruteforce_enumeration(self):
         # independent oracle: explicit per-transcript probability products
@@ -456,15 +490,13 @@ class TestTranscriptDivergence:
 
         # per-basis laws, each measured on its own
         null_laws = [outcome_distribution(sigma, Basis(u)) for u in us]
-        alt_laws = [[outcome_distribution(s, Basis(u)) for u in us] for s, _ in ens]
+        alt_laws = [[outcome_distribution(s, Basis(u)) for u in us] for s in ens]
         p0, p1 = [], []
         for z in itertools.product(range(2), repeat=3):
             p0.append(np.prod([null_laws[t][z[t]] for t in range(3)]))
             p1.append(
-                sum(
-                    w * np.prod([alt_laws[k][t][z[t]] for t in range(3)])
-                    for k, (_, w) in enumerate(ens)
-                )
+                sum(np.prod([laws[t][z[t]] for t in range(3)]) for laws in alt_laws)
+                / len(ens)
             )
         p0, p1 = np.array(p0), np.array(p1)
         # the product distribution enumerates transcripts in the same
@@ -485,11 +517,7 @@ class TestTranscriptDivergence:
             u = haar_unitary(2, gen)
             m = Basis(u)
             rep = exact_transcript_divergence(sigma, ens, Basis(u[None]))
-            mean_phi = sum(
-                wu * wv * phi(m, sigma, su, sv)
-                for su, wu in ens
-                for sv, wv in ens
-            )
+            mean_phi = sum(phi(m, sigma, su, sv) for su in ens for sv in ens) / len(ens) ** 2
             assert rep.chi2 == pytest.approx(mean_phi, abs=1e-12)
 
 
@@ -505,6 +533,13 @@ class TestIngster:
     def test_positivity_guard(self):
         with pytest.raises(ValidationError):
             ingster_bound([-1.5], 2)
+
+    def test_phi_pairs_read_a_generator_once(self):
+        sigma = DensityMatrix.from_diagonal([0.8, 0.2])
+        ens = corner_ensemble(sigma, 0.3)
+        m = Basis(haar_unitary(2, rng_for("oracle", "pairs-gen")))
+        pairs = phi_pairs_finite(m, sigma, ens)
+        assert len(pairs) == 4 and phi_pairs_finite(m, sigma, iter(ens)) == pairs
 
     def test_dominates_exact_chi2_for_corner(self):
         sigma = DensityMatrix.from_diagonal([0.8, 0.2])
