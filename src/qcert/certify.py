@@ -123,7 +123,7 @@ def basic_certify(src, sigma: DensityMatrix, eps: float, delta: float,
     run = rejections = 0
     # NO once rejections pass half the rounds; YES once acceptances reach the rest
     while rejections <= rounds // 2 and run - rejections < rounds - rounds // 2:
-        m = Basis(haar_unitary(d, gen, size=min(chunk, rounds - run)))
+        m = Basis.trusted(haar_unitary(d, gen, size=min(chunk, rounds - run)))
         p = src.law(m)
         p_sigma = outcome_distribution(sigma, m)
         measured = np.empty(p.shape, dtype=np.int64)

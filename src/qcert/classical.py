@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import ValidationError
+from .spectrum import _greedy_prefix
 
 
 @dataclass(frozen=True)
@@ -76,8 +77,6 @@ def l23_functional(p, eps: float) -> float:
     arr[int(np.argmax(arr))] = 0.0
     support = np.flatnonzero(arr > 0)
     order = support[np.lexsort((support, arr[support]))]
-    mass = np.cumsum(arr[order])
-    take = int(np.searchsorted(mass, eps + 1e-12 * max(eps, 1.0), side="right"))
-    arr[order[:take]] = 0.0
+    arr[_greedy_prefix(order, arr, eps)] = 0.0
     total = float((arr ** (2 / 3)).sum())
     return total ** 1.5

@@ -37,6 +37,7 @@ from .haar_oracle import (
     exact_transcript_divergence,
     ingster_bound,
     phi_pairs_finite,
+    transcript_count,
     verify_moments_basic,
 )
 from .linalg import (DensityMatrix, ValidationError, spectral_fidelity_mm, spectral_quasinorm,
@@ -72,8 +73,12 @@ def make_spectrum(family: str, d: int, rank: int | None = None, ratio: float = 0
     if family == "geometric":
         if not math.isfinite(ratio) or ratio < 0:
             raise ValidationError(f"--ratio must be finite and >= 0, got {ratio}")
-        lam = ratio ** np.arange(d)
-        return Spectrum(lam / lam.sum())
+        with np.errstate(over="ignore"):
+            lam = ratio ** np.arange(d)
+            total = lam.sum()
+        if not math.isfinite(total):
+            raise ValidationError(f"--ratio {ratio} at d = {d}: sum of ratio**k, k < d, overflows")
+        return Spectrum(lam / total)
     if family == "file":
         if not path:
             raise ValidationError("family 'file' needs --input")
@@ -376,12 +381,12 @@ def cmd_bounds(args) -> int:
 def haar_schedule(d: int, copies: int, gen) -> Basis:
     """A nonadaptive schedule of ``copies`` Haar bases, drawn one after
     another from ``gen``, as one (copies, d, d) ``Basis`` stack."""
-    return Basis(np.stack([haar_unitary(d, gen) for _ in range(copies)]))
+    return Basis.trusted(np.stack([haar_unitary(d, gen) for _ in range(copies)]))
 
 
 def _phis(schedule: Basis, sigma, ens) -> list[float]:
     """phi over every ordered ensemble pair, for each copy's basis in turn."""
-    return [x for u in schedule.u for x in phi_pairs_finite(Basis(u), sigma, ens)]
+    return [x for u in schedule.u for x in phi_pairs_finite(Basis.trusted(u), sigma, ens)]
 
 
 def cmd_divergence(args) -> int:
@@ -392,24 +397,28 @@ def cmd_divergence(args) -> int:
     if args.ensemble == "paninski" and args.param_draws < 1:
         raise ValidationError(f"--param-draws must be >= 1, got {args.param_draws}")
     spec = make_spectrum(args.family, args.d, args.rank, args.ratio, args.input)
+    try:
+        transcript_count(spec.dim, args.copies)
+    except ValidationError as exc:
+        raise ValidationError(f"--copies {args.copies}: {exc}") from None
     sigma = DensityMatrix.from_diagonal(spec.lambdas)
+    if args.ensemble == "corner":
+        ens = corner_ensemble(sigma, args.eps)
+    else:  # argparse admits only corner and paninski
+        inst = tune_paninski(spec, args.eps)
     handle = RngHandle(args.seed).child("divergence")
     rows = []
     worst = {"tv": 0.0, "chi2": 0.0, "kl": 0.0}
     for s in range(args.schedules):
         schedule = haar_schedule(spec.dim, args.copies, handle.child("schedule", s).generator())
         if args.ensemble == "corner":
-            ens = corner_ensemble(sigma, args.eps)
             rep = exact_transcript_divergence(sigma, ens, schedule)
             bound, se = ingster_bound(_phis(schedule, sigma, ens), args.copies)
-        elif args.ensemble == "paninski":
-            inst = tune_paninski(spec, args.eps)
+        else:
             gen = handle.child("draws", s).generator()
             draws = (sample_paninski(sigma, inst, gen) for _ in range(args.param_draws))
             rep = exact_transcript_divergence(sigma, draws, schedule)
             bound = se = float("nan")
-        else:
-            raise ValidationError(f"unknown ensemble {args.ensemble!r}")
         rows.append({
             "schedule": s, "tv": rep.tv, "chi2": rep.chi2, "kl": rep.kl,
             "min_likelihood_ratio": rep.min_likelihood_ratio,

@@ -36,7 +36,7 @@ from functools import lru_cache
 import numpy as np
 
 from .linalg import DensityMatrix, ValidationError, check_hermitian
-from .measurement import Basis, born_weights, outcome_distribution, phi
+from .measurement import Basis, outcome_distribution, phi
 from .rng import haar_blocks
 
 MAX_ORDER = 6
@@ -250,11 +250,11 @@ def verify_moments_basic(m, samples: int, rng: np.random.Generator) -> MomentsRe
 
     Each chunk of up to _MOMENTS_CHUNK samples is one Haar stack, read
     sub-stack by sub-stack from ``haar_blocks``, which streams the real parts
-    and, at d <= 6, orthonormalises by Gram-Schmidt. The Born weights come
-    from ``born_weights`` without building a ``Basis``, which would check
-    unitarity at one matmul per sample. Only the per-sample Z (8 * take
-    bytes) and a fixed number of sub-stacks are held, whatever d^2 * samples,
-    and the estimates equal those of the one-shot stack bit for bit.
+    and, at d <= 6, orthonormalises by Gram-Schmidt. Each sub-stack is
+    measured as a throwaway ``Basis.trusted``, which forms no U^dag U. Only
+    the per-sample Z (8 * take bytes) and a fixed number of sub-stacks are
+    held, whatever d^2 * samples, and the estimates equal those of the
+    one-shot stack bit for bit.
     """
     if samples < 1:
         raise ValidationError(f"samples must be >= 1, got {samples}")
@@ -270,7 +270,7 @@ def verify_moments_basic(m, samples: int, rng: np.random.Generator) -> MomentsRe
         z = np.empty(take)
         start = 0
         for q in haar_blocks(d, rng, take):
-            x = born_weights(q, mat)
+            x = Basis.trusted(q).weights(mat)
             z[start:start + len(q)] = (x**2).sum(axis=1)
             start += len(q)
         z_sum += z.sum()
@@ -322,6 +322,17 @@ def _product_distribution(state, schedule: Basis) -> np.ndarray:
     return out
 
 
+def transcript_count(d: int, copies: int) -> int:
+    """d**copies, the transcripts of a rank-1 schedule of ``copies`` bases in
+    dimension d; past MAX_TRANSCRIPTS, a ValidationError that gives both."""
+    size = d ** min(copies, 64)  # at d >= 2, 64 copies pass the limit already
+    if size > MAX_TRANSCRIPTS:
+        shown = size if copies <= 64 else f"more than {size}"
+        raise ValidationError(f"transcript space d**copies = {d}**{copies} = {shown} "
+                              f"exceeds MAX_TRANSCRIPTS = {MAX_TRANSCRIPTS}")
+    return size
+
+
 def exact_transcript_divergence(sigma: DensityMatrix, ensemble,
                                 schedule: Basis) -> DivergenceReport:
     """TV / chi-squared / KL between measuring sigma and measuring the mixture.
@@ -337,9 +348,7 @@ def exact_transcript_divergence(sigma: DensityMatrix, ensemble,
     """
     if schedule.u.ndim != 3:
         raise ValidationError(f"schedule must be an (N, d, d) stack, got {schedule.u.shape}")
-    size = schedule.dim ** schedule.u.shape[0]
-    if size > MAX_TRANSCRIPTS:
-        raise ValidationError(f"transcript space exceeds {MAX_TRANSCRIPTS}")
+    size = transcript_count(schedule.dim, schedule.u.shape[0])
     p0 = _product_distribution(sigma, schedule)
     p1 = np.zeros_like(p0)
     count = 0

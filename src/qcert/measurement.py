@@ -26,7 +26,8 @@ class Basis:
     unitaries, i.e. r bases measured in r independent rounds, or a
     nonadaptive schedule of one basis per copy: unitarity is checked for the
     whole stack and ``weights`` returns one row per basis, bitwise equal to
-    the weights of that basis held alone. The stack may be empty.
+    the weights of that basis held alone. The stack may be empty. A unitary
+    the library drew itself skips the check through ``Basis.trusted``.
     """
 
     __slots__ = ("u", "dim", "_sq")
@@ -39,45 +40,26 @@ class Basis:
         gram -= np.eye(mat.shape[-1])
         if np.abs(gram).max(initial=0.0) > 1e-10:  # an empty stack passes
             raise ValidationError("matrix is not unitary within 1e-10")
-        self.u = mat
-        self.dim = mat.shape[-1]
-        self._sq = None  # |U|^2, computed on the first diagonal block
+        self.u, self.dim, self._sq = mat, mat.shape[-1], None
+
+    @classmethod
+    def trusted(cls, u: np.ndarray) -> "Basis":
+        """The basis of a complex unitary, or stack, that the library's own Haar
+        sampler drew: unitary by construction, so U^dag U is not formed."""
+        m = cls.__new__(cls)
+        m.u, m.dim, m._sq = u, u.shape[-1], None  # _sq: |U|^2, set on the first diagonal block
+        return m
 
     def weights(self, block: np.ndarray) -> np.ndarray:
-        """Unvalidated Born weights of a dim x dim matrix (``born_weights``),
-        with |U|^2 computed on the first diagonal block and shared by every
-        diagonal block this basis measures."""
-        if not _is_diagonal(block):
-            return _dense_weights(self.u, block)
+        """Unvalidated Born weights <u_z| block |u_z> of a dim x dim matrix, one
+        row per basis of a stack. A block with no nonzero off-diagonal entry
+        takes the O(k^2) kernel (|U|^2)^T diag(block), |U|^2 computed once
+        per basis; any other the O(k^3) kernel Re sum_rows conj(U) * (block U)."""
+        if np.count_nonzero(block) != np.count_nonzero(np.diagonal(block)):
+            return np.real(np.sum(self.u.conj() * (block @ self.u), axis=-2))
         if self._sq is None:
             self._sq = self.u.real**2 + self.u.imag**2
-        return _diagonal_weights(self._sq, block)
-
-
-def _is_diagonal(block: np.ndarray) -> bool:
-    return np.count_nonzero(block) == np.count_nonzero(np.diagonal(block))
-
-
-def _diagonal_weights(sq: np.ndarray, block: np.ndarray) -> np.ndarray:
-    return np.sum(sq * np.diagonal(block).real[:, None], axis=-2)
-
-
-def _dense_weights(u: np.ndarray, block: np.ndarray) -> np.ndarray:
-    return np.real(np.sum(u.conj() * (block @ u), axis=-2))
-
-
-def born_weights(u: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """Unvalidated Born weights <u_z| block |u_z> over the columns u_z of a
-    unitary, shaped (k,), or of each unitary in an (r, k, k) stack, shaped (r, k).
-
-    Nothing checks that ``u`` is unitary. A block whose off-diagonal entries
-    are all exactly zero (a diagonal sigma, or a diagonal state's conditional
-    block) takes the O(k^2) kernel (|U|^2)^T diag(block); any other block
-    takes the dense O(k^3) kernel Re sum_rows conj(U) * (block U).
-    """
-    if _is_diagonal(block):
-        return _diagonal_weights(u.real**2 + u.imag**2, block)
-    return _dense_weights(u, block)
+        return np.sum(self._sq * np.diagonal(block).real[:, None], axis=-2)
 
 
 def _weights(mat: np.ndarray, m: Basis, total: float = 1.0) -> np.ndarray:

@@ -38,7 +38,7 @@ class Spectrum:
             raise ValidationError(f"negative eigenvalue: min = {lam.min():.3e}")
         total = lam.sum()
         if not abs(total - 1.0) <= 1e-9:  # a NaN entry makes the sum NaN: rejected
-            raise ValidationError(f"spectrum sums to {total!r}, not 1 within 1e-9")
+            raise ValidationError(f"spectrum sums to {float(total)!r}, not 1 within 1e-9")
 
     @property
     def dim(self) -> int:

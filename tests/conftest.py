@@ -5,7 +5,7 @@ import pytest
 from hypothesis import settings
 
 from qcert.linalg import DensityMatrix, hermitian_part
-from qcert.measurement import sampling_probs
+from qcert.measurement import Basis, sampling_probs
 from qcert.rng import RngHandle
 
 
@@ -22,6 +22,20 @@ def handle():
 
 def rng_for(*labels) -> np.random.Generator:
     return RngHandle(20240817).child(*labels).generator()
+
+
+def count_checked_bases(monkeypatch) -> list:
+    """Record the shape of every ``Basis`` built through its checking
+    constructor, which forms U^dag U; ``Basis.trusted`` is not recorded."""
+    checked = []
+    init = Basis.__init__
+
+    def counting(self, u):
+        checked.append(np.shape(u))
+        init(self, u)
+
+    monkeypatch.setattr(Basis, "__init__", counting)
+    return checked
 
 
 def measure(src, m, n: int, gen: np.random.Generator) -> np.ndarray:

@@ -27,7 +27,7 @@ from qcert.measurement import (
 from qcert.rng import RngHandle, ginibre, haar_unitary
 from qcert.spectrum import Spectrum
 
-from conftest import measure, random_density, rng_for
+from conftest import count_checked_bases, measure, random_density, rng_for
 from reference import Povm, dense_basis_povm, eager_minimal_copies, eager_success
 
 
@@ -454,6 +454,23 @@ def stages(buckets: int, pairs: int, last: str = "YES") -> list:
     out = [("bucket", False, "YES")] * buckets + [("pair", False, "YES")] * pairs
     out[-1] = (out[-1][0], False, last)
     return out
+
+
+def test_drawn_bases_skip_the_unitarity_check(monkeypatch):
+    """basic_certify and certify measure the Haar stacks they draw through
+    ``Basis.trusted``: seeded runs (pinned in TestPinnedRuns) form no U^dag U
+    and keep their verdicts and copy counts."""
+    checked = count_checked_bases(monkeypatch)
+    spec = linear_spectrum(16)
+    sigma = DensityMatrix.from_diagonal(spec.lambdas)
+    v = certify(CopySource(sigma), sigma, 0.3, 0.2, CFG,
+                rng=RngHandle(1).child("pinned", 16, "null").child("algo"))
+    assert (v.answer, v.copies_used) == ("YES", 2731283517342)
+    src = CopySource(DensityMatrix.maximally_mixed(16)).conditional(range(8))
+    v = basic_certify(src, DensityMatrix.maximally_mixed(8), 0.3, 0.1, CFG,
+                      rng=RngHandle(1).child("pinned-basic", 8))
+    assert (v.answer, v.copies_used) == ("YES", 127020)
+    assert checked == []
 
 
 class TestPinnedRuns:

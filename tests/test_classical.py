@@ -128,6 +128,25 @@ class TestL23Functional:
         p = gen.dirichlet(np.ones(6))
         assert l23_functional(p, 1.0) == 0.0
 
+    def test_equals_the_inline_greedy_removal(self):
+        """The greedy removal equals the inline form it replaced, bit for bit,
+        also where a prefix's mass lands exactly on eps."""
+        def inline(p, eps):
+            arr = np.asarray(p, dtype=float).copy()
+            arr[int(np.argmax(arr))] = 0.0
+            support = np.flatnonzero(arr > 0)
+            order = support[np.lexsort((support, arr[support]))]
+            mass = np.cumsum(arr[order])
+            take = int(np.searchsorted(mass, eps + 1e-12 * max(eps, 1.0), side="right"))
+            arr[order[:take]] = 0.0
+            return float((arr ** (2 / 3)).sum()) ** 1.5
+
+        gen = rng_for("classical", "l23-inline")
+        cases = [(np.full(10, 0.1), 0.3), (np.array([0.5, 0.25, 0.125, 0.125]), 0.25)]
+        cases += [(gen.dirichlet(np.ones(12)), eps) for eps in (0.01, 0.1, 0.5, 1.5)]
+        for p, eps in cases:
+            assert l23_functional(p, eps) == inline(p, eps)
+
     def test_monotone_upper_bound(self):
         gen = rng_for("classical", "l23b")
         for _ in range(50):

@@ -8,6 +8,8 @@ from qcert.cli import main, make_spectrum
 from qcert.linalg import DensityMatrix, fidelity_mm, schatten_quasinorm
 from qcert.spectrum import remove_mass_lower_nonadaptive
 
+from conftest import count_checked_bases
+
 
 def run_cli(args, capsys):
     code = main(args)
@@ -55,6 +57,23 @@ class TestGenSigma:
         captured = capsys.readouterr()
         assert captured.err.startswith(f"qcert: --input {path}: ")
         assert captured.out == ""
+
+
+    @pytest.mark.parametrize("d", [1024, 1100])
+    def test_geometric_overflow_names_the_ratio(self, d, capsys):
+        """ratio**k overflows at d = 1100 and its sum at d = 1024: a usage
+        error naming --ratio and d, with no RuntimeWarning on the way."""
+        with pytest.raises(SystemExit) as err:
+            main(["gen-sigma", "--family", "geometric", "--ratio", "2", "--d", str(d)])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"qcert: --ratio 2.0 at d = {d}: sum of ratio**k, k < d, overflows\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("ratio, d", [(2.0, 1023), (0.5, 1100), (1e300, 2), (0.0, 3)])
+    def test_geometric_finite_powers_unchanged(self, ratio, d):
+        lam = ratio ** np.arange(d)
+        assert np.array_equal(make_spectrum("geometric", d, ratio=ratio).lambdas, lam / lam.sum())
 
 
 class TestCertifyCommand:
@@ -337,6 +356,41 @@ class TestDivergenceCommand:
         captured = capsys.readouterr()
         assert captured.err.startswith(f"qcert: {flag} must be >= 1")
         assert captured.out == ""
+
+    @pytest.mark.parametrize("copies, size", [("10", "1048576"),
+                                              ("1000000000", f"more than {4**64}")])
+    def test_transcript_limit_names_copies(self, copies, size, capsys):
+        """Past MAX_TRANSCRIPTS the usage error gives d, the copy count, d**N
+        and the limit, and names --copies; no schedule is drawn first."""
+        with pytest.raises(SystemExit) as err:
+            main(["divergence", "--family", "mm", "--d", "4", "--ensemble", "paninski",
+                  "--copies", copies, "--schedules", "1", "--param-draws", "2"])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"qcert: --copies {copies}: transcript space d**copies = "
+                                f"4**{copies} = {size} exceeds MAX_TRANSCRIPTS = 1000000\n")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("family, ensemble, setup", [("mm", "paninski", "tune_paninski"),
+                                                         ("spiked", "corner", "corner_ensemble")])
+    def test_setup_built_once_per_run(self, family, ensemble, setup, capsys, monkeypatch):
+        calls = []
+        build = getattr(cli, setup)
+        monkeypatch.setattr(cli, setup, lambda *a: calls.append(a) or build(*a))
+        code, _ = run_cli(["divergence", "--family", family, "--d", "4", "--ensemble", ensemble,
+                           "--copies", "2", "--schedules", "3", "--param-draws", "2"], capsys)
+        assert code == 0 and len(calls) == 1
+
+    def test_drawn_schedules_skip_the_unitarity_check(self, capsys, monkeypatch):
+        """haar_schedule, the per-copy bases of the Ingster phis and
+        verify_moments_basic's sub-stacks are library draws: a divergence and
+        a verify run build no ``Basis`` through its checking constructor."""
+        checked = count_checked_bases(monkeypatch)
+        code, _ = run_cli(["divergence", "--family", "spiked", "--d", "4", "--copies", "3",
+                           "--schedules", "2"], capsys)
+        assert code == 0
+        run_cli(["verify", "--samples", "300", "--fuzz", "2", "--schedules", "2"], capsys)
+        assert checked == []
 
     def test_corner_ignores_param_draws(self, capsys):
         code, _ = run_cli(["divergence", "--family", "spiked", "--d", "4", "--ensemble", "corner",

@@ -431,6 +431,18 @@ class TestTranscriptDivergence:
         with pytest.raises(ValidationError):
             exact_transcript_divergence(self.sigma(), [self.sigma()], sched)
 
+    @pytest.mark.parametrize("d, copies, size", [(10, 6, 10**6), (1, 10**9, 1), (2, 0, 1)])
+    def test_transcript_count_up_to_the_limit(self, d, copies, size):
+        assert haar_oracle.transcript_count(d, copies) == size
+
+    @pytest.mark.parametrize("d, copies, shown", [(4, 10, "1048576"), (10, 7, "10000000"),
+                                                  (2, 10**12, f"more than {2**64}")])
+    def test_transcript_count_past_the_limit(self, d, copies, shown):
+        with pytest.raises(ValidationError) as err:
+            haar_oracle.transcript_count(d, copies)
+        assert str(err.value) == (f"transcript space d**copies = {d}**{copies} = {shown} "
+                                  f"exceeds MAX_TRANSCRIPTS = 1000000")
+
     def test_single_basis_is_not_a_schedule(self):
         with pytest.raises(ValidationError):
             exact_transcript_divergence(self.sigma(), [self.sigma()], Basis(np.eye(2)))

@@ -58,6 +58,19 @@ class TestBasis:
         with pytest.raises(ValidationError):
             Basis(us)
 
+    @pytest.mark.parametrize("d, r", [(2, 300), (5, 3), (16, 2)])
+    def test_trusted_weights_equal_checked(self, d, r):
+        """A drawn stack held by ``Basis.trusted`` has the weights of
+        ``Basis(u)`` bit for bit, on a diagonal block (also when |U|^2 is
+        reused) and on a dense one. At d = 2 the stack takes Gram-Schmidt."""
+        gen = rng_for("meas", "trusted", d)
+        us = haar_unitary(d, gen, size=r)
+        diagonal = DensityMatrix.from_diagonal(gen.dirichlet(np.ones(d))).mat
+        dense = random_density(d, gen).mat
+        trusted, checked = Basis.trusted(us), Basis(us)
+        for block in (diagonal, dense, diagonal):
+            assert np.array_equal(trusted.weights(block), checked.weights(block))
+
 
 def dense_weights(u: np.ndarray, block: np.ndarray) -> np.ndarray:
     """Born weights <u_z| block |u_z> through the dense product U^dag block U."""

@@ -182,6 +182,13 @@ class TestPredictedBounds:
         assert out.upper == pytest.approx(1 / eps**2, rel=1e-12)
 
 
+@pytest.mark.parametrize("lam, total", [([0.5, 0.6], "1.1"), ([0.5, math.nan], "nan")])
+def test_sum_message_prints_a_plain_float(lam, total):
+    with pytest.raises(ValidationError) as err:
+        Spectrum(np.array(lam))
+    assert str(err.value) == f"spectrum sums to {total}, not 1 within 1e-9"
+
+
 class TestSerialization:
     def test_spectrum_roundtrip(self):
         # a bare JSON list; the CLI's gen-sigma report (a dict) is read in test_cli
