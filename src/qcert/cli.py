@@ -18,7 +18,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -106,13 +105,16 @@ def hidden_state(kind: str, spec: Spectrum, eps: float, rng: RngHandle) -> Densi
         d = spec.dim
         if d < 2:
             raise ValidationError("spike alternative needs --d >= 2")
+        if not eps > 0:
+            raise ValidationError(f"spike alternative needs eps > 0, got {eps}")
         beta = min(eps / np.sqrt(1 - 1 / d), 1.0)
         z = ginibre(d, rng.generator())[:, 0]  # the first column of a Haar unitary, up to phase
         v = z / np.linalg.norm(z)
-        # diag(lambdas) bit for bit as DensityMatrix.from_diagonal stores it,
-        # without validating sigma: the mixture below is validated
+        # diag(lambdas) bit for bit as DensityMatrix.from_diagonal stores it;
+        # a mix of a validated spectrum and a pure state, beta in [0, 1], is a
+        # state, so neither is validated
         sigma_m = np.diag(spec.lambdas).astype(complex)
-        return DensityMatrix((1 - beta) * sigma_m + beta * np.outer(v, v.conj()))
+        return DensityMatrix.trusted((1 - beta) * sigma_m + beta * np.outer(v, v.conj()))
     sigma = DensityMatrix.from_diagonal(spec.lambdas)
     if kind == "null":
         return sigma
@@ -175,12 +177,15 @@ def cmd_gen_sigma(args) -> int:
 
 
 def _one_certify_trial(packed) -> dict:
-    (trial, lambdas, hidden, eps, delta, seed, algorithm, budget) = packed
+    (trial, lambdas, hidden, inst, eps, delta, seed, algorithm, budget) = packed
     spec = Spectrum(np.asarray(lambdas))
     handle = RngHandle(seed).child("trial", trial)
-    rho = hidden_state(hidden, spec, eps, handle.child("state"))
-    src = CopySource(rho, budget)
     sigma = DensityMatrix.from_diagonal(spec.lambdas)
+    if inst is None:
+        rho = hidden_state(hidden, spec, eps, handle.child("state"))
+    else:  # hidden_state's Paninski draw, from the instance tuned once per run
+        rho = sample_paninski(sigma, inst, handle.child("state").generator())
+    src = CopySource(rho, budget)
     t0 = time.perf_counter()
     run = basic_certify if algorithm == "basic" else certify
     verdict = run(src, sigma, eps, delta, DEFAULT_CONFIG, rng=handle.child("algo"))
@@ -202,9 +207,13 @@ def cmd_certify(args) -> int:
         raise ValidationError(f"--threads must be >= 1, got {args.threads}")
     if args.budget is not None and args.budget < 0:
         raise ValidationError(f"--budget must be >= 0, got {args.budget}")
+    if not args.eps > 0:  # offdiag and corner states fail on a NaN eps
+        raise ValidationError(f"--eps must be > 0, got {args.eps}")
     spec = make_spectrum(args.family, args.d, args.rank, args.ratio, args.input)
+    # the Paninski instance depends on the spectrum and eps alone
+    inst = tune_paninski(spec, args.eps) if args.hidden == "paninski" else None
     jobs = [
-        (t, list(spec.lambdas), args.hidden, args.eps, args.delta, args.seed,
+        (t, list(spec.lambdas), args.hidden, inst, args.eps, args.delta, args.seed,
          args.algorithm, args.budget)
         for t in range(args.trials)
     ]
@@ -212,6 +221,10 @@ def cmd_certify(args) -> int:
     # for more processes than there are trials or CPUs
     workers = min(args.threads, args.trials, os.cpu_count() or 1)
     if workers > 1:
+        # imported here: the module pulls in multiprocessing, which no other
+        # command needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_one_certify_trial, jobs))
     else:

@@ -36,7 +36,7 @@ from functools import lru_cache
 import numpy as np
 
 from .linalg import DensityMatrix, ValidationError, check_hermitian
-from .measurement import Basis, outcome_distribution, phi
+from .measurement import Basis, outcome_distribution, phi_table
 from .rng import haar_blocks
 
 MAX_ORDER = 6
@@ -384,8 +384,7 @@ def phi_pairs_finite(m, sigma, ensemble) -> list[float]:
     """phi over all ordered pairs of a finite ensemble's equally likely states
     (for the moment-method bound with exact pair averaging). The ensemble is
     read once, so a generator gives the pairs of the states it yields."""
-    states = list(ensemble)
-    return [phi(m, sigma, u, v) for u in states for v in states]
+    return phi_table(m, sigma, list(ensemble)).ravel().tolist()
 
 
 def ingster_bound(phi_samples, num_copies: int) -> tuple[float, float]:

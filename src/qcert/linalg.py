@@ -69,6 +69,15 @@ class DensityMatrix:
         self.dim = m.shape[0]
 
     @classmethod
+    def trusted(cls, mat) -> "DensityMatrix":
+        """The state the constructor would store for ``mat``, which the caller
+        built as a unit-trace PSD matrix: symmetrized, with nothing checked."""
+        m = cls.__new__(cls)
+        m.mat = hermitian_part(mat)
+        m.dim = m.mat.shape[0]
+        return m
+
+    @classmethod
     def from_diagonal(cls, lambdas) -> "DensityMatrix":
         return cls(np.diag(np.asarray(lambdas, dtype=float).astype(complex)))
 

@@ -190,26 +190,30 @@ class CopySource:
             self._charge(n + k)
 
 
-def phi(m: Basis, rho, rho_u, rho_v) -> float:
-    """Correlation of likelihood deviations under the null outcome law of one
-    basis measurement (a single ``Basis``, not a stack).
+def phi_table(m: Basis, rho, states) -> np.ndarray:
+    """phi(m, rho, u, v) for every ordered pair of ``states``, as a (K, K)
+    array: the null law and each state's weights are computed once.
 
-    Outcomes with vanishing null probability are dropped when both
-    alternatives also vanish there; otherwise the ratio is infinite and an
-    error is raised.
+    Outcomes with vanishing null probability are dropped when every state
+    also vanishes there; otherwise the ratio is infinite and an error is
+    raised. Each entry sums its outcomes in order, as a scalar loop would.
     """
     p0 = outcome_distribution(rho, m)
-    pu = m.weights(_mat(rho_u))
-    pv = m.weights(_mat(rho_v))
-    total = 0.0
+    w = np.array([m.weights(_mat(s)) for s in states]).reshape(-1, p0.size)
+    table = np.zeros((len(w), len(w)))
     for z in range(p0.size):
         if p0[z] <= PROB_FLOOR:
-            if pu[z] > 1e-12 or pv[z] > 1e-12:
+            if (w[:, z] > 1e-12).any():
                 raise UndefinedOutcomeError(
                     f"outcome {z} has null probability ~0 but alternative mass"
                 )
             continue
-        gu = pu[z] / p0[z] - 1.0
-        gv = pv[z] / p0[z] - 1.0
-        total += p0[z] * gu * gv
-    return float(total)
+        g = w[:, z] / p0[z] - 1.0
+        table += p0[z] * g[:, None] * g[None, :]
+    return table
+
+
+def phi(m: Basis, rho, rho_u, rho_v) -> float:
+    """Correlation of likelihood deviations under the null outcome law of one
+    basis measurement (a single ``Basis``, not a stack); see ``phi_table``."""
+    return float(phi_table(m, rho, [rho_u, rho_v])[0, 1])

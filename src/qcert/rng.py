@@ -45,7 +45,19 @@ class RngHandle:
 
 # Haar stacks are factored in sub-stacks of at most this many matrix entries
 # (size * d * d), so the QR and its temporaries never span a whole stack.
-_BLOCK_ENTRIES = 2**16
+# 2**14 entries are 256 KiB of complex. The streamed draw holds about six
+# sub-stacks at once, so this sets verify_moments_basic's working set: 1.7 MiB
+# at d=8 and 20 000 samples under tracemalloc, 6.4 MiB at 2**16. The bits do
+# not depend on it. verify_moments_basic over 20 000 samples in ms (2-core
+# Xeon, one BLAS thread, best of 7, three runs):
+#          2**16        2**14        2**13
+#   d=2    10 to 14     9 to 13      9 to 13
+#   d=4    39 to 41     37 to 41     40 to 43
+#   d=6    90 to 105    92 to 105    102 to 120
+#   d=8    163 to 199   154 to 164   154 to 164
+# Do not go to 2**13: a d=6 sub-stack then holds 227 unitaries, below the 256
+# from which _cgs2's fixed cost per sub-stack pays off (see the table below).
+_BLOCK_ENTRIES = 2**14
 _INV_SQRT2 = 1 / np.sqrt(2)
 
 # A requested stack of at least _CGS2_MIN_SIZE unitaries over C^d with
@@ -56,7 +68,7 @@ _INV_SQRT2 = 1 / np.sqrt(2)
 # one BLAS thread, best of 15, two runs):
 #   d=2: x2.2 at n=128, x3.0 to x3.5 at n=256, x4 to x6 at n=4096
 #   d=4: x0.9 to x1.0 at n=128, x1.4 to x1.5 at n=256, x2.4 to x4 at n=4096
-#   d=6: x0.9 to x1.0 at n=256, x1.6 to x1.9 at n=1820 (a full sub-stack)
+#   d=6: x0.9 to x1.0 at n=256, x1.6 to x1.9 at n=1820 (a full 2**16-entry sub-stack)
 #   d=8: x0.3 to x1.2, slower on most sizes
 _CGS2_MAX_DIM = 6
 _CGS2_MIN_SIZE = 256

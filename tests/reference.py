@@ -9,6 +9,8 @@ alternative's closed-form trace distance (criterion 03) and the audited
 second-moment constants (criterion 10) are the facts the acceptance criteria
 check. ``eager_success`` and ``eager_minimal_copies`` run every trial of every
 sweep probe, the rule the program's early-stopping sweep must reproduce.
+``scalar_phi`` is phi's per-pair loop, which ``phi_table`` must reproduce bit
+for bit.
 """
 
 import math
@@ -17,8 +19,10 @@ import numpy as np
 
 from qcert import cli
 from qcert.certify import CertifyConfig
-from qcert.linalg import PSD_TOL, DensityMatrix, ValidationError, check_hermitian, hermitian_part
-from qcert.measurement import CopySource
+from qcert.linalg import (PSD_TOL, DensityMatrix, ValidationError, _mat, check_hermitian,
+                          hermitian_part)
+from qcert.measurement import (PROB_FLOOR, CopySource, UndefinedOutcomeError,
+                               outcome_distribution)
 from qcert.rng import RngHandle
 from qcert.spectrum import Spectrum
 
@@ -149,6 +153,24 @@ def assemble_block(a, b, c) -> np.ndarray:
 def corner_trace_distance(eps: float) -> float:
     """Closed form ||sigma - sigma^u||_1 = 2 sqrt(eps^4/16 + eps^2/4)."""
     return 2 * math.sqrt(eps**4 / 16 + eps**2 / 4)
+
+
+def scalar_phi(m, rho, rho_u, rho_v) -> float:
+    """phi of one state pair as a loop over outcomes, every law computed
+    afresh: the rule that ``phi_table`` runs over all pairs at once."""
+    p0 = outcome_distribution(rho, m)
+    pu = m.weights(_mat(rho_u))
+    pv = m.weights(_mat(rho_v))
+    total = 0.0
+    for z in range(p0.size):
+        if p0[z] <= PROB_FLOOR:
+            if pu[z] > 1e-12 or pv[z] > 1e-12:
+                raise UndefinedOutcomeError(f"outcome {z}")
+            continue
+        gu = pu[z] / p0[z] - 1.0
+        gv = pv[z] / p0[z] - 1.0
+        total += p0[z] * gu * gv
+    return float(total)
 
 
 def eager_success(d: int, eps: float, seed: int, trials: int, n_copies: int,

@@ -635,6 +635,22 @@ class TestLazySweep:
         got = hidden_state("spike", spec, 0.3, h).mat
         assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("eps", [0.0, -0.1, float("nan")])
+    def test_spike_needs_positive_eps(self, eps):
+        # beta must lie in [0, 1] for the unchecked mixture to be a state
+        with pytest.raises(ValidationError):
+            hidden_state("spike", Spectrum(np.full(4, 0.25)), eps, RngHandle(3))
+
+    def test_sweep_solves_only_for_sigma(self, monkeypatch):
+        # the spike mixtures are built unchecked: the one eigensolve per
+        # probe validates sigma = I/d
+        probes, solves = [], []
+        success, eigvalsh = cli.sweep_success, np.linalg.eigvalsh
+        monkeypatch.setattr(cli, "sweep_success", lambda *a: probes.append(a) or success(*a))
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a: solves.append(a) or eigvalsh(*a))
+        assert minimal_copies(4, 0.4, 1, 6, 0.5) == 32
+        assert len(solves) == len(probes) == 6
+
 
 class TestScaling:
     def test_total_copies_scale_with_dimension(self):

@@ -1,4 +1,8 @@
+import concurrent.futures
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -6,6 +10,7 @@ import pytest
 from qcert import cli
 from qcert.cli import main, make_spectrum
 from qcert.linalg import DensityMatrix, fidelity_mm, schatten_quasinorm
+from qcert.measurement import Basis
 from qcert.spectrum import remove_mass_lower_nonadaptive
 
 from conftest import count_checked_bases
@@ -103,6 +108,9 @@ class TestCertifyCommand:
         ["certify", "--delta", "1.5"],
         ["certify", "--algorithm", "basic", "--delta", "1"],
         ["certify", "--family", "mm", "--d", "1", "--hidden", "spike", "--trials", "1"],
+        ["certify", "--family", "spiked", "--hidden", "offdiag", "--eps", "nan"],
+        ["certify", "--family", "spiked", "--hidden", "corner", "--eps", "nan"],
+        ["certify", "--hidden", "spike", "--eps", "-0.5"],
         ["divergence", "--family", "spiked", "--d", "4", "--copies", "0"],
         ["divergence", "--family", "mm", "--d", "4", "--ensemble", "paninski", "--copies", "-3",
          "--schedules", "1", "--param-draws", "3"],
@@ -181,6 +189,23 @@ class TestCertifyCommand:
         strip = lambda rows: [{k: v for k, v in r.items() if k != "wall_ms"} for r in rows]
         assert strip(json.loads(out1)["rows"]) == strip(json.loads(out2)["rows"])
 
+    def test_paninski_tuned_once_per_run(self, capsys, monkeypatch):
+        calls = []
+        tune = cli.tune_paninski
+        monkeypatch.setattr(cli, "tune_paninski", lambda *a: calls.append(a) or tune(*a))
+        code, _ = run_cli(["certify", "--algorithm", "basic", "--d", "8", "--hidden", "paninski",
+                           "--trials", "3"], capsys)
+        assert code == 0 and len(calls) == 1
+
+    def test_threads_do_not_change_paninski_rows(self, capsys):
+        # the instance tuned in the parent reaches every worker
+        base = ["certify", "--family", "rank-mm", "--rank", "6", "--d", "8", "--hidden", "paninski",
+                "--algorithm", "basic", "--trials", "3", "--seed", "4", "--format", "json"]
+        _, out1 = run_cli(base + ["--threads", "1"], capsys)
+        _, out2 = run_cli(base + ["--threads", "2"], capsys)
+        strip = lambda rows: [{k: v for k, v in r.items() if k != "wall_ms"} for r in rows]
+        assert strip(json.loads(out1)["rows"]) == strip(json.loads(out2)["rows"])
+
     def test_negative_seed_names_the_flag(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["certify", "--seed", "-1"])
@@ -205,7 +230,7 @@ class TestCertifyCommand:
             def map(self, fn, jobs):
                 return map(fn, jobs)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         base = ["certify", "--algorithm", "basic", "--d", "4", "--eps", "0.4", "--delta", "0.5"]
         for cpus, threads, trials in ((8, 100_000, 3), (8, 2, 5), (8, 100_000, 1),
                                       (None, 4, 4), (3, 100_000, 5)):
@@ -222,6 +247,15 @@ class TestCertifyCommand:
         lines = out.splitlines()
         assert lines[0].startswith("# ")  # embedded config
         assert lines[1] == "trial,seed,hidden,verdict,copies,wall_ms"
+
+
+def test_import_leaves_out_multiprocessing():
+    # only certify --threads > 1 starts a pool, and imports it then
+    code = "import sys, qcert.cli; print('multiprocessing' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout == "False\n"
 
 
 class TestSweepCommand:
@@ -391,6 +425,17 @@ class TestDivergenceCommand:
         assert code == 0
         run_cli(["verify", "--samples", "300", "--fuzz", "2", "--schedules", "2"], capsys)
         assert checked == []
+
+    def test_phis_weigh_each_state_once_per_basis(self, capsys, monkeypatch):
+        """The Ingster phis take the null law and each corner state's weights
+        once per copy's basis: 3 single-basis weights calls per copy."""
+        single = []
+        weights = Basis.weights
+        monkeypatch.setattr(Basis, "weights",
+                            lambda m, block: single.append(m.u.ndim == 2) or weights(m, block))
+        code, _ = run_cli(["divergence", "--family", "spiked", "--d", "4", "--ensemble", "corner",
+                           "--copies", "5", "--schedules", "5"], capsys)
+        assert code == 0 and sum(single) == 3 * 5 * 5
 
     def test_corner_ignores_param_draws(self, capsys):
         code, _ = run_cli(["divergence", "--family", "spiked", "--d", "4", "--ensemble", "corner",

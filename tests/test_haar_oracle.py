@@ -356,6 +356,18 @@ class TestVerifyMoments:
             tracemalloc.stop()
         assert peak <= 8 * samples + 8 * rng_module._BLOCK_ENTRIES * 16
 
+    def test_sub_stacks_keep_the_peak_under_two_mib(self):
+        # 256 KiB sub-stacks: 1.7 MiB at d=8, where 1 MiB ones took 6.4 MiB
+        gen = rng_for("oracle", "memory")
+        m = random_traceless(8, gen)
+        tracemalloc.start()
+        try:
+            verify_moments_basic(m, 20_000, gen)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2**20
+
     def test_exact_second_moment_matches_monte_carlo(self):
         # the order-4 Weingarten route is the oracle for E[Z^2]
         gen = rng_for("oracle", "vm4")

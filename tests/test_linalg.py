@@ -189,6 +189,14 @@ class TestDensityMatrix:
         with pytest.raises(ValidationError):
             DensityMatrix(np.diag([1.2, -0.2]).astype(complex))
 
+    @pytest.mark.parametrize("d", [1, 3, 8])
+    def test_trusted_stores_the_checked_bits(self, d):
+        m = random_psd(d, rng_for("linalg", "trusted", d))
+        m = m / np.trace(m).real
+        m[0, -1] += 1e-13  # roundoff below the hermiticity tolerance
+        want, got = DensityMatrix(m), DensityMatrix.trusted(m)
+        assert got.mat.tobytes() == want.mat.tobytes() and got.dim == want.dim == d
+
     def test_symmetrizes_roundoff(self):
         m = np.diag([0.5, 0.5]).astype(complex)
         m[0, 1] = 1e-13  # below the hermiticity tolerance

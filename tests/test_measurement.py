@@ -12,6 +12,7 @@ from qcert.measurement import (
     UndefinedOutcomeError,
     outcome_distribution,
     phi,
+    phi_table,
 )
 from qcert.rng import RngHandle, haar_unitary
 from qcert.spectrum import Spectrum, bucketize
@@ -24,6 +25,7 @@ from reference import (
     dense_basis_povm,
     project_povm_to_blocks,
     random_povm,
+    scalar_phi,
 )
 
 
@@ -301,6 +303,24 @@ class TestLikelihood:
 
 
 class TestPhi:
+    @pytest.mark.parametrize("d", [3, 9])
+    def test_table_matches_the_scalar_loop(self, d):
+        # bit for bit, with an outcome the null and every state never produce
+        gen = rng_for("meas", "phi-table", d)
+        lam = gen.dirichlet(np.ones(d))
+        lam[-1] = 0.0
+        sigma = DensityMatrix.from_diagonal(lam / lam.sum())
+        states = []
+        for _ in range(3):
+            rho = random_density(d - 1, gen).mat
+            states.append(DensityMatrix(np.pad(rho, (0, 1))))
+        u = np.eye(d, dtype=complex)
+        u[:-1, :-1] = haar_unitary(d - 1, gen)
+        m = Basis(u)
+        table = phi_table(m, sigma, states)
+        want = [[scalar_phi(m, sigma, a, b) for b in states] for a in states]
+        assert table.tolist() == want
+
     def test_same_state_zero(self):
         rho = random_density(3, rng_for("meas", "phi0"))
         m = Basis(haar_unitary(3, rng_for("meas", "phi0b")))

@@ -4,6 +4,7 @@ from scipy import stats
 
 from qcert.linalg import ValidationError
 from qcert import rng as rng_module
+from qcert.certify import _CHUNK_ENTRIES
 from qcert.rng import RngHandle, block_haar, ginibre, haar_blocks, haar_isometry, haar_unitary
 from qcert.spectrum import Spectrum, bucketize
 
@@ -110,7 +111,8 @@ class TestGramSchmidtKernel:
                      for s in range(0, len(re), split)]
             assert np.array_equal(np.concatenate(parts), whole), split
 
-    @pytest.mark.parametrize("d, size", [(4, None), (4, 300), (8, 1024), (40, 40)])
+    @pytest.mark.parametrize("d, size", [(4, None), (4, 300), (8, rng_module._block_rows(8)),
+                                         (40, rng_module._block_rows(40))])
     def test_one_sub_stack_draw_makes_two_normal_calls(self, d, size):
         # no snapshot and no redraw: real parts, then imaginary parts
         gen = CountingGenerator(5)
@@ -125,10 +127,12 @@ class TestGramSchmidtKernel:
 
 
 class TestBlockedDraw:
-    @pytest.mark.parametrize("d, size", [(8, 3 * 1024 + 100), (3, 3 * 7281 + 5), (260, 3), (5, 1)])
+    @pytest.mark.parametrize("d, size", [(8, 3 * rng_module._block_rows(8) + 100),
+                                         (3, 3 * rng_module._block_rows(3) + 5), (260, 3), (5, 1)])
     def test_blocked_stack_matches_one_shot(self, d, size):
-        """At least three sub-stacks (or one) equal the one-shot stack bit for
-        bit, and leave the generator where the one-shot draw does."""
+        """Three sub-stacks plus a remainder (or one sub-stack) equal the
+        one-shot stack bit for bit, and leave the generator where the one-shot
+        draw does."""
         gen, ref = rng_for("blocks", d, size), rng_for("blocks", d, size)
         u = haar_unitary(d, gen, size)
         assert np.array_equal(u, one_shot_haar(d, ref, size))
@@ -138,6 +142,11 @@ class TestBlockedDraw:
         rows = rng_module._BLOCK_ENTRIES // 64
         sizes = [len(q) for q in haar_blocks(8, rng_for("blocks", "sizes"), 3 * rows + 100)]
         assert sizes == [rows, rows, rows, 100]
+
+    def test_basic_certify_chunk_is_one_sub_stack(self):
+        # so every chunk's stack is returned without a copy
+        for d in range(1, 130):
+            assert max(1, _CHUNK_ENTRIES // d**2) <= rng_module._block_rows(d), d
 
     def test_single_block_is_returned_without_copy(self, monkeypatch):
         yielded = []
@@ -172,7 +181,7 @@ class TestBlockedDraw:
         """haar_blocks draws every real part before the first sub-stack is
         taken, in one sub-stack or in several, and validates the dimension
         at once."""
-        for size in (10, 3 * 4096 + 1):
+        for size in (10, 3 * rng_module._block_rows(4) + 1):
             gen, ref = rng_for("blocks", "eager", size), rng_for("blocks", "eager", size)
             haar_blocks(4, gen, size)
             ref.standard_normal((size, 4, 4))
