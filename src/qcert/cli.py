@@ -90,7 +90,8 @@ def make_spectrum(family: str, d: int, rank: int | None = None, ratio: float = 0
 
 
 def hidden_state(kind: str, spec: Spectrum, eps: float, rng: RngHandle) -> DensityMatrix:
-    """Draw the certification target for one trial."""
+    """Draw the certification target for one trial. ``cmd_certify`` draws
+    Paninski targets itself, from an instance tuned once per run."""
     if kind == "tail":
         # move eps^2/4 extra mass into the removed tail, taken from the top entry
         removal = remove_mass_upper(spec, eps)
@@ -118,9 +119,6 @@ def hidden_state(kind: str, spec: Spectrum, eps: float, rng: RngHandle) -> Densi
     sigma = DensityMatrix.from_diagonal(spec.lambdas)
     if kind == "null":
         return sigma
-    if kind == "paninski":
-        inst = tune_paninski(spec, eps)
-        return sample_paninski(sigma, inst, rng.generator())
     if kind == "offdiag":
         inst = plan_offdiag(spec, eps)
         return build_offdiag(sigma, inst, rng.generator())
@@ -181,10 +179,10 @@ def _one_certify_trial(packed) -> dict:
     spec = Spectrum(np.asarray(lambdas))
     handle = RngHandle(seed).child("trial", trial)
     sigma = DensityMatrix.from_diagonal(spec.lambdas)
-    if inst is None:
-        rho = hidden_state(hidden, spec, eps, handle.child("state"))
-    else:  # hidden_state's Paninski draw, from the instance tuned once per run
+    if hidden == "paninski":  # drawn from the instance tuned once per run
         rho = sample_paninski(sigma, inst, handle.child("state").generator())
+    else:
+        rho = hidden_state(hidden, spec, eps, handle.child("state"))
     src = CopySource(rho, budget)
     t0 = time.perf_counter()
     run = basic_certify if algorithm == "basic" else certify

@@ -197,12 +197,23 @@ class TestCertifyCommand:
                            "--trials", "3"], capsys)
         assert code == 0 and len(calls) == 1
 
-    def test_threads_do_not_change_paninski_rows(self, capsys):
-        # the instance tuned in the parent reaches every worker
+    def test_threads_do_not_change_paninski_rows(self, capsys, monkeypatch):
+        # the instance tuned in the parent reaches every worker; two CPUs make
+        # --threads 2 start a real pool on any host
+        sizes = []
+        real_pool = concurrent.futures.ProcessPoolExecutor
+
+        def counted_pool(max_workers):
+            sizes.append(max_workers)
+            return real_pool(max_workers=max_workers)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counted_pool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
         base = ["certify", "--family", "rank-mm", "--rank", "6", "--d", "8", "--hidden", "paninski",
                 "--algorithm", "basic", "--trials", "3", "--seed", "4", "--format", "json"]
         _, out1 = run_cli(base + ["--threads", "1"], capsys)
         _, out2 = run_cli(base + ["--threads", "2"], capsys)
+        assert sizes == [2]
         strip = lambda rows: [{k: v for k, v in r.items() if k != "wall_ms"} for r in rows]
         assert strip(json.loads(out1)["rows"]) == strip(json.loads(out2)["rows"])
 
