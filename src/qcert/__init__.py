@@ -1,7 +1,7 @@
 """Instance-optimal quantum state certification: simulation and validation tools."""
 
 from .certify import CertifyConfig, Verdict, basic_certify, certify
-from .classical import SampleCounts, l2_two_sample_test, l23_functional
+from .classical import l2_two_sample_test, l23_functional
 from .haar_oracle import (
     WeingartenTable,
     exact_transcript_divergence,

@@ -2,69 +2,59 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .linalg import ValidationError
 from .spectrum import _greedy_prefix
 
 
-@dataclass(frozen=True)
-class SampleCounts:
-    """Histogram of N samples over a finite domain, or an (r, k) stack of them.
-
-    A stack holds one histogram per row; the testers below compare two stacks
-    row by row.
-    """
-
-    counts: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.counts, dtype=np.int64)
-        object.__setattr__(self, "counts", c)
-        if c.ndim not in (1, 2) or (c < 0).any():
-            raise ValidationError("counts must be a nonnegative vector or a stack of them")
-
-    @property
-    def total(self):
-        """Sample size N: an int, or an array with one N per row of a stack."""
-        t = self.counts.sum(axis=-1)
-        return int(t) if t.ndim == 0 else t
+def _paired_counts(x, y) -> tuple[np.ndarray, np.ndarray]:
+    """Two histograms, or two (r, k) stacks of them, as int64 arrays, each
+    check made once: the shapes agree and no count is negative."""
+    a = np.asarray(x, dtype=np.int64)
+    b = np.asarray(y, dtype=np.int64)
+    if a.shape != b.shape:
+        raise ValidationError(f"count shapes differ: {a.shape} vs {b.shape}")
+    if a.ndim not in (1, 2) or min(a.min(initial=0), b.min(initial=0)) < 0:
+        raise ValidationError("counts must be a nonnegative vector or a stack of them")
+    return a, b
 
 
-def l2_statistic(x: SampleCounts, y: SampleCounts):
-    """Z = sum_i [(X_i - Y_i)^2 - X_i - Y_i]; one value per row of a stack.
+def _statistic(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    a, b = a.astype(float), b.astype(float)
+    return ((a - b) ** 2 - a - b).sum(axis=-1)
+
+
+def l2_statistic(x, y):
+    """Z = sum_i [(X_i - Y_i)^2 - X_i - Y_i] of two count vectors; one value
+    per row of two (r, k) stacks.
 
     Under multinomial sampling of N draws from p and q,
     E[Z] = N^2 ||p - q||_2^2 - N(||p||_2^2 + ||q||_2^2); the O(N) term is the
     price of eschewing Poissonization and is dwarfed by the N^2 threshold.
     """
-    if x.counts.shape != y.counts.shape:
-        raise ValidationError(f"count shapes differ: {x.counts.shape} vs {y.counts.shape}")
-    a = x.counts.astype(float)
-    b = y.counts.astype(float)
-    z = ((a - b) ** 2 - a - b).sum(axis=-1)
+    z = _statistic(*_paired_counts(x, y))
     return float(z) if z.ndim == 0 else z
 
 
-def l2_two_sample_test(x: SampleCounts, y: SampleCounts, eps: float):
+def l2_two_sample_test(x, y, eps: float):
     """Accept/reject equality of two sampled distributions at L2 gap eps.
 
-    ``x`` and ``y`` are one pair of histograms or two (r, k) stacks compared
-    row by row; paired rows must have the same sample size N. A pair rejects
-    when Z > N^2 eps^2 / 2; ties accept. Returns True on accept: a bool for
-    one pair, a boolean array with one entry per row for stacks.
+    ``x`` and ``y`` are one pair of count vectors or two (r, k) stacks
+    compared row by row; paired rows must have the same sample size N. A
+    pair rejects when Z > N^2 eps^2 / 2; ties accept. Returns True on
+    accept: a bool for one pair, a boolean array with one entry per row for
+    stacks.
     """
     if eps <= 0:
         raise ValidationError("eps must be positive")
-    z = l2_statistic(x, y)
-    n = x.total
-    if np.any(y.total != n):
-        raise ValidationError(f"sample sizes differ: {n} vs {y.total}")
+    a, b = _paired_counts(x, y)
+    n, m = a.sum(axis=-1), b.sum(axis=-1)
+    if np.any(m != n):
+        raise ValidationError(f"sample sizes differ: {n} vs {m}")
     # N^2 in float64: as int64 it overflows once N exceeds about 3e9 copies,
     # which conditional stages at small eps reach.
-    accept = np.asarray(z <= np.asarray(n, dtype=float) ** 2 * eps**2 / 2)
+    accept = np.asarray(_statistic(a, b) <= np.asarray(n, dtype=float) ** 2 * eps**2 / 2)
     return bool(accept) if accept.ndim == 0 else accept
 
 

@@ -48,38 +48,78 @@ def check_hermitian(a, tol: float = HERMITICITY_TOL) -> np.ndarray:
     return hermitian_part(m)
 
 
+def diagonal_entries(m: np.ndarray) -> np.ndarray | None:
+    """The real diagonal of a square matrix with no nonzero off-diagonal
+    entry, else None. A dense matrix shows itself in its first row, which is
+    checked before the whole matrix is counted."""
+    diag = np.diagonal(m)
+    if m[:1, 1:].any() or np.count_nonzero(m) != np.count_nonzero(diag):
+        return None
+    return diag.real.copy()
+
+
+def _check_finite(a: np.ndarray) -> None:
+    if not np.isfinite(a).all():
+        raise ValidationError("entries must be finite (no nan or inf)")
+
+
+def _check_trace(tr) -> None:
+    if abs(tr - 1.0) > TRACE_TOL:
+        raise ValidationError(f"trace = {float(tr)!r}, not 1 within {TRACE_TOL:.1e}")
+
+
+def _check_least_eigenvalue(lam_min) -> None:
+    if lam_min < -PSD_TOL:
+        raise ValidationError(f"minimum eigenvalue {lam_min:.3e} < -{PSD_TOL:.1e}")
+
+
 class DensityMatrix:
     """A d x d Hermitian PSD matrix with unit trace.
 
-    The constructor validates hermiticity (1e-12), trace (1e-9) and the
-    minimum eigenvalue (>= -1e-9), and stores the symmetrized matrix.
+    The constructor validates that every entry is finite, then hermiticity
+    (1e-12), trace (1e-9) and the minimum eigenvalue (>= -1e-9), and stores
+    the symmetrized matrix, and ``diagonal_entries`` of it, found once.
     """
 
-    __slots__ = ("mat", "dim")
+    __slots__ = ("mat", "dim", "diagonal_entries")
 
     def __init__(self, mat):
-        m = check_hermitian(mat)
-        tr = np.trace(m).real
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise ValidationError(f"trace = {tr!r}, not 1 within {TRACE_TOL:.1e}")
-        lam_min = np.linalg.eigvalsh(m)[0]
-        if lam_min < -PSD_TOL:
-            raise ValidationError(f"minimum eigenvalue {lam_min:.3e} < -{PSD_TOL:.1e}")
+        m = _mat(mat)
+        _check_finite(m)
+        m = check_hermitian(m)
+        _check_trace(np.trace(m).real)
+        _check_least_eigenvalue(np.linalg.eigvalsh(m)[0])
+        self._set(m)
+
+    def _set(self, m: np.ndarray) -> None:
         self.mat = m
         self.dim = m.shape[0]
+        self.diagonal_entries = diagonal_entries(m)
 
     @classmethod
     def trusted(cls, mat) -> "DensityMatrix":
         """The state the constructor would store for ``mat``, which the caller
         built as a unit-trace PSD matrix: symmetrized, with nothing checked."""
         m = cls.__new__(cls)
-        m.mat = hermitian_part(mat)
-        m.dim = m.mat.shape[0]
+        m._set(hermitian_part(mat))
         return m
 
     @classmethod
     def from_diagonal(cls, lambdas) -> "DensityMatrix":
-        return cls(np.diag(np.asarray(lambdas, dtype=float).astype(complex)))
+        """The state diag(lambdas), checked as the constructor checks it and
+        stored as it stores it, without an eigensolve: the least eigenvalue
+        of a diagonal matrix is its least entry."""
+        lam = np.asarray(lambdas, dtype=float)
+        if lam.ndim != 1:
+            raise ValidationError(f"expected a vector of diagonal entries, got shape {lam.shape}")
+        _check_finite(lam)
+        lam = lam + 0.0  # -0.0 to +0.0, as the constructor's symmetrizing stores it
+        m = np.diag(lam.astype(complex))
+        _check_trace(np.trace(m).real)
+        _check_least_eigenvalue(lam.min())
+        state = cls.__new__(cls)
+        state._set(m)
+        return state
 
     @classmethod
     def maximally_mixed(cls, d: int) -> "DensityMatrix":

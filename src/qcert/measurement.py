@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import DensityMatrix, ValidationError, _mat
+from .linalg import DensityMatrix, ValidationError, _mat, diagonal_entries
 
 PROB_FLOOR = 1e-15
 
@@ -51,23 +51,43 @@ class Basis:
         return m
 
     def weights(self, block: np.ndarray) -> np.ndarray:
-        """Unvalidated Born weights <u_z| block |u_z> of a dim x dim matrix, one
-        row per basis of a stack. A block with no nonzero off-diagonal entry
-        takes the O(k^2) kernel (|U|^2)^T diag(block), |U|^2 computed once
-        per basis; any other the O(k^3) kernel Re sum_rows conj(U) * (block U)."""
-        if np.count_nonzero(block) != np.count_nonzero(np.diagonal(block)):
+        """Unvalidated Born weights <u_z| block |u_z>, one row per basis of a
+        stack, of a dim x dim matrix, or of a diagonal one given as its real
+        diagonal. A matrix with no nonzero off-diagonal entry is read as its
+        diagonal. A diagonal takes the O(k^2) kernel (|U|^2)^T diag(block),
+        |U|^2 computed once per basis; a matrix the O(k^3) kernel
+        Re sum_rows conj(U) * (block U)."""
+        if block.ndim == 2:
+            block = _block(block)
+        if block.ndim == 2:
             return np.real(np.sum(self.u.conj() * (block @ self.u), axis=-2))
         if self._sq is None:
             self._sq = self.u.real**2 + self.u.imag**2
-        return np.sum(self._sq * np.diagonal(block).real[:, None], axis=-2)
+        return np.sum(self._sq * block[:, None], axis=-2)
 
 
-def _weights(mat: np.ndarray, m: Basis, total: float = 1.0) -> np.ndarray:
-    """Born weights of ``mat`` under ``m``, validated as nonnegative within 1e-9
-    and as summing to ``total`` within 1e-9 (every row of a stack)."""
-    if mat.shape[0] != m.dim:
-        raise ValidationError(f"state dim {mat.shape[0]} != basis dim {m.dim}")
-    p = m.weights(mat)
+def _block(mat: np.ndarray) -> np.ndarray:
+    """``mat`` as ``Basis.weights`` reads it: its real diagonal when no
+    off-diagonal entry is nonzero, else ``mat`` itself. A caller that
+    measures one block many times reads it once."""
+    diag = diagonal_entries(mat)
+    return mat if diag is None else diag
+
+
+def _state_block(rho) -> np.ndarray:
+    """``_block`` of a state; a ``DensityMatrix`` was read when it was built."""
+    if isinstance(rho, DensityMatrix):
+        return rho.mat if rho.diagonal_entries is None else rho.diagonal_entries
+    return _block(_mat(rho))
+
+
+def _weights(block: np.ndarray, m: Basis, total: float = 1.0) -> np.ndarray:
+    """Born weights of a block read by ``_block`` under ``m``, validated as
+    nonnegative within 1e-9 and as summing to ``total`` within 1e-9 (every
+    row of a stack)."""
+    if block.shape[0] != m.dim:
+        raise ValidationError(f"state dim {block.shape[0]} != basis dim {m.dim}")
+    p = m.weights(block)
     off = np.abs(p.sum(axis=-1) - total).max(initial=0.0)
     if p.min(initial=0.0) < -1e-9 or off > 1e-9:
         raise ValidationError(
@@ -78,13 +98,15 @@ def _weights(mat: np.ndarray, m: Basis, total: float = 1.0) -> np.ndarray:
 
 def outcome_distribution(rho, m: Basis) -> np.ndarray:
     """Born-rule outcome probabilities <u_z| rho |u_z>; one row per basis of a stack."""
-    return _weights(_mat(rho), m)
+    return _weights(_state_block(rho), m)
 
 
 def sampling_probs(p: np.ndarray) -> np.ndarray:
-    """One row of outcome weights, clipped at 0 and normalised for a multinomial draw."""
+    """Outcome weights clipped at 0 and normalised for a multinomial draw: one
+    row, or every row of an (r, k) stack in one pass, each row bit for bit as
+    it would be alone."""
     q = np.clip(p, 0.0, None)
-    return q / q.sum()
+    return q / q.sum(axis=-1, keepdims=True)
 
 
 class CopySource:
@@ -107,6 +129,7 @@ class CopySource:
         self.acceptance = 1.0
         self._root = self
         self._indices = None  # conditioning subset of a conditional view
+        self._block = None  # the measured block, read by _block on the first law
         self._copies = 0
 
     def _view(self, state: DensityMatrix, indices) -> "CopySource":
@@ -157,12 +180,16 @@ class CopySource:
 
         On a full source the weights are the outcome law. On a conditional
         view they are the Born weights of the block rho[S, S], and the law of
-        an accepted copy is a row divided by its sum. Nothing is charged.
+        an accepted copy is a row divided by its sum. The block is gathered
+        and checked for off-diagonal entries on the first call only. Nothing
+        is charged.
         """
-        mat = self.state.mat
-        if self._indices is not None:
-            mat = mat[np.ix_(self._indices, self._indices)]
-        return _weights(mat, m, self.acceptance)
+        if self._block is None:
+            block, idx = _state_block(self.state), self._indices
+            if idx is not None:  # a diagonal state's block is its diagonal's entries
+                block = block[idx] if block.ndim == 1 else _block(block[np.ix_(idx, idx)])
+            self._block = block
+        return _weights(self._block, m, self.acceptance)
 
     def charge(self, n: int, batches: int, rng: np.random.Generator) -> None:
         """Charge ``batches`` batches of n accepted copies each, in order.
@@ -199,7 +226,7 @@ def phi_table(m: Basis, rho, states) -> np.ndarray:
     raised. Each entry sums its outcomes in order, as a scalar loop would.
     """
     p0 = outcome_distribution(rho, m)
-    w = np.array([m.weights(_mat(s)) for s in states]).reshape(-1, p0.size)
+    w = np.array([m.weights(_state_block(s)) for s in states]).reshape(-1, p0.size)
     table = np.zeros((len(w), len(w)))
     for z in range(p0.size):
         if p0[z] <= PROB_FLOOR:

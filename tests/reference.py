@@ -62,7 +62,10 @@ class Povm:
         return self.elements.shape[0]
 
     def weights(self, block: np.ndarray) -> np.ndarray:
-        """Unvalidated Born weights <M_z, block> of a dim x dim matrix."""
+        """Unvalidated Born weights <M_z, block> of a dim x dim matrix, or of
+        a diagonal one given as its real diagonal."""
+        if block.ndim == 1:
+            block = np.diag(block)
         return np.einsum("zij,ji->z", self.elements, block).real
 
 

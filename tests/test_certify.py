@@ -554,6 +554,90 @@ class TestPinnedRuns:
         assert hi == n
 
 
+def round_guard_case(kind: str, d: int):
+    """(source, sigma) of one ``TestRoundPins`` case: a full source on
+    a diagonal state tested against another diagonal sigma; a conditional
+    view of a diagonal state on d of its 2d coordinates, tested against its
+    own block; a conditional view of a Haar-rotated diagonal state, whose
+    measured block is dense, against the normalised block diagonal; or the
+    conditional case on a budget that runs out before the last round."""
+    gen = rng_for("round-guard", kind, d)
+    if kind == "diagonal":
+        rho = DensityMatrix.from_diagonal(gen.dirichlet(np.ones(d)))
+        return CopySource(rho), DensityMatrix.from_diagonal(gen.dirichlet(np.ones(d)))
+    lam = gen.dirichlet(np.ones(2 * d))
+    idx = np.sort(gen.choice(2 * d, size=d, replace=False))
+    # 21 of the 42 rounds' accepted copies: the discards exhaust it sooner
+    budget = 21 * math.ceil(192 * math.sqrt(d)) if kind == "budget" else None
+    src = CopySource(DensityMatrix.from_diagonal(lam), budget)
+    if kind == "rotated":
+        src = src.rotated(haar_unitary(2 * d, gen))
+    src = src.conditional(idx)
+    block = np.diagonal(src.state.mat)[idx].real
+    return src, DensityMatrix.from_diagonal(block / block.sum())
+
+
+class TestRoundPins:
+    """Seeded basic_certify runs on each kind of source the certifier
+    measures, pinned exactly: (answer, copies, rounds_run, rejections), and
+    None for the two counts when the budget runs out before any round runs.
+    The chunk holds 2048, 910, 128, 7 and 1 rounds at d = 2, 3, 8, 33, 96."""
+
+    PINS = {
+        ("diagonal", 2): ("NO", 11424, 42, 28),
+        ("diagonal", 3): ("NO", 13986, 42, 28),
+        ("diagonal", 8): ("NO", 22848, 42, 41),
+        ("diagonal", 33): ("NO", 46326, 42, 26),
+        ("diagonal", 96): ("YES", 79044, 25, 4),
+        ("conditional", 2): ("YES", 13110, 42, 1),
+        ("conditional", 3): ("YES", 23661, 42, 2),
+        ("conditional", 8): ("YES", 49298, 42, 2),
+        ("conditional", 33): ("YES", 116656, 28, 1),
+        ("conditional", 96): ("YES", 165055, 21, 0),
+        ("rotated", 2): ("NO", 22738, 42, 26),
+        ("rotated", 3): ("NO", 27536, 42, 26),
+        ("rotated", 8): ("YES", 44548, 42, 15),
+        ("rotated", 33): ("YES", 91521, 28, 5),
+        ("rotated", 96): ("YES", 157463, 21, 0),
+        ("budget", 2): ("INCONCLUSIVE", 5309, None, None),
+        ("budget", 3): ("INCONCLUSIVE", 6156, None, None),
+        ("budget", 8): ("INCONCLUSIVE", 10980, None, None),
+        ("budget", 33): ("INCONCLUSIVE", 22383, None, None),
+        ("budget", 96): ("INCONCLUSIVE", 35558, None, None),
+    }
+
+    @pytest.mark.parametrize("kind", ["diagonal", "conditional", "rotated", "budget"])
+    @pytest.mark.parametrize("d", [2, 3, 8, 33, 96])
+    def test_verdicts_and_counts(self, kind, d):
+        src, sigma = round_guard_case(kind, d)
+        v = basic_certify(src, sigma, 0.5, 0.1, CFG, rng=RngHandle(5).child("round-guard", d))
+        diag = v.diagnostics
+        got = (v.answer, v.copies_used, diag.get("rounds_run"), diag.get("rejections"))
+        assert got == self.PINS[kind, d]
+
+    @pytest.mark.parametrize("kind, gathered, run", [("rotated", 1, 28), ("mixed", 0, 21)])
+    def test_blocks_read_once_per_call(self, kind, gathered, run, monkeypatch):
+        """Over 3 or 4 chunks of 7 rounds, a conditional view gathers its
+        block at most once and no k x k matrix has its nonzeros counted: a
+        dense block shows an off-diagonal entry in its first row, and a
+        diagonal state, read when it was built, is measured through its
+        entries."""
+        if kind == "rotated":
+            src, sigma = round_guard_case("rotated", 33)
+        else:
+            src = CopySource(DensityMatrix.maximally_mixed(66)).conditional(range(0, 66, 2))
+            sigma = DensityMatrix.maximally_mixed(33)
+        counts, gathers = [], []
+        count_nonzero, ix = np.count_nonzero, np.ix_
+        monkeypatch.setattr(np, "count_nonzero",
+                            lambda a, *args: (np.ndim(a) == 2 and counts.append(np.shape(a)))
+                            or count_nonzero(a, *args))
+        monkeypatch.setattr(np, "ix_", lambda *args: gathers.append(len(args)) or ix(*args))
+        v = basic_certify(src, sigma, 0.5, 0.1, CFG, rng=RngHandle(5).child("round-guard", 33))
+        assert v.diagnostics["rounds_run"] == run
+        assert counts == [] and len(gathers) == gathered
+
+
 class TestLazySweep:
     """A sweep probe stops its trials once the comparison with the target is
     fixed; its answers, and so minimal_copies' results, are those of running
@@ -642,14 +726,14 @@ class TestLazySweep:
             hidden_state("spike", Spectrum(np.full(4, 0.25)), eps, RngHandle(3))
 
     def test_sweep_solves_only_for_sigma(self, monkeypatch):
-        # the spike mixtures are built unchecked: the one eigensolve per
-        # probe validates sigma = I/d
+        # the spike mixtures are built unchecked, and sigma = I/d is checked
+        # from its diagonal entries: no probe solves for eigenvalues
         probes, solves = [], []
         success, eigvalsh = cli.sweep_success, np.linalg.eigvalsh
         monkeypatch.setattr(cli, "sweep_success", lambda *a: probes.append(a) or success(*a))
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a: solves.append(a) or eigvalsh(*a))
         assert minimal_copies(4, 0.4, 1, 6, 0.5) == 32
-        assert len(solves) == len(probes) == 6
+        assert len(probes) == 6 and solves == []
 
 
 class TestScaling:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qcert.classical import SampleCounts, l2_statistic, l2_two_sample_test, l23_functional
+from qcert.classical import l2_statistic, l2_two_sample_test, l23_functional
 from qcert.linalg import ValidationError
 
 from conftest import rng_for
@@ -9,26 +9,26 @@ from conftest import rng_for
 
 class TestL2Tester:
     def test_identical_counts_accept(self):
-        x = SampleCounts(np.array([3, 5, 2]))
+        x = np.array([3, 5, 2])
         assert l2_statistic(x, x) == -2 * 10
         assert l2_two_sample_test(x, x, eps=0.5)
 
     def test_disjoint_supports_reject(self):
         n = 50
-        x = SampleCounts(np.array([n, 0]))
-        y = SampleCounts(np.array([0, n]))
+        x = np.array([n, 0])
+        y = np.array([0, n])
         assert l2_statistic(x, y) == 2 * n * (n - 1)
         assert not l2_two_sample_test(x, y, eps=1.0)
 
     def test_mismatched_totals_rejected(self):
         with pytest.raises(ValidationError):
-            l2_two_sample_test(SampleCounts(np.array([2, 0])), SampleCounts(np.array([1, 0])), 0.5)
+            l2_two_sample_test(np.array([2, 0]), np.array([1, 0]), 0.5)
         # stacks: one row with differing totals, or differing row counts
-        x = SampleCounts(np.array([[2, 0], [1, 1]]))
+        x = np.array([[2, 0], [1, 1]])
         with pytest.raises(ValidationError):
-            l2_two_sample_test(x, SampleCounts(np.array([[0, 2], [1, 0]])), 0.5)
+            l2_two_sample_test(x, np.array([[0, 2], [1, 0]]), 0.5)
         with pytest.raises(ValidationError):
-            l2_two_sample_test(x, SampleCounts(np.array([[0, 2]])), 0.5)
+            l2_two_sample_test(x, np.array([[0, 2]]), 0.5)
 
     def test_mean_matches_multinomial_identity(self):
         # E[Z] = N^2 ||p-q||_2^2 - N(||p||_2^2 + ||q||_2^2) under multinomial
@@ -74,8 +74,8 @@ class TestL2Tester:
         rejects = 0
         trials = 1000
         for _ in range(trials):
-            x = SampleCounts(gen.multinomial(n, p))
-            y = SampleCounts(gen.multinomial(n, q))
+            x = gen.multinomial(n, p)
+            y = gen.multinomial(n, q)
             rejects += not l2_two_sample_test(x, y, eps)
         assert rejects / trials >= 2 / 3
 
@@ -85,20 +85,19 @@ class TestL2Tester:
         gen = rng_for("classical", "majority")
         d, n = 16, 500
         p = np.full(d, 1 / d)
-        xs = SampleCounts(np.stack([gen.multinomial(n, p) for _ in range(5)]))
-        ys = SampleCounts(np.stack([gen.multinomial(n, p) for _ in range(5)]))
+        xs = np.stack([gen.multinomial(n, p) for _ in range(5)])
+        ys = np.stack([gen.multinomial(n, p) for _ in range(5)])
         accepted = l2_two_sample_test(xs, ys, eps=0.2)
         assert accepted.shape == (5,)
         assert accepted.tolist() == [
-            l2_two_sample_test(SampleCounts(x), SampleCounts(y), eps=0.2)
-            for x, y in zip(xs.counts, ys.counts)
+            l2_two_sample_test(x, y, eps=0.2) for x, y in zip(xs, ys)
         ]
         assert 2 * accepted.sum() > 5
 
     def test_rows_reject_above_threshold_and_ties_accept(self):
         # N = 4: row 0 has Z = 8 = N^2 eps^2 / 2 at eps = 1, a tie
-        x = SampleCounts(np.array([[2, 2, 0, 0], [4, 0, 0, 0], [1, 1, 1, 1]]))
-        y = SampleCounts(np.array([[0, 0, 2, 2], [0, 4, 0, 0], [1, 1, 1, 1]]))
+        x = np.array([[2, 2, 0, 0], [4, 0, 0, 0], [1, 1, 1, 1]])
+        y = np.array([[0, 0, 2, 2], [0, 4, 0, 0], [1, 1, 1, 1]])
         assert l2_statistic(x, y).tolist() == [8.0, 24.0, -8.0]
         assert l2_two_sample_test(x, y, eps=1.0).tolist() == [True, False, True]
         assert l2_two_sample_test(x, y, eps=0.99).tolist() == [False, False, True]
@@ -108,9 +107,21 @@ class TestL2Tester:
         n = 4_000_000_000
         x = np.array([n // 2, n // 2])
         y = np.array([n // 2 + 1000, n // 2 - 1000])
-        assert l2_two_sample_test(SampleCounts(x), SampleCounts(y), eps=1e-3)
-        assert l2_two_sample_test(SampleCounts(x[None]), SampleCounts(y[None]),
-                                  eps=1e-3).tolist() == [True]
+        assert l2_two_sample_test(x, y, eps=1e-3)
+        assert l2_two_sample_test(x[None], y[None], eps=1e-3).tolist() == [True]
+
+    @pytest.mark.parametrize("x, y", [
+        ([-1, 3], [1, 1]),  # equal totals, one negative count
+        ([1, 1], [3, -1]),
+        ([[1, 1]], [[1, 1], [2, 0]]),  # differing row counts
+        ([[[1, 1]]], [[[1, 1]]]),  # neither a vector nor a stack of them
+        (2, 2),
+    ])
+    def test_malformed_counts_rejected(self, x, y):
+        with pytest.raises(ValidationError):
+            l2_statistic(x, y)
+        with pytest.raises(ValidationError):
+            l2_two_sample_test(x, y, eps=0.5)
 
 
 class TestL23Functional:

@@ -202,3 +202,47 @@ class TestDensityMatrix:
         m[0, 1] = 1e-13  # below the hermiticity tolerance
         rho = DensityMatrix(m)
         assert np.abs(rho.mat - rho.mat.conj().T).max() == 0.0
+
+    @pytest.mark.parametrize("lam", [
+        [1.0], [0.8, 0.2], [0.5, 0.5, -0.0, 0.0], [0.6, 0.4 + 5e-10, -5e-10],
+        list(np.random.default_rng(7).dirichlet(np.ones(96))),
+    ])
+    def test_from_diagonal_stores_the_checked_bits(self, lam, monkeypatch):
+        want = DensityMatrix(np.diag(np.asarray(lam).astype(complex)))
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a: pytest.fail("eigensolve"))
+        got = DensityMatrix.from_diagonal(lam)
+        assert got.mat.tobytes() == want.mat.tobytes() and got.dim == want.dim == len(lam)
+        # the diagonal it keeps is the one a scan of the matrix finds
+        assert got.diagonal_entries.tobytes() == want.diagonal_entries.tobytes()
+
+    @pytest.mark.parametrize("lam, message", [
+        ([0.5, 0.4], "trace = 0.9, not 1 within 1.0e-09"),  # a plain float, not np.float64(0.9)
+        ([1.2, -0.2], "minimum eigenvalue -2.000e-01 < -1.0e-09"),
+        ([1.0 + 2e-9, -2e-9], "minimum eigenvalue -2.000e-09 < -1.0e-09"),
+    ])
+    def test_from_diagonal_errors_are_the_constructors(self, lam, message):
+        with pytest.raises(ValidationError) as want:
+            DensityMatrix(np.diag(lam).astype(complex))
+        with pytest.raises(ValidationError) as got:
+            DensityMatrix.from_diagonal(lam)
+        assert str(got.value) == str(want.value) == message
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        # checked before any arithmetic: no RuntimeWarning on the way
+        with pytest.raises(ValidationError, match="finite"):
+            DensityMatrix.from_diagonal([bad, 1.0])
+        with pytest.raises(ValidationError, match="finite"):
+            DensityMatrix(np.diag([bad, 1.0]).astype(complex))
+        off = np.diag([0.5, 0.5]).astype(complex)
+        off[0, 1] = off[1, 0] = complex(bad, 0.0)
+        with pytest.raises(ValidationError, match="finite"):
+            DensityMatrix(off)
+        off[0, 1], off[1, 0] = 0.0, complex(0.0, bad)
+        with pytest.raises(ValidationError, match="finite"):
+            DensityMatrix(off)
+
+    def test_from_diagonal_needs_a_vector(self):
+        for lam in (0.5, [[0.5, 0.0], [0.0, 0.5]]):
+            with pytest.raises(ValidationError):
+                DensityMatrix.from_diagonal(lam)

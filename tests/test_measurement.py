@@ -13,6 +13,7 @@ from qcert.measurement import (
     outcome_distribution,
     phi,
     phi_table,
+    sampling_probs,
 )
 from qcert.rng import RngHandle, haar_unitary
 from qcert.spectrum import Spectrum, bucketize
@@ -138,6 +139,39 @@ class TestDiagonalKernel:
             else:
                 assert np.array_equal(got, want)
                 assert np.array_equal(got, np.sum(sq * np.diagonal(b).real[:, None], axis=-2))
+
+    @settings(max_examples=30)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 40),
+           r=st.none() | st.integers(1, 4))
+    def test_diagonal_given_as_its_entries(self, seed, d, r):
+        """A diagonal block passed as its real diagonal has the weights of the
+        matrix, bit for bit."""
+        gen = RngHandle(seed).child("diag-entries").generator()
+        lam = gen.dirichlet(np.ones(d))
+        m = Basis(haar_unitary(d, gen, size=r))
+        assert np.array_equal(m.weights(lam), Basis(m.u).weights(np.diag(lam).astype(complex)))
+
+
+class TestSamplingProbs:
+    @settings(max_examples=200)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 130), r=st.integers(1, 12),
+           dense=st.booleans())
+    def test_stack_rows_equal_rows_alone(self, seed, k, r, dense):
+        """A stack is normalised in one pass, each row bit for bit as it is
+        alone, also where the Born kernel rounds an entry slightly below 0."""
+        gen = RngHandle(seed).child("sampling-probs").generator()
+        m = Basis.trusted(haar_unitary(k, gen, size=r))
+        block = random_density(k, gen) if dense else DensityMatrix.from_diagonal(
+            gen.dirichlet(np.ones(k)))
+        p = outcome_distribution(block, m)
+        # roundoff below 0 off each row's largest entry, which keeps every row's sum positive
+        low = gen.random(p.shape) < 0.1
+        low[np.arange(r), p.argmax(axis=-1)] = False
+        p[low] = -1e-17
+        q = sampling_probs(p)
+        assert q.shape == p.shape and q.min() >= 0
+        for i in range(r):
+            assert q[i].tobytes() == sampling_probs(p[i]).tobytes()
 
 
 class TestOutcomeDistribution:
