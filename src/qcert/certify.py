@@ -103,8 +103,8 @@ def basic_certify(src, sigma: DensityMatrix, eps: float, delta: float,
     rho's measured block, which the source gathers on its first ``law``
     (sigma, a ``DensityMatrix``, was read when it was built). A block with
     no nonzero off-diagonal entry is held as its real diagonal, so no chunk
-    gathers or scans it again. Once per chunk: one direct Haar draw with one
-    stacked QR, one validated Born kernel per block, one clip and one row
+    gathers or scans it again. Once per chunk: one Haar stack from
+    ``haar_unitary``, one validated Born kernel per block, one clip and one row
     sum normalising every measured row, the two multinomials per round, and
     one row-wise L2 test whose checks (shapes, nonnegative counts, equal
     totals) each run once.

@@ -36,7 +36,7 @@ from functools import lru_cache
 import numpy as np
 
 from .linalg import DensityMatrix, ValidationError, check_hermitian
-from .measurement import Basis, outcome_distribution, phi_table
+from .measurement import Basis, _block, outcome_distribution, phi_table
 from .rng import haar_blocks
 
 MAX_ORDER = 6
@@ -262,6 +262,7 @@ def verify_moments_basic(m, samples: int, rng: np.random.Generator) -> MomentsRe
     d = mat.shape[0]
     tr = float(np.trace(mat).real)
     hs2 = float(np.trace(mat @ mat).real)
+    block = _block(mat)
 
     z_sum = z2_sum = z4_sum = 0.0
     done = 0
@@ -270,7 +271,7 @@ def verify_moments_basic(m, samples: int, rng: np.random.Generator) -> MomentsRe
         z = np.empty(take)
         start = 0
         for q in haar_blocks(d, rng, take):
-            x = Basis.trusted(q).weights(mat)
+            x = Basis.trusted(q).weights(block)
             z[start:start + len(q)] = (x**2).sum(axis=1)
             start += len(q)
         z_sum += z.sum()

@@ -78,7 +78,9 @@ class DensityMatrix:
 
     The constructor validates that every entry is finite, then hermiticity
     (1e-12), trace (1e-9) and the minimum eigenvalue (>= -1e-9), and stores
-    the symmetrized matrix, and ``diagonal_entries`` of it, found once.
+    the symmetrized matrix. ``diagonal_entries`` holds its real diagonal when
+    no off-diagonal entry is nonzero, else None, decided once when built, so
+    measuring the state never scans it again.
     """
 
     __slots__ = ("mat", "dim", "diagonal_entries")
@@ -118,7 +120,7 @@ class DensityMatrix:
         _check_trace(np.trace(m).real)
         _check_least_eigenvalue(lam.min())
         state = cls.__new__(cls)
-        state._set(m)
+        state.mat, state.dim, state.diagonal_entries = m, lam.size, lam
         return state
 
     @classmethod

@@ -52,13 +52,11 @@ class Basis:
 
     def weights(self, block: np.ndarray) -> np.ndarray:
         """Unvalidated Born weights <u_z| block |u_z>, one row per basis of a
-        stack, of a dim x dim matrix, or of a diagonal one given as its real
-        diagonal. A matrix with no nonzero off-diagonal entry is read as its
-        diagonal. A diagonal takes the O(k^2) kernel (|U|^2)^T diag(block),
-        |U|^2 computed once per basis; a matrix the O(k^3) kernel
-        Re sum_rows conj(U) * (block U)."""
-        if block.ndim == 2:
-            block = _block(block)
+        stack. A dim x dim matrix takes the O(k^3) kernel
+        Re sum_rows conj(U) * (block U); the real diagonal of a diagonal one
+        takes the O(k^2) kernel (|U|^2)^T diag, |U|^2 computed once per
+        basis. Which form a matrix takes is decided once, by ``_block``,
+        where it enters: here only the number of axes is read."""
         if block.ndim == 2:
             return np.real(np.sum(self.u.conj() * (block @ self.u), axis=-2))
         if self._sq is None:
@@ -67,8 +65,8 @@ class Basis:
 
 
 def _block(mat: np.ndarray) -> np.ndarray:
-    """``mat`` as ``Basis.weights`` reads it: its real diagonal when no
-    off-diagonal entry is nonzero, else ``mat`` itself. A caller that
+    """``mat`` in the form ``Basis.weights`` measures: its real diagonal when
+    no off-diagonal entry is nonzero, else ``mat`` itself. A caller that
     measures one block many times reads it once."""
     diag = diagonal_entries(mat)
     return mat if diag is None else diag

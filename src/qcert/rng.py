@@ -10,7 +10,6 @@ from __future__ import annotations
 import copy
 import hashlib
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -22,15 +21,7 @@ def _label_to_int(label) -> int:
         if label < 0:
             raise ValidationError("stream labels must be nonnegative")
         return int(label)
-    return _string_label(str(label))
-
-
-@lru_cache(maxsize=1024)
-def _string_label(label: str) -> int:
-    """Bytes 0-3 of the label's SHA-256, little-endian. A run derives its few
-    distinct labels ("s3", "trace", "basic", ...) over and over, so each is
-    hashed once."""
-    digest = hashlib.sha256(label.encode()).digest()
+    digest = hashlib.sha256(str(label).encode()).digest()
     return int.from_bytes(digest[:4], "little")
 
 
@@ -109,12 +100,6 @@ def ginibre(d: int, rng: np.random.Generator, size: int | None = None) -> np.nda
 def _block_rows(d: int) -> int:
     """Unitaries per sub-stack of ``haar_blocks`` at dimension d."""
     return max(1, _BLOCK_ENTRIES // (d * d))
-
-
-def _orthonormaliser(d: int, size: int):
-    """The kernel for a stack of ``size`` unitaries over C^d: ``_cgs2`` when
-    d <= 6 and size >= 256, else LAPACK's QR with the phase fix."""
-    return _cgs2 if d <= _CGS2_MAX_DIM and size >= _CGS2_MIN_SIZE else _phase_fixed_qr
 
 
 def _phase_fixed_qr(re: np.ndarray, im: np.ndarray) -> np.ndarray:
@@ -197,7 +182,10 @@ def haar_blocks(d: int, gen: np.random.Generator, size: int):
     _check_count("dimension", d, 1)
     _check_count("size", size, 0)
     step = _block_rows(d)
-    orthonormalise = _orthonormaliser(d, size)
+    if d <= _CGS2_MAX_DIM and size >= _CGS2_MIN_SIZE:
+        orthonormalise = _cgs2
+    else:
+        orthonormalise = _phase_fixed_qr
     if size <= step:
         real = [gen.standard_normal((size, d, d))] if size else []
         return _orthonormalised(real, gen, orthonormalise)
@@ -219,31 +207,26 @@ def _orthonormalised(real, gen: np.random.Generator, orthonormalise):
 def haar_unitary(d: int, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
     """Haar-random unitary over C^d via phase-fixed QR of a Ginibre matrix.
 
-    With ``size`` set, returns a stacked array of shape (size, d, d), bit for
-    bit the sub-stacks of ``haar_blocks``: all real parts are drawn first,
-    then the imaginary parts, and a stack of at least 256 unitaries at d <= 6
-    takes its Gram-Schmidt kernel. A stack that fits in one sub-stack, as
-    every ``basic_certify`` chunk does, is drawn directly: two
-    ``standard_normal`` calls and one kernel call. A longer one streams its
-    real parts through ``haar_blocks`` and is copied into the result one
+    With ``size`` set, returns a stacked array of shape (size, d, d): the
+    sub-stacks of ``haar_blocks``, so all real parts are drawn first, then the
+    imaginary parts, and a stack of at least 256 unitaries at d <= 6 takes its
+    Gram-Schmidt kernel. A stack that fits in one sub-stack, as every
+    ``basic_certify`` chunk does, is that sub-stack itself, without a copy.
+    A longer one streams its real parts and is copied into the result one
     sub-stack at a time, so it needs the result plus a fixed number of
     sub-stacks.
     """
-    _check_count("dimension", d, 1)
-    n = 1 if size is None else size
-    _check_count("size", n, 0)
-    if n > _block_rows(d):
-        out = np.empty((n, d, d), dtype=complex)
-        start = 0
-        for block in haar_blocks(d, rng, n):
-            out[start:start + len(block)] = block
-            start += len(block)
-        return out
-    if n == 0:
-        return np.empty((0, d, d), dtype=complex)
-    re = rng.standard_normal((n, d, d))
-    q = _orthonormaliser(d, n)(re, rng.standard_normal(re.shape))
-    return q[0] if size is None else q
+    blocks = haar_blocks(d, rng, 1 if size is None else size)
+    if size is None:
+        return next(blocks)[0]
+    if size <= _block_rows(d):
+        return next(blocks, np.empty((0, d, d), dtype=complex))
+    out = np.empty((size, d, d), dtype=complex)
+    start = 0
+    for block in blocks:
+        out[start:start + len(block)] = block
+        start += len(block)
+    return out
 
 
 def haar_isometry(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:

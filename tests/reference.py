@@ -21,7 +21,7 @@ from qcert import cli
 from qcert.certify import CertifyConfig
 from qcert.linalg import (PSD_TOL, DensityMatrix, ValidationError, _mat, check_hermitian,
                           hermitian_part)
-from qcert.measurement import (PROB_FLOOR, CopySource, UndefinedOutcomeError,
+from qcert.measurement import (PROB_FLOOR, CopySource, UndefinedOutcomeError, _block,
                                outcome_distribution)
 from qcert.rng import RngHandle
 from qcert.spectrum import Spectrum
@@ -162,8 +162,8 @@ def scalar_phi(m, rho, rho_u, rho_v) -> float:
     """phi of one state pair as a loop over outcomes, every law computed
     afresh: the rule that ``phi_table`` runs over all pairs at once."""
     p0 = outcome_distribution(rho, m)
-    pu = m.weights(_mat(rho_u))
-    pv = m.weights(_mat(rho_v))
+    pu = m.weights(_block(_mat(rho_u)))
+    pv = m.weights(_block(_mat(rho_v)))
     total = 0.0
     for z in range(p0.size):
         if p0[z] <= PROB_FLOOR:

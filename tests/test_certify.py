@@ -615,17 +615,24 @@ class TestRoundPins:
         got = (v.answer, v.copies_used, diag.get("rounds_run"), diag.get("rejections"))
         assert got == self.PINS[kind, d]
 
-    @pytest.mark.parametrize("kind, gathered, run", [("rotated", 1, 28), ("mixed", 0, 21)])
-    def test_blocks_read_once_per_call(self, kind, gathered, run, monkeypatch):
-        """Over 3 or 4 chunks of 7 rounds, a conditional view gathers its
-        block at most once and no k x k matrix has its nonzeros counted: a
-        dense block shows an off-diagonal entry in its first row, and a
-        diagonal state, read when it was built, is measured through its
-        entries."""
+    @pytest.mark.parametrize("kind, gathered, counted, run",
+                             [("rotated", 1, 0, 28), ("mixed", 0, 0, 21), ("row0", 1, 1, 28)])
+    def test_blocks_read_once_per_call(self, kind, gathered, counted, run, monkeypatch):
+        """Over 3 or more chunks of 7 rounds, a conditional view gathers its
+        block at most once and counts its nonzeros at most once. A dense
+        block shows an off-diagonal entry in its first row and is not
+        counted; a diagonal state, read when it was built, is measured
+        through its entries; a dense block whose first row is diagonal is
+        counted on the first chunk only."""
         if kind == "rotated":
             src, sigma = round_guard_case("rotated", 33)
-        else:
+        elif kind == "mixed":
             src = CopySource(DensityMatrix.maximally_mixed(66)).conditional(range(0, 66, 2))
+            sigma = DensityMatrix.maximally_mixed(33)
+        else:
+            mat = np.zeros((66, 66), dtype=complex)
+            mat[0, 0], mat[1:, 1:] = 0.5, 0.5 * random_density(65, rng_for("round-guard", "row0")).mat
+            src = CopySource(DensityMatrix(mat)).conditional(range(0, 66, 2))
             sigma = DensityMatrix.maximally_mixed(33)
         counts, gathers = [], []
         count_nonzero, ix = np.count_nonzero, np.ix_
@@ -635,7 +642,7 @@ class TestRoundPins:
         monkeypatch.setattr(np, "ix_", lambda *args: gathers.append(len(args)) or ix(*args))
         v = basic_certify(src, sigma, 0.5, 0.1, CFG, rng=RngHandle(5).child("round-guard", 33))
         assert v.diagnostics["rounds_run"] == run
-        assert counts == [] and len(gathers) == gathered
+        assert counts == [(33, 33)] * counted and len(gathers) == gathered
 
 
 class TestLazySweep:

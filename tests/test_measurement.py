@@ -10,6 +10,7 @@ from qcert.measurement import (
     BudgetExhaustedError,
     CopySource,
     UndefinedOutcomeError,
+    _block,
     outcome_distribution,
     phi,
     phi_table,
@@ -68,7 +69,7 @@ class TestBasis:
         reused) and on a dense one. At d = 2 the stack takes Gram-Schmidt."""
         gen = rng_for("meas", "trusted", d)
         us = haar_unitary(d, gen, size=r)
-        diagonal = DensityMatrix.from_diagonal(gen.dirichlet(np.ones(d))).mat
+        diagonal = DensityMatrix.from_diagonal(gen.dirichlet(np.ones(d))).diagonal_entries
         dense = random_density(d, gen).mat
         trusted, checked = Basis.trusted(us), Basis(us)
         for block in (diagonal, dense, diagonal):
@@ -81,7 +82,8 @@ def dense_weights(u: np.ndarray, block: np.ndarray) -> np.ndarray:
 
 
 class TestDiagonalKernel:
-    """Basis.weights takes an O(d^2) kernel when the block is exactly diagonal."""
+    """A block read by ``_block`` takes Basis.weights' O(d^2) kernel when it is
+    exactly diagonal."""
 
     @settings(max_examples=60)
     @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 40),
@@ -102,7 +104,7 @@ class TestDiagonalKernel:
         assert np.abs(p - dense_weights(m.u, block)).max() <= 1e-12
         assert abs(src.acceptance - np.diagonal(block).real.sum()) <= 1e-12
         for t in range(len(m.u) if r else 0):  # a stack's rows are its bases held alone
-            assert np.array_equal(p[t], Basis(m.u[t]).weights(block))
+            assert np.array_equal(p[t], Basis(m.u[t]).weights(np.diagonal(block).real))
 
     @settings(max_examples=40)
     @given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 40),
@@ -116,6 +118,7 @@ class TestDiagonalKernel:
         block[i, j] = scale * (gen.random() + 1j * gen.random())
         block[j, i] = np.conj(block[i, j])
         u = haar_unitary(d, gen, size=r)
+        assert _block(block) is block
         assert np.array_equal(Basis(u).weights(block), dense_weights(u, block))
 
 
@@ -128,8 +131,8 @@ class TestDiagonalKernel:
         leaves it as it was."""
         gen = RngHandle(seed).child("shared-kernel").generator()
         m = Basis(haar_unitary(d, gen, size=r))
-        blocks = [np.diag(gen.dirichlet(np.ones(d))).astype(complex) for _ in range(2)]
-        dense = blocks[0] + np.triu(np.full((d, d), 1e-3), 1) + np.tril(np.full((d, d), 1e-3), -1)
+        blocks = [gen.dirichlet(np.ones(d)) for _ in range(2)]
+        dense = np.diag(blocks[0]) + np.triu(np.full((d, d), 1e-3), 1) + np.tril(np.full((d, d), 1e-3), -1)
         fresh = [Basis(m.u).weights(b) for b in blocks]
         sq = m.u.real**2 + m.u.imag**2
         for b, want in zip(blocks + [dense] + blocks, fresh + [None] + fresh):
@@ -138,18 +141,23 @@ class TestDiagonalKernel:
                 assert np.array_equal(got, dense_weights(m.u, b))
             else:
                 assert np.array_equal(got, want)
-                assert np.array_equal(got, np.sum(sq * np.diagonal(b).real[:, None], axis=-2))
+                assert np.array_equal(got, np.sum(sq * b[:, None], axis=-2))
 
     @settings(max_examples=30)
     @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 40),
            r=st.none() | st.integers(1, 4))
-    def test_diagonal_given_as_its_entries(self, seed, d, r):
-        """A diagonal block passed as its real diagonal has the weights of the
-        matrix, bit for bit."""
+    def test_diagonal_read_as_its_entries(self, seed, d, r):
+        """``_block`` reads a diagonal matrix as its real diagonal, bit for
+        bit, which the O(d^2) kernel measures; a state built from its
+        diagonal keeps the same entries."""
         gen = RngHandle(seed).child("diag-entries").generator()
         lam = gen.dirichlet(np.ones(d))
+        block = _block(np.diag(lam).astype(complex))
+        assert block.ndim == 1 and block.tobytes() == lam.tobytes()
+        assert DensityMatrix.from_diagonal(lam).diagonal_entries.tobytes() == lam.tobytes()
         m = Basis(haar_unitary(d, gen, size=r))
-        assert np.array_equal(m.weights(lam), Basis(m.u).weights(np.diag(lam).astype(complex)))
+        sq = m.u.real**2 + m.u.imag**2
+        assert np.array_equal(m.weights(block), np.sum(sq * lam[:, None], axis=-2))
 
 
 class TestSamplingProbs:
