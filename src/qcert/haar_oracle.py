@@ -24,6 +24,17 @@ of a Haar U. With F = sum_{lam |- 4} s_lam(M) chi_lam / prod_cells (d + content)
     E[Z^2] = d E[x_1^4] + d (d-1) E[x_1^2 x_2^2],
     E[x_1^4] = 24 s_(4)(M) / (d (d+1) (d+2) (d+3)),
     E[x_1^2 x_2^2] = F(1^4) + 2 F(2,1,1) + F(2,2).
+
+The class data is computed once per process. Per order k (``_classes``):
+the partitions, chi_lam(mu) (a read-only table, and its columns as Python
+ints), z_mu and chi_lam(1), from one walk over the hooks and contents of each
+lam. Per (k, d) (``_classes_at``): the content products prod_cells (d + content)
+and the weights k! / product, as read-only arrays. A call then does only
+matrix work. ``haar_moment`` forms Tr(A^i) and Tr(B^i) for i = 1..k in one
+stacked pass of k - 1 matmuls, starting from A and B, and combines them with
+the cached tables. ``_ez2_exact`` does the same for one matrix at k = 4.
+``weingarten_table``, which is cached per (k, d), makes one exact integer sum
+per cycle type.
 """
 
 from __future__ import annotations
@@ -37,7 +48,7 @@ import numpy as np
 
 from .linalg import DensityMatrix, ValidationError, check_hermitian
 from .measurement import Basis, _block, outcome_distribution, phi_table
-from .rng import haar_blocks
+from .rng import _check_count, haar_blocks
 
 MAX_ORDER = 6
 # exact_transcript_divergence refuses schedules with more transcripts than this.
@@ -49,7 +60,6 @@ _SECOND_MOMENT_MULTIPLIER = 1.5
 _MOMENTS_CHUNK = 100_000
 
 
-@lru_cache(maxsize=None)
 def _partitions(k: int) -> tuple[tuple[int, ...], ...]:
     """Partitions of k in descending parts, from (k,) down to (1,) * k."""
 
@@ -88,15 +98,6 @@ def _character(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
     return total
 
 
-@lru_cache(maxsize=None)
-def _character_table(k: int) -> np.ndarray:
-    """chi[i, j] = chi_lam(mu) for lam = _partitions(k)[i], mu = _partitions(k)[j]."""
-    parts = _partitions(k)
-    table = np.array([[_character(lam, mu) for mu in parts] for lam in parts], dtype=np.int64)
-    table.flags.writeable = False  # shared by every caller of the cache
-    return table
-
-
 def _hooks_and_contents(lam: tuple[int, ...]) -> list[tuple[int, int]]:
     """(hook length, content j - i) of every cell (i, j) of the Young diagram of lam."""
     column_heights = [sum(part > j for part in lam) for j in range(lam[0])]
@@ -104,46 +105,100 @@ def _hooks_and_contents(lam: tuple[int, ...]) -> list[tuple[int, int]]:
             for i, part in enumerate(lam) for j in range(part)]
 
 
-def _dimension(lam: tuple[int, ...]) -> int:
-    """chi_lam(1) = k! / prod of the hook lengths (hook-length formula)."""
-    hooks = math.prod(h for h, _ in _hooks_and_contents(lam))
-    return math.factorial(sum(lam)) // hooks
+def _read_only(values, dtype) -> np.ndarray:
+    out = np.array(values, dtype=dtype)
+    out.flags.writeable = False  # shared by every caller of the cache
+    return out
 
 
-def _content_product(lam: tuple[int, ...], d: int) -> int:
-    """prod over cells of (d + content).
+@dataclass(frozen=True)
+class _Classes:
+    """The class data of S_k that depends on k alone; ``_classes`` builds it once per k.
 
-    By the hook-content and hook-length formulas,
-    s_lam(1^d) = prod (d + content) / prod hook = chi_lam(1) * this / k!.
+    Row i of ``chi`` is lam = parts[i] and column j is mu = parts[j], so the
+    trivial character is row 0 and the identity class (1^k) the last column.
     """
-    return math.prod(d + c for _, c in _hooks_and_contents(lam))
+
+    parts: tuple[tuple[int, ...], ...]
+    chi: np.ndarray  # chi[i, j] = chi_lam(mu), exact in float64, the dtype it multiplies
+    columns: tuple[tuple[int, ...], ...]  # chi[:, j] as Python ints, for exact sums
+    z: np.ndarray  # z_mu = prod_i i^{m_i} m_i!, m_i the parts of mu equal to i
+    dims: tuple[int, ...]  # chi_lam(1) = k! / prod of the hook lengths
+    contents: tuple[tuple[int, ...], ...]  # the content j - i of every cell of lam
+    # cycles[j] indexes Tr(M^c) for each part c of mu = parts[j] in the row
+    # (Tr M, ..., Tr M^k, 1); the trailing 1 pads mu to k factors.
+    cycles: np.ndarray
 
 
 @lru_cache(maxsize=None)
-def _centralizer(mu: tuple[int, ...]) -> int:
-    """z_mu = prod_i i^{m_i} m_i!, where m_i counts the parts of mu equal to i."""
-    return math.prod(i**m * math.factorial(m) for i, m in Counter(mu).items())
+def _classes(k: int) -> _Classes:
+    parts = _partitions(k)
+    rows = [[_character(lam, mu) for mu in parts] for lam in parts]
+    cells = [_hooks_and_contents(lam) for lam in parts]
+    return _Classes(
+        parts=parts,
+        chi=_read_only(rows, float),
+        columns=tuple(zip(*rows)),
+        z=_read_only([math.prod(i**m * math.factorial(m) for i, m in Counter(mu).items())
+                      for mu in parts], float),
+        dims=tuple(math.factorial(k) // math.prod(h for h, _ in lam_cells) for lam_cells in cells),
+        contents=tuple(tuple(c for _, c in lam_cells) for lam_cells in cells),
+        cycles=_read_only([[c - 1 for c in mu] + [k] * (k - len(mu)) for mu in parts], np.intp),
+    )
+
+
+@dataclass(frozen=True)
+class _ClassesAtD:
+    """The class data of S_k at dimension d; ``_classes_at`` builds it once per (k, d).
+
+    By the hook-content and hook-length formulas,
+    s_lam(1^d) = prod_cells (d + content) / prod hook = chi_lam(1) * product / k!.
+    """
+
+    products: tuple[int, ...]  # prod_cells (d + content) of each lam
+    divisors: np.ndarray  # the same as floats
+    weights: np.ndarray  # chi_lam(1) / s_lam(1^d) = k! / product
+
+
+@lru_cache(maxsize=None)
+def _classes_at(k: int, d: int) -> _ClassesAtD:
+    products = tuple(math.prod(d + c for c in contents) for contents in _classes(k).contents)
+    return _ClassesAtD(
+        products=products,
+        divisors=_read_only(products, float),
+        weights=_read_only([math.factorial(k) / prod for prod in products], float),
+    )
 
 
 def _check_order(order: int, d: int) -> None:
-    if order < 1 or order > MAX_ORDER:
+    """Integers (not bools, by rng._check_count) with 1 <= order <= MAX_ORDER and d >= order."""
+    _check_count("order", order, 1)
+    if order > MAX_ORDER:
         raise ValidationError(f"order must be in 1..{MAX_ORDER}, got {order}")
-    if d < order:
-        raise ValidationError(f"need d >= order (d={d}, order={order})")
+    _check_count("d", d, order)
 
 
-def _schur(mat: np.ndarray, order: int) -> np.ndarray:
-    """s_lam(M) = sum_mu chi_lam(mu) p_mu(M) / z_mu for lam in _partitions(order),
-    with p_i = Tr(M^i)."""
-    acc = np.eye(mat.shape[0], dtype=complex)
-    p = []
-    for _ in range(order):
-        acc = acc @ mat
-        p.append(float(np.trace(acc).real))
-    parts = _partitions(order)
-    p_mu = np.array([math.prod(p[c - 1] for c in mu) for mu in parts])
-    z = np.array([_centralizer(mu) for mu in parts], dtype=float)
-    return _character_table(order) @ (p_mu / z)
+def _schur(mats: np.ndarray, order: int) -> np.ndarray:
+    """s[n, i] = s_lam(M_n) = sum_mu chi_lam(mu) p_mu(M_n) / z_mu for lam =
+    _partitions(order)[i] and each M_n of a complex (N, d, d) stack, with
+    p_i = Tr(M^i).
+
+    The powers M^2, ..., M^order come from order - 1 stacked matmuls, which give
+    each matrix the bits of its own matmul chain, and each trace sums its
+    diagonal as np.trace does; p_mu multiplies its factors left to right.
+    """
+    cls = _classes(order)
+    diagonals = np.zeros((len(mats), order + 1, mats.shape[-1]), dtype=complex)
+    diagonals[:, order, 0] = 1  # a row that sums to exactly 1 pads each p_mu
+    power = mats
+    for i in range(order):
+        if i:
+            power = power @ mats
+        diagonals[:, i] = power.diagonal(axis1=1, axis2=2)
+    traces = np.add.reduce(diagonals, axis=-1).real
+    p_mu = np.multiply.reduce(traces[:, cls.cycles], axis=-1)
+    # one matrix-vector product per matrix: a single (p_mu / z) @ chi.T gemm rounds differently
+    return (cls.chi @ (p_mu / cls.z)[..., None])[..., 0]
 
 
 class WeingartenTable:
@@ -160,7 +215,7 @@ class WeingartenTable:
         return self.values[key]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def weingarten_table(order: int, d: int) -> WeingartenTable:
     """Wg(mu, d) for every cycle type mu of S_order, from the characters of S_order.
 
@@ -168,17 +223,17 @@ def weingarten_table(order: int, d: int) -> WeingartenTable:
     sum_lam chi_lam(1) chi_lam(mu) / (k! prod_cells (d + content)), once per
     cycle type. The sum is taken exactly over a common integer denominator,
     so each value is rounded to float once. Requires d >= order, so every
-    partition lam has at most d parts and s_lam(1^d) > 0.
+    partition lam has at most d parts and s_lam(1^d) > 0. The cache is typed,
+    so 2.0 or True never reach a cached table of order 2 or 1: every new type
+    of argument is validated.
     """
     _check_order(order, d)
-    parts = _partitions(order)
-    chi = _character_table(order)
-    products = [_content_product(lam, d) for lam in parts]
-    common = math.lcm(*products)
-    weights = [_dimension(lam) * (common // prod) for lam, prod in zip(parts, products)]
+    cls, at_d = _classes(order), _classes_at(order, d)
+    common = math.lcm(*at_d.products)
+    weights = [dim * (common // prod) for dim, prod in zip(cls.dims, at_d.products)]
     denominator = math.factorial(order) * common
-    values = {mu: sum(w * int(chi[i, j]) for i, w in enumerate(weights)) / denominator
-              for j, mu in enumerate(parts)}
+    values = {mu: sum(w * c for w, c in zip(weights, column)) / denominator
+              for mu, column in zip(cls.parts, cls.columns)}
     return WeingartenTable(order, values)
 
 
@@ -194,10 +249,8 @@ def haar_moment(a, b, order: int) -> float:
         raise ValidationError("A and B must share a dimension")
     d = ma.shape[0]
     _check_order(order, d)
-    # chi_lam(1) / s_lam(1^d) = k! / prod_cells (d + content)
-    weight = np.array([math.factorial(order) / _content_product(lam, d)
-                       for lam in _partitions(order)])
-    return float(np.sum(weight * _schur(ma, order) * _schur(mb, order)))
+    sa, sb = _schur(np.array((ma, mb)), order)
+    return float(np.add.reduce(_classes_at(order, d).weights * sa * sb))
 
 
 def _ez2_exact(mat: np.ndarray, d: int) -> float:
@@ -209,9 +262,9 @@ def _ez2_exact(mat: np.ndarray, d: int) -> float:
     and E[x_1^2 x_2^2] sums F over the four permutations preserving {1, 2}
     and {3, 4}.
     """
-    parts = _partitions(4)  # (4,) first
-    coef = _schur(mat, 4) / np.array([_content_product(lam, d) for lam in parts], dtype=float)
-    f = dict(zip(parts, coef @ _character_table(4)))
+    cls = _classes(4)  # (4,) first
+    coef = _schur(np.asarray(mat, dtype=complex)[None], 4)[0] / _classes_at(4, d).divisors
+    f = dict(zip(cls.parts, coef @ cls.chi))
     e4 = 24 * coef[0]
     e22 = f[(1, 1, 1, 1)] + 2 * f[(2, 1, 1)] + f[(2, 2)]
     return float(d * e4 + d * (d - 1) * e22)

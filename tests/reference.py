@@ -10,15 +10,19 @@ second-moment constants (criterion 10) are the facts the acceptance criteria
 check. ``eager_success`` and ``eager_minimal_copies`` run every trial of every
 sweep probe, the rule the program's early-stopping sweep must reproduce.
 ``scalar_phi`` is phi's per-pair loop, which ``phi_table`` must reproduce bit
-for bit.
+for bit. ``weingarten_values``, ``haar_moment`` and ``ez2_exact`` rebuild the
+S_k class data on every call, as the exact oracles once did; the oracles'
+once-per-order tables must give their values bit for bit.
 """
 
 import math
+from collections import Counter
 
 import numpy as np
 
 from qcert import cli
 from qcert.certify import CertifyConfig
+from qcert.haar_oracle import _character, _hooks_and_contents, _partitions
 from qcert.linalg import (PSD_TOL, DensityMatrix, ValidationError, _mat, check_hermitian,
                           hermitian_part)
 from qcert.measurement import (PROB_FLOOR, CopySource, UndefinedOutcomeError, _block,
@@ -221,3 +225,67 @@ def eager_minimal_copies(d: int, eps: float, seed: int, trials: int, target: flo
         else:
             lo = mid
     return hi
+
+
+def character_table(k: int) -> np.ndarray:
+    parts = _partitions(k)
+    return np.array([[_character(lam, mu) for mu in parts] for lam in parts], dtype=np.int64)
+
+
+def dimension(lam: tuple[int, ...]) -> int:
+    """chi_lam(1) = k! / prod of the hook lengths."""
+    return math.factorial(sum(lam)) // math.prod(h for h, _ in _hooks_and_contents(lam))
+
+
+def content_product(lam: tuple[int, ...], d: int) -> int:
+    """prod over the cells of lam of (d + content)."""
+    return math.prod(d + c for _, c in _hooks_and_contents(lam))
+
+
+def centralizer(mu: tuple[int, ...]) -> int:
+    """z_mu = prod_i i^{m_i} m_i!, where m_i counts the parts of mu equal to i."""
+    return math.prod(i**m * math.factorial(m) for i, m in Counter(mu).items())
+
+
+def schur(mat: np.ndarray, order: int) -> np.ndarray:
+    """s_lam(M) for lam in _partitions(order), with p_i = Tr(M^i) from M^0 = I."""
+    acc = np.eye(mat.shape[0], dtype=complex)
+    p = []
+    for _ in range(order):
+        acc = acc @ mat
+        p.append(float(np.trace(acc).real))
+    parts = _partitions(order)
+    p_mu = np.array([math.prod(p[c - 1] for c in mu) for mu in parts])
+    z = np.array([centralizer(mu) for mu in parts], dtype=float)
+    return character_table(order) @ (p_mu / z)
+
+
+def weingarten_values(order: int, d: int) -> dict[tuple[int, ...], float]:
+    """Wg(mu, d) for every cycle type mu of S_order, over a common integer denominator."""
+    parts = _partitions(order)
+    chi = character_table(order)
+    products = [content_product(lam, d) for lam in parts]
+    common = math.lcm(*products)
+    weights = [dimension(lam) * (common // prod) for lam, prod in zip(parts, products)]
+    denominator = math.factorial(order) * common
+    return {mu: sum(w * int(chi[i, j]) for i, w in enumerate(weights)) / denominator
+            for j, mu in enumerate(parts)}
+
+
+def haar_moment(a, b, order: int) -> float:
+    """E_U[Tr(A U^dag B U)^order] = sum_lam chi_lam(1) s_lam(A) s_lam(B) / s_lam(1^d)."""
+    ma, mb = check_hermitian(a), check_hermitian(b)
+    d = ma.shape[0]
+    weight = np.array([math.factorial(order) / content_product(lam, d)
+                       for lam in _partitions(order)])
+    return float(np.sum(weight * schur(ma, order) * schur(mb, order)))
+
+
+def ez2_exact(mat: np.ndarray, d: int) -> float:
+    """E[Z^2] = d E[x_1^4] + d (d-1) E[x_1^2 x_2^2] from the characters of S_4."""
+    parts = _partitions(4)
+    coef = schur(mat, 4) / np.array([content_product(lam, d) for lam in parts], dtype=float)
+    f = dict(zip(parts, coef @ character_table(4)))
+    e4 = 24 * coef[0]
+    e22 = f[(1, 1, 1, 1)] + 2 * f[(2, 1, 1)] + f[(2, 2)]
+    return float(d * e4 + d * (d - 1) * e22)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -11,9 +12,8 @@ from qcert import haar_oracle
 from qcert import rng as rng_module
 from qcert.cli import haar_schedule
 from qcert.haar_oracle import (
-    _centralizer,
-    _character_table,
-    _dimension,
+    _classes,
+    _classes_at,
     _ez2_exact,
     _partitions,
     exact_transcript_divergence,
@@ -28,6 +28,7 @@ from qcert.linalg import DensityMatrix, ValidationError
 from qcert.measurement import Basis
 from qcert.rng import haar_unitary
 
+import reference
 from conftest import random_hermitian, random_traceless, rng_for
 
 
@@ -100,33 +101,61 @@ class TestCharacters:
     @pytest.mark.parametrize("k", range(1, 9))
     def test_row_orthogonality(self, k):
         # sum_mu chi_lam(mu) chi_nu(mu) / z_mu = [lam == nu], scaled by k! to stay integral
-        chi = _character_table(k)
-        class_sizes = np.array([math.factorial(k) // _centralizer(mu) for mu in _partitions(k)])
-        assert np.array_equal((chi * class_sizes) @ chi.T,
-                              math.factorial(k) * np.eye(len(chi), dtype=np.int64))
+        cls = _classes(k)
+        class_sizes = np.array([math.factorial(k) // int(z) for z in cls.z])
+        assert np.array_equal((cls.chi * class_sizes) @ cls.chi.T,
+                              math.factorial(k) * np.eye(len(cls.chi), dtype=np.int64))
 
     @pytest.mark.parametrize("k", range(1, 9))
     def test_column_orthogonality(self, k):
         # sum_lam chi_lam(mu) chi_lam(nu) = z_mu [mu == nu]
-        chi = _character_table(k)
-        z = [_centralizer(mu) for mu in _partitions(k)]
-        assert np.array_equal(chi.T @ chi, np.diag(z))
+        cls = _classes(k)
+        assert np.array_equal(cls.chi.T @ cls.chi, np.diag(cls.z))
 
     @pytest.mark.parametrize("k", range(1, 9))
     def test_dimensions(self, k):
         # the identity class (1^k) is the last column
-        chi = _character_table(k)
-        dims = [_dimension(lam) for lam in _partitions(k)]
-        assert list(chi[:, -1]) == dims
-        assert sum(dim**2 for dim in dims) == math.factorial(k)
+        cls = _classes(k)
+        assert list(cls.chi[:, -1]) == list(cls.dims)
+        assert list(cls.dims) == [reference.dimension(lam) for lam in cls.parts]
+        assert sum(dim**2 for dim in cls.dims) == math.factorial(k)
 
     @pytest.mark.parametrize("k", range(1, 9))
     def test_trivial_and_sign_rows(self, k):
-        chi = _character_table(k)
-        parts = _partitions(k)
+        cls = _classes(k)
+        parts = cls.parts
+        assert parts == _partitions(k)
         assert parts[0] == (k,) and parts[-1] == (1,) * k
-        assert all(chi[0] == 1)
-        assert list(chi[-1]) == [(-1) ** (k - len(mu)) for mu in parts]
+        assert all(cls.chi[0] == 1)
+        assert list(cls.chi[-1]) == [(-1) ** (k - len(mu)) for mu in parts]
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_table_matches_its_int_columns_and_the_rule(self, k):
+        cls = _classes(k)
+        table = reference.character_table(k)
+        assert np.array_equal(cls.chi, table)
+        assert cls.columns == tuple(tuple(int(v) for v in col) for col in table.T)
+        assert all(type(v) is int for col in cls.columns for v in col)
+        assert list(cls.z) == [reference.centralizer(mu) for mu in cls.parts]
+
+    @pytest.mark.parametrize("k, d", [(1, 1), (3, 5), (4, 4), (6, 9)])
+    def test_content_products_and_weights(self, k, d):
+        at_d = _classes_at(k, d)
+        want = [reference.content_product(lam, d) for lam in _partitions(k)]
+        assert list(at_d.products) == want
+        assert list(at_d.divisors) == [float(p) for p in want]
+        assert list(at_d.weights) == [math.factorial(k) / p for p in want]
+
+    @pytest.mark.parametrize("k, d", [(1, 3), (4, 4), (6, 8)])
+    def test_cached_arrays_reject_writes(self, k, d):
+        cls, at_d = _classes(k), _classes_at(k, d)
+        for arr in (cls.chi, cls.z, cls.cycles, at_d.divisors, at_d.weights):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cls.chi = np.zeros_like(cls.chi)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            at_d.weights = np.zeros_like(at_d.weights)
 
 
 class TestWeingarten:
@@ -304,6 +333,87 @@ class TestExactSecondMoment:
             m[0, 0] = 1.0
             want = (24 * d + 4 * d * (d - 1)) / (d * (d + 1) * (d + 2) * (d + 3))
             assert _ez2_exact(m, d) == pytest.approx(want, rel=1e-13)
+
+
+class TestAgainstReference:
+    """The cached class data gives the values of the per-call formulas bit for bit."""
+
+    @pytest.mark.parametrize("order", range(1, 7))
+    def test_weingarten_table(self, order):
+        for d in range(order, 13):
+            assert weingarten_table(order, d).values == reference.weingarten_values(order, d)
+
+    @pytest.mark.parametrize("order", range(1, 7))
+    def test_haar_moment(self, order):
+        gen = rng_for("oracle", "reference-moment", order)
+        for d in sorted({order, order + 1, 9}):
+            for _ in range(3):
+                a = random_hermitian(d, gen)
+                b = random_hermitian(d, gen) + gen.standard_normal() * np.eye(d)
+                assert haar_moment(a, b, order) == reference.haar_moment(a, b, order)
+
+    @pytest.mark.parametrize("d", range(4, 12))
+    def test_exact_second_moment(self, d):
+        gen = rng_for("oracle", "reference-ez2", d)
+        h = random_hermitian(d, gen)
+        for m in (h, random_traceless(d, gen), h.real + h.real.T):
+            assert _ez2_exact(m, d) == reference.ez2_exact(m, d)
+
+
+class TestClassDataOnce:
+    @pytest.mark.parametrize("order, d", [(1, 3), (2, 6), (4, 4), (4, 9), (6, 7)])
+    def test_later_calls_rebuild_no_class_data(self, order, d, monkeypatch):
+        gen = rng_for("oracle", "once", order, d)
+        a, b = random_hermitian(d, gen), random_hermitian(d, gen)
+
+        def calls():
+            values = [haar_moment(a, b, order), weingarten_table(order, d).values]
+            return values + [_ez2_exact(a, d)] if order == 4 else values
+
+        first = calls()
+        counts = {}
+        for name in ("_hooks_and_contents", "_character"):
+            def counting(*args, name=name, original=getattr(haar_oracle, name)):
+                counts[name] = counts.get(name, 0) + 1
+                return original(*args)
+
+            monkeypatch.setattr(haar_oracle, name, counting)
+        weingarten_table.cache_clear()  # the table is rebuilt, from the cached class data
+        assert calls() == first
+        assert counts == {}
+
+
+class TestIntegerArguments:
+    BAD = [(2.0, 6), (2.5, 6), (True, 6), (2, 6.5), (1, True)]
+
+    @pytest.mark.parametrize("order, d", BAD)
+    def test_weingarten_table_cold_and_cached(self, order, d):
+        weingarten_table.cache_clear()
+        with pytest.raises(ValidationError, match="must be an integer"):
+            weingarten_table(order, d)
+        for cached in ((2, 6), (1, 6), (1, 1)):
+            weingarten_table(*cached)
+        with pytest.raises(ValidationError, match="must be an integer"):
+            weingarten_table(order, d)
+
+    @pytest.mark.parametrize("order", [2.0, 2.5, True, np.float64(2)])
+    def test_haar_moment_cold_and_cached(self, order):
+        gen = rng_for("oracle", "integer-order")
+        a, b = random_hermitian(6, gen), random_hermitian(6, gen)
+        _classes.cache_clear()
+        _classes_at.cache_clear()
+        with pytest.raises(ValidationError, match="must be an integer"):
+            haar_moment(a, b, order)
+        haar_moment(a, b, 1)
+        haar_moment(a, b, 2)
+        with pytest.raises(ValidationError, match="must be an integer"):
+            haar_moment(a, b, order)
+
+    def test_numpy_integers_accepted(self):
+        gen = rng_for("oracle", "numpy-integer")
+        a, b = random_hermitian(7, gen), random_hermitian(7, gen)
+        assert weingarten_table(np.int64(3), np.int64(7)).values == weingarten_table(3, 7).values
+        assert haar_moment(a, b, np.int64(3)) == haar_moment(a, b, 3)
 
 
 class TestVerifyMoments:
