@@ -248,12 +248,21 @@ def sweep_success(d: int, eps: float, seed: int, trials: int, target: float, n_c
     is right on at least a ``target`` share of ``trials`` trials under both
     hypotheses: YES on I/d, NO on the spike alternative.
 
-    Trial t draws from ``RngHandle(seed).child("sweep", d, n_copies, t)``
-    alone, so trials can be skipped without moving what the others draw.
-    A hypothesis stops once it has ``need`` right verdicts, the least k with
+    Trial t of hypothesis h draws from
+    ``RngHandle(seed).child("sweep", d, n_copies, t).child(h)`` alone (the
+    spike state from ``.child("state")`` of the trial's handle), so trials can
+    be skipped or reordered without moving what the others draw. A hypothesis
+    stops once it has ``need`` right verdicts, the least k with
     ``k / trials >= target``; the probe stops with False once either
     hypothesis has more than ``trials - need`` wrong ones. The answer is
     that of running every trial and testing ``min(right) / trials >= target``.
+
+    The next trial goes to the unfinished hypothesis with the most wrong
+    verdicts, ties to the one with fewer trials run, then to null; while the
+    wrong counts are level this alternates null and alt. A succeeding probe
+    makes the same calls under any order, since each hypothesis runs until its
+    own ``need``-th right verdict; a failing one reaches its deciding wrong
+    verdict sooner, since the hypothesis nearer to failing gets the trials.
     """
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
@@ -270,24 +279,24 @@ def sweep_success(d: int, eps: float, seed: int, trials: int, target: float, n_c
     while math.ceil(c_basic * math.sqrt(d) / eps**2) > n_copies:
         c_basic = math.nextafter(c_basic, 0.0)
     cfg = CertifyConfig(c_basic=c_basic)
+    probe = RngHandle(seed).child("sweep", d, n_copies)
     right = {"null": 0, "alt": 0}
     wrong = {"null": 0, "alt": 0}
-    for t in range(trials):
-        if min(right.values()) >= need:
-            break
-        handle = RngHandle(seed).child("sweep", d, n_copies, t)
-        for hyp, want in (("null", "YES"), ("alt", "NO")):
-            if right[hyp] >= need:
-                continue
-            rho = sigma if hyp == "null" else hidden_state("spike", spec, eps, handle.child("state"))
-            verdict = basic_certify(CopySource(rho), sigma, eps, delta, cfg, rng=handle.child(hyp))
-            if verdict.answer == want:
-                right[hyp] += 1
-            else:
-                wrong[hyp] += 1
-                if wrong[hyp] > trials - need:
-                    return False
-    return min(right.values()) >= need
+    while True:
+        unfinished = [hyp for hyp in ("null", "alt") if right[hyp] < need]
+        if not unfinished:
+            return True
+        # max keeps the first of equal keys, so null wins a full tie
+        hyp = max(unfinished, key=lambda h: (wrong[h], -right[h] - wrong[h]))
+        handle = probe.child(right[hyp] + wrong[hyp])
+        rho = sigma if hyp == "null" else hidden_state("spike", spec, eps, handle.child("state"))
+        verdict = basic_certify(CopySource(rho), sigma, eps, delta, cfg, rng=handle.child(hyp))
+        if verdict.answer == ("YES" if hyp == "null" else "NO"):
+            right[hyp] += 1
+        else:
+            wrong[hyp] += 1
+            if wrong[hyp] > trials - need:
+                return False
 
 
 def minimal_copies(d: int, eps: float, seed: int, trials: int, target: float,
@@ -296,9 +305,13 @@ def minimal_copies(d: int, eps: float, seed: int, trials: int, target: float,
     target success rate on both hypotheses (majority of 3 rounds).
 
     Each probe is ``sweep_success``, which stops a probe's trials once its
-    comparison with the target is fixed; the probes, and so the result, are
-    those of running all ``trials`` trials at every probe. The first probe
-    rejects ``trials < 1`` and a target outside (0, 1].
+    comparison with the target is fixed and gives its next trial to the
+    hypothesis with the most wrong verdicts; the probes, and so the result,
+    are those of running all ``trials`` trials at every probe. A succeeding
+    probe costs what it cost under strict null/alt alternation, because each
+    hypothesis still runs until its own ``need``-th right verdict; only
+    failing probes get cheaper. The first probe rejects ``trials < 1`` and a
+    target outside (0, 1].
     """
 
     def success(n_copies: int) -> bool:
@@ -331,6 +344,8 @@ def cmd_sweep(args) -> int:
             f"--d-list must be comma-separated integers, got {args.d_list!r}") from None
     if min(dims) < 2:
         raise ValidationError(f"--d-list entries must be >= 2, got {args.d_list!r}")
+    if len(set(dims)) < len(dims):
+        raise ValidationError(f"--d-list entries must be distinct, got {args.d_list!r}")
     if not 0 < args.target <= 1:
         raise ValidationError(f"--target must lie in (0, 1], got {args.target}")
     # the capped spike alternative sits at HS distance sqrt(1 - 1/d) from I/d
@@ -352,7 +367,9 @@ def cmd_sweep(args) -> int:
         se = float(np.sqrt((resid**2).sum() / dof / ((x - x.mean()) ** 2).sum()))
         payload["slope"] = float(slope)
         payload["slope_ci95"] = [float(slope - 1.96 * se), float(slope + 1.96 * se)]
-        payload["monotone"] = bool(np.all(np.diff([r["min_copies_per_round"] for r in rows]) >= 0))
+        # monotone in increasing d; the rows keep the order of --d-list
+        by_d = sorted(rows, key=lambda r: r["d"])
+        payload["monotone"] = bool(np.all(np.diff([r["min_copies_per_round"] for r in by_d]) >= 0))
     else:
         payload["slope"] = None
         payload["note"] = "slope undefined with a single dimension"

@@ -42,10 +42,12 @@ def hermitian_part(a) -> np.ndarray:
 def check_hermitian(a, tol: float = HERMITICITY_TOL) -> np.ndarray:
     """Validate hermiticity entrywise, then symmetrize to absorb roundoff."""
     m = _mat(a)
-    dev = np.abs(m - m.conj().T).max() if m.size else 0.0
+    adj = m.conj().T
+    dev = np.abs(m - adj).max() if m.size else 0.0
     if dev > tol:
         raise ValidationError(f"matrix is not Hermitian: max |A - A^dag| = {dev:.3e} > {tol:.1e}")
-    return hermitian_part(m)
+    # hermitian_part(m), with the adjoint formed once
+    return (m + adj) / 2
 
 
 def diagonal_entries(m: np.ndarray) -> np.ndarray | None:

@@ -1,5 +1,6 @@
 import importlib
 import math
+import types
 
 import numpy as np
 import pytest
@@ -685,7 +686,7 @@ class TestLazySweep:
         assert minimal_copies(d, 0.3, 2, trials, target) == \
             eager_minimal_copies(d, 0.3, 2, trials, target)
 
-    @pytest.mark.parametrize("n, bound", [(16, 12), (4, 10)])
+    @pytest.mark.parametrize("n, bound", [(16, 8), (4, 6)])
     def test_below_threshold_stops_at_the_deciding_failure(self, n, bound, monkeypatch):
         # need = 36 of 40, so 5 wrong verdicts of one hypothesis fix False
         trials, need = 40, 36
@@ -694,10 +695,45 @@ class TestLazySweep:
         _, hyp, right = calls[-1]
         verdicts = [ok for _, h, ok in calls if h == hyp]
         assert not right and verdicts.count(False) == trials - need + 1
-        # two calls per trial run, and each trial run is a wrong or a right
-        # verdict of the deciding hypothesis: 2 (trials - need + 1) calls when
-        # it is never right (n = 4), two more for each right one (n = 16)
-        assert len(calls) <= 2 * (trials - need + 1 + verdicts.count(True)) == bound
+        # the hypotheses alternate, null first, up to the first wrong verdict;
+        # then only the hypothesis holding it runs, here the deciding one. So
+        # the calls are its trials - need + 1 wrong and its right verdicts,
+        # plus the other's calls, at most one per trial the deciding one ran
+        # up to its first wrong verdict: 5 + 0 + 1 at n = 4, 5 + 1 + 2 at
+        # n = 16 (10 and 12 under strict alternation)
+        first = next(i for i, (_, _, ok) in enumerate(calls) if not ok)
+        alternating = [("null", "alt")[i % 2] for i in range(first + 1)]
+        assert [h for _, h, _ in calls[:first + 1]] == alternating
+        assert all(h == hyp for _, h, _ in calls[first:])
+        upto_first = verdicts.index(False) + 1
+        assert len(calls) <= trials - need + 1 + verdicts.count(True) + upto_first == bound
+
+    @pytest.mark.parametrize("wrong, calls", [
+        # every verdict right: strict null/alt alternation, 2 need calls
+        (set(), [(t, h) for t in range(8) for h in ("null", "alt")]),
+        # alt wrong from its first trial: alt runs alone to its third wrong
+        ({(t, "alt") for t in range(10)}, [(0, "null"), (0, "alt"), (1, "alt"), (2, "alt")]),
+        # null wrong from trial 6 on: null runs alone from its first wrong
+        ({(t, "null") for t in range(6, 10)},
+         [(t, h) for t in range(6) for h in ("null", "alt")]
+         + [(6, "null"), (7, "null"), (8, "null")]),
+    ])
+    def test_next_trial_goes_to_the_hypothesis_nearest_to_failing(self, wrong, calls, monkeypatch):
+        # 10 trials at target 0.8: need = 8, so a third wrong verdict fixes False
+        made = []
+        probe = RngHandle(4).child("sweep", 8, 64)
+
+        def scripted(src, sigma, eps, delta, cfg, rng):
+            hyp = "null" if src.state is sigma else "alt"
+            t = rng.stream[-2]
+            assert rng == probe.child(t).child(hyp)
+            made.append((t, hyp))
+            answers = ("YES", "NO") if hyp == "null" else ("NO", "YES")
+            return types.SimpleNamespace(answer=answers[(t, hyp) in wrong])
+
+        monkeypatch.setattr(cli, "basic_certify", scripted)
+        assert cli.sweep_success(8, 0.3, 4, 10, 0.8, 64) is (not wrong)
+        assert made == calls
 
     def test_fewer_calls_than_all_trials(self, monkeypatch):
         calls = self.record_calls(monkeypatch)
@@ -705,7 +741,8 @@ class TestLazySweep:
         lazy_calls = list(calls)
         calls.clear()
         assert eager_minimal_copies(8, 0.3, 1, 20, 0.9) == lazy
-        assert len(lazy_calls) < len(calls)
+        # 412 calls under strict null/alt alternation
+        assert len(lazy_calls) == 371 < len(calls)
 
     @pytest.mark.parametrize("trials, target", [
         (0, 0.9), (-1, 0.9), (20, 0.0), (20, -0.5), (20, 1.5), (20, float("nan")),

@@ -280,6 +280,9 @@ class TestSweepCommand:
         (["--eps", "nan"], "--eps"),
         (["--eps", "2.5"], "--eps"),
         (["--d-list", "2", "--eps", "2"], "--eps"),
+        # a repeated dimension would fit the slope on fewer abscissae
+        (["--d-list", "4,4"], "--d-list"),
+        (["--d-list", "8,4,8"], "--d-list"),
     ])
     def test_out_of_range_names_the_flag(self, argv, flag, capsys):
         with pytest.raises(SystemExit) as err:
@@ -295,6 +298,19 @@ class TestSweepCommand:
         assert code == 0
         payload = json.loads(out)
         assert payload["slope"] is None and "note" in payload
+
+    def test_monotone_in_increasing_d_rows_in_input_order(self, capsys):
+        payloads = {}
+        for d_list in ("4,8", "8,4"):
+            code, out = run_cli(["sweep", "--d-list", d_list, "--trials", "3",
+                                 "--format", "json"], capsys)
+            assert code == 0
+            payloads[d_list] = json.loads(out)
+        up, down = payloads["4,8"], payloads["8,4"]
+        assert [r["d"] for r in down["rows"]] == [8, 4]
+        assert down["rows"] == up["rows"][::-1]
+        # 218 copies at d = 4, 642 at d = 8
+        assert up["monotone"] is down["monotone"] is True
 
 
 class TestBoundsCommand:

@@ -4,8 +4,10 @@ import pytest
 from qcert.linalg import (
     DensityMatrix,
     ValidationError,
+    check_hermitian,
     fidelity_mm,
     hermitian_eig,
+    hermitian_part,
     schatten_quasinorm,
     trace_distance,
 )
@@ -36,6 +38,27 @@ class TestHermitianEig:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValidationError):
             hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+class TestCheckHermitian:
+    @pytest.mark.parametrize("d", [1, 2, 5, 16])
+    def test_returns_the_hermitian_part_bit_for_bit(self, d):
+        # Hermitian up to roundoff, with zeros of every sign in both parts
+        gen = rng_for("linalg", "check-hermitian", d)
+        g = gen.standard_normal((d, d)) + 1j * gen.standard_normal((d, d))
+        noise = gen.standard_normal((d, d)) + 1j * gen.standard_normal((d, d))
+        m = hermitian_part(g) + 1e-14 * noise
+        zeros = gen.random((d, d)) < 0.3
+        zeros |= zeros.T
+        m.real[zeros] = np.copysign(0.0, gen.standard_normal(zeros.sum()))
+        m.imag[zeros] = np.copysign(0.0, gen.standard_normal(zeros.sum()))
+        for a in (m, m.real, m.tolist()):
+            assert check_hermitian(a).tobytes() == hermitian_part(a).tobytes()
+
+    def test_message_names_the_deviation(self):
+        with pytest.raises(ValidationError) as err:
+            check_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        assert str(err.value) == "matrix is not Hermitian: max |A - A^dag| = 1.000e+00 > 1.0e-12"
 
 
 class TestTraceDistance:
