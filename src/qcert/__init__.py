@@ -11,7 +11,6 @@ from .haar_oracle import (
     weingarten_table,
 )
 from .instances import (
-    CornerInstance,
     OffDiagInstance,
     PaninskiInstance,
     build_corner,
@@ -24,10 +23,9 @@ from .linalg import (
     DensityMatrix,
     fidelity_mm,
     hermitian_eig,
-    schatten_quasinorm,
     trace_distance,
 )
-from .measurement import Basis, CopySource, outcome_distribution, phi
+from .measurement import Basis, CopySource, outcome_distribution, phi_table
 from .rng import RngHandle, block_haar, haar_isometry, haar_unitary
 from .spectrum import (
     BucketDecomposition,

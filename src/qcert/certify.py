@@ -161,12 +161,11 @@ def _fraction_test(src, indices, n: int, rng) -> float:
 
 
 def _diagonalize(sigma: DensityMatrix) -> tuple[Spectrum, np.ndarray | None]:
-    """sigma's spectrum, plus its eigenbasis map, or None when sigma is already diagonal."""
-    off = np.abs(sigma.mat - np.diag(np.diag(sigma.mat))).max()
-    if off <= 1e-12:
-        lam = np.clip(sigma.diagonal(), 0.0, None)
-        return Spectrum(lam / lam.sum()), None
-    lam, vec = hermitian_eig(sigma.mat)
+    """sigma's spectrum, plus its eigenbasis map, or None when sigma has no
+    nonzero off-diagonal entry (``sigma.diagonal_entries``, read when it was built)."""
+    lam, vec = sigma.diagonal_entries, None
+    if lam is None:
+        lam, vec = hermitian_eig(sigma.mat)
     lam = np.clip(lam, 0.0, None)
     return Spectrum(lam / lam.sum()), vec
 

@@ -21,7 +21,7 @@ import time
 
 import numpy as np
 
-from .certify import DEFAULT_CONFIG, CertifyConfig, basic_certify, certify
+from .certify import CertifyConfig, basic_certify, certify
 from .classical import l23_functional
 from .instances import (
     EnsembleUnavailableError,
@@ -35,13 +35,12 @@ from .instances import (
 from .haar_oracle import (
     exact_transcript_divergence,
     ingster_bound,
-    phi_pairs_finite,
     transcript_count,
     verify_moments_basic,
 )
-from .linalg import (DensityMatrix, ValidationError, spectral_fidelity_mm, spectral_quasinorm,
-                     trace_distance)
-from .measurement import Basis, CopySource
+from .linalg import (PSD_TOL, DensityMatrix, ValidationError, spectral_fidelity_mm,
+                     spectral_quasinorm, trace_distance)
+from .measurement import Basis, CopySource, phi_table
 from .rng import RngHandle, ginibre, haar_unitary
 from .spectrum import (
     Spectrum,
@@ -99,8 +98,12 @@ def hidden_state(kind: str, spec: Spectrum, eps: float, rng: RngHandle) -> Densi
             raise ValidationError("spectrum has no removable tail at this eps")
         lam = spec.lambdas.copy()
         shift = eps**2 / 4
-        lam[int(np.argmax(lam))] -= shift
+        top = int(np.argmax(lam))
+        lam[top] -= shift
         lam[list(removal.tail)] += shift / len(removal.tail)
+        if lam[top] < -PSD_TOL:  # the one entry the shift lowers
+            raise ValidationError(f"tail alternative needs the largest entry "
+                                  f"{spec.lambdas[top]:.6g} >= eps^2/4 = {shift:.6g}")
         return DensityMatrix.from_diagonal(lam)
     if kind == "spike":
         d = spec.dim
@@ -186,7 +189,7 @@ def _one_certify_trial(packed) -> dict:
     src = CopySource(rho, budget)
     t0 = time.perf_counter()
     run = basic_certify if algorithm == "basic" else certify
-    verdict = run(src, sigma, eps, delta, DEFAULT_CONFIG, rng=handle.child("algo"))
+    verdict = run(src, sigma, eps, delta, rng=handle.child("algo"))
     wall_ms = (time.perf_counter() - t0) * 1e3
     return {
         "trial": trial,
@@ -357,22 +360,20 @@ def cmd_sweep(args) -> int:
     for d in dims:
         n = minimal_copies(d, args.eps, args.seed, args.trials, args.target)
         rows.append({"d": d, "min_copies_per_round": n})
-    payload = {"config": _resolved(args)}
+    # the fit and monotone read the rows in increasing d; the rows keep the order of --d-list
+    copies = [r["min_copies_per_round"] for r in sorted(rows, key=lambda r: r["d"])]
+    x, y = np.log(sorted(dims)), np.log(copies)
+    payload = {"config": _resolved(args), "slope": None, "slope_ci95": None}
     if len(dims) >= 2:
-        x = np.log([r["d"] for r in rows])
-        y = np.log([r["min_copies_per_round"] for r in rows])
         slope, intercept = np.polyfit(x, y, 1)
-        resid = y - (slope * x + intercept)
-        dof = max(len(dims) - 2, 1)
-        se = float(np.sqrt((resid**2).sum() / dof / ((x - x.mean()) ** 2).sum()))
         payload["slope"] = float(slope)
-        payload["slope_ci95"] = [float(slope - 1.96 * se), float(slope + 1.96 * se)]
-        # monotone in increasing d; the rows keep the order of --d-list
-        by_d = sorted(rows, key=lambda r: r["d"])
-        payload["monotone"] = bool(np.all(np.diff([r["min_copies_per_round"] for r in by_d]) >= 0))
+        payload["monotone"] = bool(np.all(np.diff(copies) >= 0))
     else:
-        payload["slope"] = None
         payload["note"] = "slope undefined with a single dimension"
+    if len(dims) >= 3:  # two points fit exactly: no residual to take a spread from
+        resid = y - (slope * x + intercept)
+        se = float(np.sqrt((resid**2).sum() / (len(dims) - 2) / ((x - x.mean()) ** 2).sum()))
+        payload["slope_ci95"] = [float(slope - 1.96 * se), float(slope + 1.96 * se)]
     _emit(args, payload, rows, header=["d", "min_copies_per_round"])
     return 0
 
@@ -414,7 +415,8 @@ def haar_schedule(d: int, copies: int, gen) -> Basis:
 
 def _phis(schedule: Basis, sigma, ens) -> list[float]:
     """phi over every ordered ensemble pair, for each copy's basis in turn."""
-    return [x for u in schedule.u for x in phi_pairs_finite(Basis.trusted(u), sigma, ens)]
+    return [x for u in schedule.u
+            for x in phi_table(Basis.trusted(u), sigma, ens).ravel().tolist()]
 
 
 def cmd_divergence(args) -> int:

@@ -47,7 +47,7 @@ from functools import lru_cache
 import numpy as np
 
 from .linalg import DensityMatrix, ValidationError, check_hermitian
-from .measurement import Basis, _block, outcome_distribution, phi_table
+from .measurement import Basis, _block, outcome_distribution
 from .rng import _check_count, haar_blocks
 
 MAX_ORDER = 6
@@ -432,13 +432,6 @@ def exact_transcript_divergence(sigma: DensityMatrix, ensemble,
         p0=p0,
         p1=p1,
     )
-
-
-def phi_pairs_finite(m, sigma, ensemble) -> list[float]:
-    """phi over all ordered pairs of a finite ensemble's equally likely states
-    (for the moment-method bound with exact pair averaging). The ensemble is
-    read once, so a generator gives the pairs of the states it yields."""
-    return phi_table(m, sigma, list(ensemble)).ravel().tolist()
 
 
 def ingster_bound(phi_samples, num_copies: int) -> tuple[float, float]:

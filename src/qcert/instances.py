@@ -54,12 +54,16 @@ class PaninskiInstance:
             raise ValidationError(f"bucket magnitudes sum to {total!r}, want {self.eps}")
 
 
+def _magnitudes(zeta: float, multi: list[tuple[int, int]]) -> dict[int, float]:
+    """eps_j = min(2^-(j+1), zeta 2^(-2(j+1)/3) d_j^(2/3)) for each bucket (j, d_j)."""
+    return {j: min(2.0 ** (-j - 1), zeta * 2.0 ** (-2 * (j + 1) / 3) * dj ** (2 / 3))
+            for j, dj in multi}
+
+
 def _magnitude_sum(zeta: float, multi: list[tuple[int, int]]) -> float:
-    total = 0.0
-    for j, dj in multi:
-        e = min(2.0 ** (-j - 1), zeta * 2.0 ** (-2 * (j + 1) / 3) * dj ** (2 / 3))
-        total += 2 * (dj // 2) * e
-    return total
+    """sum_j 2 floor(d_j/2) eps_j; at zeta = inf every eps_j is its cap 2^-(j+1)."""
+    mags = _magnitudes(zeta, multi)
+    return sum(2 * (dj // 2) * mags[j] for j, dj in multi)
 
 
 def tune_paninski(spec: Spectrum, eps: float) -> PaninskiInstance:
@@ -71,7 +75,7 @@ def tune_paninski(spec: Spectrum, eps: float) -> PaninskiInstance:
             "no bucket has more than one element; the ensemble is vacuous "
             "(classical lower-bound path applies)"
         )
-    saturation = sum(2 * (dj // 2) * 2.0 ** (-j - 1) for j, dj in multi)
+    saturation = _magnitude_sum(math.inf, multi)
     if eps > saturation + 1e-12:
         raise InfeasibleError(
             f"eps = {eps} exceeds the saturation value {saturation}", max_eps=saturation
@@ -94,11 +98,7 @@ def tune_paninski(spec: Spectrum, eps: float) -> PaninskiInstance:
                 break
         zeta = hi
 
-    eps_per_bucket = {
-        j: min(2.0 ** (-j - 1), zeta * 2.0 ** (-2 * (j + 1) / 3) * dj ** (2 / 3))
-        for j, dj in multi
-    }
-    return PaninskiInstance(buckets, eps, eps_per_bucket)
+    return PaninskiInstance(buckets, eps, _magnitudes(zeta, multi))
 
 
 def perturbation_diagonal(inst: PaninskiInstance) -> np.ndarray:
@@ -195,15 +195,9 @@ def build_offdiag(sigma: DensityMatrix, inst: OffDiagInstance,
     return DensityMatrix(mat)
 
 
-@dataclass(frozen=True)
-class CornerInstance:
-    """The two largest entries, which a +/- eps/2 off-diagonal perturbation couples."""
-
-    top: int
-    second: int
-
-
-def plan_corner(spec: Spectrum, eps: float) -> CornerInstance:
+def plan_corner(spec: Spectrum, eps: float) -> tuple[int, int]:
+    """(top, second): the two largest entries, which a +/- eps/2 off-diagonal
+    perturbation couples, ties to the smaller index."""
     lam = spec.lambdas
     if lam.size < 2:
         raise InfeasibleError("corner construction needs dimension >= 2")
@@ -213,7 +207,7 @@ def plan_corner(spec: Spectrum, eps: float) -> CornerInstance:
         raise InfeasibleError(f"largest entry {lam[top]} < 3/4")
     if eps > 0.5:
         raise InfeasibleError(f"eps = {eps} > 1/2", max_eps=0.5)
-    return CornerInstance(top, second)
+    return top, second
 
 
 def build_corner(sigma: DensityMatrix, eps: float, u: int) -> DensityMatrix:
@@ -225,10 +219,8 @@ def build_corner(sigma: DensityMatrix, eps: float, u: int) -> DensityMatrix:
     """
     if u not in (-1, 1):
         raise ValidationError(f"u must be +1 or -1, got {u}")
-    lam = sigma.diagonal()
-    inst = plan_corner(Spectrum(lam), eps)
+    i1, i2 = plan_corner(Spectrum(sigma.diagonal()), eps)
     mat = sigma.mat.copy()
-    i1, i2 = inst.top, inst.second
     mat[i1, i1] -= eps**2 / 4
     mat[i2, i2] += eps**2 / 4
     mat[i1, i2] += (eps / 2) * u

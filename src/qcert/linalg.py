@@ -152,27 +152,18 @@ def hermitian_eig(h) -> tuple[np.ndarray, np.ndarray]:
     return lam, vec
 
 
-def trace_norm(a) -> float:
-    """Schatten-1 norm of a Hermitian matrix: sum of |eigenvalues|."""
-    lam = np.linalg.eigvalsh(check_hermitian(a))
-    return float(np.abs(lam).sum())
-
-
 def trace_distance(a, b) -> float:
-    """||a - b||_1, the full (unhalved) trace norm of the difference."""
+    """||a - b||_1, the full (unhalved) trace norm of the difference: the sum
+    of the |eigenvalues| of the Hermitian matrix a - b."""
     ma, mb = _mat(a), _mat(b)
     if ma.shape != mb.shape:
         raise ValidationError(f"dimension mismatch: {ma.shape} vs {mb.shape}")
-    return trace_norm(ma - mb)
-
-
-def schatten_quasinorm(h, p: float) -> float:
-    """Schatten-p (quasi)norm (sum |lam_i|^p)^(1/p) of a Hermitian matrix."""
-    return spectral_quasinorm(np.linalg.eigvalsh(check_hermitian(h)), p)
+    return float(np.abs(np.linalg.eigvalsh(check_hermitian(ma - mb))).sum())
 
 
 def spectral_quasinorm(lam: np.ndarray, p: float) -> float:
-    """``schatten_quasinorm`` from eigenvalues, summed in their order (ascending: bit for bit)."""
+    """The Schatten-p (quasi)norm (sum |lam_i|^p)^(1/p) of a Hermitian matrix
+    from its eigenvalues, summed in their order."""
     if p <= 0:
         raise ValidationError(f"p must be positive, got {p}")
     return float((np.abs(lam) ** p).sum()) ** (1.0 / p)

@@ -216,8 +216,10 @@ class CopySource:
 
 
 def phi_table(m: Basis, rho, states) -> np.ndarray:
-    """phi(m, rho, u, v) for every ordered pair of ``states``, as a (K, K)
-    array: the null law and each state's weights are computed once.
+    """phi(u, v) = sum_z p0(z) g_u(z) g_v(z), g_u = p_u / p0 - 1, the correlation
+    of likelihood deviations under the null law p0 of one basis ``m``, for every
+    ordered pair of ``states`` (read once), as a (K, K) array: the null law and
+    each state's weights are computed once.
 
     Outcomes with vanishing null probability are dropped when every state
     also vanishes there; otherwise the ratio is infinite and an error is
@@ -236,9 +238,3 @@ def phi_table(m: Basis, rho, states) -> np.ndarray:
         g = w[:, z] / p0[z] - 1.0
         table += p0[z] * g[:, None] * g[None, :]
     return table
-
-
-def phi(m: Basis, rho, rho_u, rho_v) -> float:
-    """Correlation of likelihood deviations under the null outcome law of one
-    basis measurement (a single ``Basis``, not a stack); see ``phi_table``."""
-    return float(phi_table(m, rho, [rho_u, rho_v])[0, 1])

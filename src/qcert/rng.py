@@ -212,21 +212,15 @@ def haar_unitary(d: int, rng: np.random.Generator, size: int | None = None) -> n
     imaginary parts, and a stack of at least 256 unitaries at d <= 6 takes its
     Gram-Schmidt kernel. A stack that fits in one sub-stack, as every
     ``basic_certify`` chunk does, is that sub-stack itself, without a copy.
-    A longer one streams its real parts and is copied into the result one
-    sub-stack at a time, so it needs the result plus a fixed number of
-    sub-stacks.
+    A longer one, which no caller in the library draws, is its sub-stacks
+    concatenated, so it needs twice the memory of the result.
     """
     blocks = haar_blocks(d, rng, 1 if size is None else size)
     if size is None:
         return next(blocks)[0]
-    if size <= _block_rows(d):
-        return next(blocks, np.empty((0, d, d), dtype=complex))
-    out = np.empty((size, d, d), dtype=complex)
-    start = 0
-    for block in blocks:
-        out[start:start + len(block)] = block
-        start += len(block)
-    return out
+    first = next(blocks, np.empty((0, d, d), dtype=complex))
+    rest = list(blocks)
+    return np.concatenate([first, *rest]) if rest else first
 
 
 def haar_isometry(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:

@@ -135,6 +135,21 @@ def _greedy_prefix(order: np.ndarray, lam: np.ndarray, cap: float) -> np.ndarray
     return order[:take]
 
 
+def _lightest(lam: np.ndarray, cap: float) -> np.ndarray:
+    """``_greedy_prefix`` in ascending order of lambda, ties by index: zero
+    entries sort first and join for free."""
+    return _greedy_prefix(np.lexsort((np.arange(lam.size), lam)), lam, cap)
+
+
+def _removal(tail: np.ndarray, effective: np.ndarray, top_index: int | None = None,
+             trimmed: np.ndarray | None = None, kept: np.ndarray | None = None
+             ) -> MassRemovalResult:
+    """The ``MassRemovalResult`` of a removal that took ``tail`` and left ``effective``."""
+    return MassRemovalResult(tuple(sorted(tail.tolist())), top_index, effective,
+                             int((effective > 0).sum()), float(1.0 - effective.sum()),
+                             trimmed, kept)
+
+
 def remove_mass_lower_nonadaptive(spec: Spectrum, eps: float) -> MassRemovalResult:
     """Tail/light-bucket removal used by the nonadaptive lower bound.
 
@@ -175,21 +190,9 @@ def remove_mass_lower_nonadaptive(spec: Spectrum, eps: float) -> MassRemovalResu
     kept[tail] = 0.0
     kept[light_arr] = 0.0
 
-    survivors = np.flatnonzero(kept > 0)
-    surv_order = survivors[np.lexsort((survivors, kept[survivors]))]
-    extra = _greedy_prefix(surv_order, kept, 2 * eps)
     effective = kept.copy()
-    effective[extra] = 0.0
-
-    return MassRemovalResult(
-        tail=tuple(sorted(tail.tolist())),
-        top_index=top,
-        effective=effective,
-        d_eff=int((effective > 0).sum()),
-        removed_mass=float(1.0 - effective.sum()),
-        trimmed=trimmed,
-        kept=kept,
-    )
+    effective[_lightest(kept, 2 * eps)] = 0.0
+    return _removal(tail, effective, top, trimmed, kept)
 
 
 def remove_mass_adaptive(spec: Spectrum, eps: float) -> MassRemovalResult:
@@ -198,22 +201,12 @@ def remove_mass_adaptive(spec: Spectrum, eps: float) -> MassRemovalResult:
     join the tail for free."""
     _check_eps(eps)
     lam = spec.lambdas
-    idx = np.arange(spec.dim)
-    order = np.lexsort((idx, lam))
-    tail = _greedy_prefix(order, lam, 4 * eps)
-
+    tail = _lightest(lam, 4 * eps)
     top = int(np.argmax(lam))
     effective = lam.copy()
     effective[tail] = 0.0
     effective[top] = 0.0
-
-    return MassRemovalResult(
-        tail=tuple(sorted(tail.tolist())),
-        top_index=top,
-        effective=effective,
-        d_eff=int((effective > 0).sum()),
-        removed_mass=float(1.0 - effective.sum()),
-    )
+    return _removal(tail, effective, top)
 
 
 def remove_mass_upper(spec: Spectrum, eps: float) -> MassRemovalResult:
@@ -224,21 +217,10 @@ def remove_mass_upper(spec: Spectrum, eps: float) -> MassRemovalResult:
     covered by the tail projector.
     """
     _check_eps(eps)
-    lam = spec.lambdas
-    idx = np.arange(spec.dim)
-    order = np.lexsort((idx, lam))
-    tail = _greedy_prefix(order, lam, eps**2 / 20)
-
-    effective = lam.copy()
+    tail = _lightest(spec.lambdas, eps**2 / 20)
+    effective = spec.lambdas.copy()
     effective[tail] = 0.0
-
-    return MassRemovalResult(
-        tail=tuple(sorted(tail.tolist())),
-        top_index=None,
-        effective=effective,
-        d_eff=int((effective > 0).sum()),
-        removed_mass=float(1.0 - effective.sum()),
-    )
+    return _removal(tail, effective)
 
 
 def _rate(d: int, d_eff: int, exponent: float, effective: np.ndarray, eps: float) -> float:

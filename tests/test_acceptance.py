@@ -21,7 +21,6 @@ from qcert.haar_oracle import (
     exact_transcript_divergence,
     haar_moment,
     ingster_bound,
-    phi_pairs_finite,
     verify_moments_basic,
     weingarten_table,
 )
@@ -34,7 +33,7 @@ from qcert.instances import (
     tune_paninski,
 )
 from qcert.linalg import DensityMatrix, trace_distance
-from qcert.measurement import Basis, CopySource, outcome_distribution
+from qcert.measurement import Basis, CopySource, outcome_distribution, phi_table
 from qcert.rng import RngHandle, haar_unitary
 from qcert.spectrum import Spectrum, bucketize, predicted_bounds
 
@@ -208,7 +207,7 @@ def test_criterion_05_ingster_consistency():
             rep = exact_transcript_divergence(sigma, ens, sched)
             bounds = []
             for u in sched.u:
-                est, se = ingster_bound(phi_pairs_finite(Basis(u), sigma, ens), ncopies)
+                est, se = ingster_bound(phi_table(Basis(u), sigma, ens).ravel(), ncopies)
                 bounds.append(est + 3 * se)
             ok &= rep.chi2 <= max(bounds) + 1e-12
     report(5, ok, "chi2 <= max_t E[(1+phi_t)^N] - 1 on all instances")

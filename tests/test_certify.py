@@ -365,6 +365,28 @@ class TestCertify:
         v = certify(CopySource(sigma), sigma, 0.3, 0.25, CFG, rng=RngHandle(6).child("r"))
         assert v.answer == "YES"
 
+    def test_one_diagonal_rule(self, monkeypatch):
+        """Whether sigma is diagonal is read from ``diagonal_entries``: a
+        diagonal sigma built three ways gives one verdict and copy count
+        without a rotation, and one 1e-13 off-diagonal entry is enough to
+        send sigma through its eigenbasis."""
+        spec, sigma = two_bucket_sigma()
+        mat = np.diag(spec.lambdas).astype(complex)
+        rotations = []
+        rotated = CopySource.rotated
+        monkeypatch.setattr(CopySource, "rotated",
+                            lambda src, v: rotations.append(v) or rotated(src, v))
+
+        def run(s):
+            v = certify(CopySource(s), s, 0.3, 0.2, CFG, rng=RngHandle(7).child("diag"))
+            return v.answer, v.copies_used
+
+        runs = {run(s) for s in (sigma, DensityMatrix(mat), DensityMatrix.trusted(mat))}
+        assert len(runs) == 1 and rotations == []
+        mat[0, 1] = mat[1, 0] = 1e-13
+        run(DensityMatrix(mat))
+        assert len(rotations) == 1
+
     def test_budget_inconclusive(self):
         spec, sigma = two_bucket_sigma()
         v = certify(CopySource(sigma, budget=100), sigma, 0.3, 0.2, CFG,

@@ -1,6 +1,7 @@
 import concurrent.futures
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -9,8 +10,9 @@ import pytest
 
 from qcert import cli
 from qcert.cli import main, make_spectrum
-from qcert.linalg import DensityMatrix, fidelity_mm, schatten_quasinorm
+from qcert.linalg import DensityMatrix, ValidationError, fidelity_mm, spectral_quasinorm
 from qcert.measurement import Basis
+from qcert.rng import RngHandle
 from qcert.spectrum import remove_mass_lower_nonadaptive
 
 from conftest import count_checked_bases
@@ -250,6 +252,26 @@ class TestCertifyCommand:
             assert code == 0
         assert sizes == [3, 2, 3]
 
+    def test_tail_with_a_small_top_entry_names_it(self, capsys, monkeypatch):
+        """The tail alternative takes eps^2/4 from the largest entry. Where that
+        entry is smaller, the usage error names both before any state is built."""
+        spec = make_spectrum("geometric", 128, ratio=0.99)
+        built = []
+        from_diagonal = DensityMatrix.from_diagonal
+        monkeypatch.setattr(DensityMatrix, "from_diagonal",
+                            lambda lam: built.append(lam) or from_diagonal(lam))
+        want = f"largest entry {spec.lambdas[0]:.6g} >= eps^2/4 = {0.3**2 / 4:.6g}"
+        with pytest.raises(ValidationError, match=re.escape(want)):
+            cli.hidden_state("tail", spec, 0.3, RngHandle(0))
+        assert built == []
+        monkeypatch.undo()
+        with pytest.raises(SystemExit) as err:
+            main(["certify", "--hidden", "tail", "--family", "geometric", "--ratio", "0.99",
+                  "--d", "128", "--trials", "1"])
+        assert err.value.code == 2
+        assert capsys.readouterr().err == ("qcert: tail alternative needs the largest entry "
+                                           "0.013817 >= eps^2/4 = 0.0225\n")
+
     def test_csv_schema(self, capsys):
         code, out = run_cli(["certify", "--algorithm", "basic", "--family", "mm",
                              "--d", "4", "--eps", "0.4", "--delta", "0.5",
@@ -300,17 +322,24 @@ class TestSweepCommand:
         assert payload["slope"] is None and "note" in payload
 
     def test_monotone_in_increasing_d_rows_in_input_order(self, capsys):
+        """monotone and the slope fit read the rows in increasing d, so the
+        --d-list order leaves their bits. Two points fit a line exactly, so
+        slope_ci95 is null below three dimensions."""
         payloads = {}
-        for d_list in ("4,8", "8,4"):
+        for d_list in ("4,8", "8,4", "4,8,16"):
             code, out = run_cli(["sweep", "--d-list", d_list, "--trials", "3",
                                  "--format", "json"], capsys)
             assert code == 0
             payloads[d_list] = json.loads(out)
-        up, down = payloads["4,8"], payloads["8,4"]
+        up, down, three = payloads["4,8"], payloads["8,4"], payloads["4,8,16"]
         assert [r["d"] for r in down["rows"]] == [8, 4]
         assert down["rows"] == up["rows"][::-1]
         # 218 copies at d = 4, 642 at d = 8
         assert up["monotone"] is down["monotone"] is True
+        assert up["slope"] == down["slope"]
+        assert up["slope_ci95"] is down["slope_ci95"] is None
+        low, high = three["slope_ci95"]
+        assert low < three["slope"] < high
 
 
 class TestBoundsCommand:
@@ -350,7 +379,8 @@ class TestBoundsCommand:
         removal = remove_mass_lower_nonadaptive(spec, eps)
         for key, values, p in (("trimmed_norm_2_5", removal.trimmed, 2 / 5),
                                ("kept_norm_1_2", removal.kept, 0.5)):
-            want = schatten_quasinorm(np.diag(values.astype(complex)), p) if values.sum() > 0 else 0.0
+            want = (spectral_quasinorm(np.linalg.eigvalsh(np.diag(values.astype(complex))), p)
+                    if values.sum() > 0 else 0.0)
             assert payload[key] == want, key
         assert payload["fidelity_mm"] == fidelity_mm(DensityMatrix.from_diagonal(spec.lambdas))
 

@@ -19,13 +19,12 @@ from qcert.haar_oracle import (
     exact_transcript_divergence,
     haar_moment,
     ingster_bound,
-    phi_pairs_finite,
     verify_moments_basic,
     weingarten_table,
 )
 from qcert.instances import corner_ensemble
 from qcert.linalg import DensityMatrix, ValidationError
-from qcert.measurement import Basis
+from qcert.measurement import Basis, phi_table
 from qcert.rng import haar_unitary
 
 import reference
@@ -642,8 +641,6 @@ class TestTranscriptDivergence:
 
     def test_single_copy_chi2_equals_mean_phi(self):
         # chi^2 of the one-copy mixture equals the exact pair average of phi
-        from qcert.measurement import phi
-
         gen = rng_for("oracle", "phichi")
         sigma = DensityMatrix.from_diagonal([0.8, 0.2])
         ens = corner_ensemble(sigma, 0.4)
@@ -651,7 +648,7 @@ class TestTranscriptDivergence:
             u = haar_unitary(2, gen)
             m = Basis(u)
             rep = exact_transcript_divergence(sigma, ens, Basis(u[None]))
-            mean_phi = sum(phi(m, sigma, su, sv) for su in ens for sv in ens) / len(ens) ** 2
+            mean_phi = sum(phi_table(m, sigma, [su, sv])[0, 1] for su in ens for sv in ens) / len(ens) ** 2
             assert rep.chi2 == pytest.approx(mean_phi, abs=1e-12)
 
 
@@ -672,8 +669,8 @@ class TestIngster:
         sigma = DensityMatrix.from_diagonal([0.8, 0.2])
         ens = corner_ensemble(sigma, 0.3)
         m = Basis(haar_unitary(2, rng_for("oracle", "pairs-gen")))
-        pairs = phi_pairs_finite(m, sigma, ens)
-        assert len(pairs) == 4 and phi_pairs_finite(m, sigma, iter(ens)) == pairs
+        pairs = phi_table(m, sigma, ens).ravel().tolist()
+        assert len(pairs) == 4 and phi_table(m, sigma, iter(ens)).ravel().tolist() == pairs
 
     def test_dominates_exact_chi2_for_corner(self):
         sigma = DensityMatrix.from_diagonal([0.8, 0.2])
@@ -682,6 +679,6 @@ class TestIngster:
         for n in (1, 2, 3, 4):
             sched = haar_schedule(2, n, gen)
             rep = exact_transcript_divergence(sigma, ens, sched)
-            per_copy = [ingster_bound(phi_pairs_finite(Basis(u), sigma, ens), n)[0]
+            per_copy = [ingster_bound(phi_table(Basis(u), sigma, ens).ravel(), n)[0]
                         for u in sched.u]
             assert rep.chi2 <= max(per_copy) + 1e-12

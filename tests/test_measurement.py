@@ -12,7 +12,6 @@ from qcert.measurement import (
     UndefinedOutcomeError,
     _block,
     outcome_distribution,
-    phi,
     phi_table,
     sampling_probs,
 )
@@ -296,7 +295,7 @@ class TestLikelihood:
         rho = DensityMatrix.from_diagonal([1.0, 0.0])
         alt = DensityMatrix.from_diagonal([0.5, 0.5])
         with pytest.raises(UndefinedOutcomeError):
-            phi(Basis(np.eye(2)), rho, alt, alt)
+            phi_table(Basis(np.eye(2)), rho, [alt, alt])
 
     def test_corner_closed_form(self):
         from qcert.instances import build_corner
@@ -366,14 +365,14 @@ class TestPhi:
     def test_same_state_zero(self):
         rho = random_density(3, rng_for("meas", "phi0"))
         m = Basis(haar_unitary(3, rng_for("meas", "phi0b")))
-        assert phi(m, rho, rho, rho) == 0.0
+        assert phi_table(m, rho, [rho, rho])[0, 1] == 0.0
 
     def test_second_moment_nonnegative(self):
         gen = rng_for("meas", "phi2")
         rho = random_density(3, gen)
         alt = random_density(3, gen)
         m = Basis(haar_unitary(3, gen))
-        assert phi(m, rho, alt, alt) >= 0.0
+        assert phi_table(m, rho, [alt, alt])[0, 1] >= 0.0
 
     def test_bucket_decomposition_identity(self):
         # phi = sum_j p_j phi_j for block POVMs and blockwise alternatives
@@ -386,7 +385,7 @@ class TestPhi:
         rho_v = sample_paninski(sigma, inst, gen)
         m = random_povm(6, 4, gen)
         refined, _ = project_povm_to_blocks(m, buckets)
-        full = phi(refined, sigma, rho_u, rho_v)
+        full = phi_table(refined, sigma, [rho_u, rho_v])[0, 1]
 
         per_bucket = 0.0
         for j in buckets.levels:
@@ -488,7 +487,7 @@ class TestPhiTail:
         for k in range(n):
             rho_u = sample_paninski(sigma, inst, gen)
             rho_v = sample_paninski(sigma, inst, gen)
-            samples[k] = phi(m, sigma, rho_u, rho_v)
+            samples[k] = phi_table(m, sigma, [rho_u, rho_v])[0, 1]
         (j,) = inst.eps_per_bucket
         eps_j = inst.eps_per_bucket[j]
         var_scale = (2.0**j * eps_j) ** 2 / 8  # (2^j eps_j)^2 / d_j for both L and varsigma
