@@ -21,7 +21,6 @@ from .instances import (
 )
 from .linalg import (
     DensityMatrix,
-    fidelity_mm,
     hermitian_eig,
     trace_distance,
 )

@@ -93,7 +93,7 @@ def basic_certify(src, sigma: DensityMatrix, eps: float, delta: float,
     max(1, _CHUNK_ENTRIES // d^2), at most 128 KiB of stacked d x d matrices,
     and the chunk size is part of the stream contract: each chunk draws its
     Ginibre stack (all real parts, then all imaginary parts), then, round by
-    round, the measured multinomial and the reference multinomial.
+    round, the measured and the reference multinomial, in one stacked call.
     Simulation stops at the first chunk boundary where the majority is
     fixed, so the answer is that of all rounds while ``copies_used`` counts
     the copies every round spends. Diagnostics: ``rounds`` charged,
@@ -105,7 +105,7 @@ def basic_certify(src, sigma: DensityMatrix, eps: float, delta: float,
     no nonzero off-diagonal entry is held as its real diagonal, so no chunk
     gathers or scans it again. Once per chunk: one Haar stack from
     ``haar_unitary``, one validated Born kernel per block, one clip and one row
-    sum normalising every measured row, the two multinomials per round, and
+    sum normalising every measured row, one multinomial call, and
     one row-wise L2 test whose checks (shapes, nonnegative counts, equal
     totals) each run once.
     """
@@ -134,12 +134,8 @@ def basic_certify(src, sigma: DensityMatrix, eps: float, delta: float,
         m = Basis.trusted(haar_unitary(d, gen, size=min(chunk, rounds - run)))
         probs = sampling_probs(src.law(m))
         p_sigma = outcome_distribution(sigma, m)
-        measured = np.empty(probs.shape, dtype=np.int64)
-        reference = np.empty(probs.shape, dtype=np.int64)
-        for i in range(len(probs)):
-            measured[i] = gen.multinomial(n_copies, probs[i])
-            reference[i] = gen.multinomial(n_copies, p_sigma[i])
-        accepted = l2_two_sample_test(measured, reference, l2_gap)
+        counts = gen.multinomial(n_copies, np.concatenate((probs, p_sigma), 1).reshape(-1, 2, d))
+        accepted = l2_two_sample_test(counts[:, 0], counts[:, 1], l2_gap)
         rejections += len(accepted) - int(np.count_nonzero(accepted))
         run += len(accepted)
     answer = "NO" if rejections > rounds // 2 else "YES"
@@ -188,6 +184,8 @@ def certify(src, sigma: DensityMatrix, eps: float, delta: float,
     if not 0 < eps < 1:
         raise ValidationError(f"eps must lie in (0, 1), got {eps}")
     _check_delta(delta)
+    if src.dim != sigma.dim:
+        raise ValidationError(f"source dim {src.dim} != sigma dim {sigma.dim}")
     start = src.copies_used
     diag: dict = {"scenario1": None, "scenario3": [], "scenario4": []}
 

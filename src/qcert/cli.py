@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -177,24 +178,31 @@ def cmd_gen_sigma(args) -> int:
     return 0
 
 
-def _one_certify_trial(packed) -> dict:
-    (trial, lambdas, hidden, inst, eps, delta, seed, algorithm, budget) = packed
-    spec = Spectrum(np.asarray(lambdas))
-    handle = RngHandle(seed).child("trial", trial)
+def _count_flags(args, *flags: str, least: int = 1) -> None:
+    """Usage error naming the first count flag below ``least``; an unset flag passes."""
+    for flag in flags:
+        value = getattr(args, flag.replace("-", "_"))
+        if value is not None and value < least:
+            raise ValidationError(f"--{flag} must be >= {least}, got {value}")
+
+
+def _one_certify_trial(args, spec: Spectrum, inst, trial: int) -> dict:
+    """Trial ``trial`` of a ``certify`` run; ``inst`` is the run's Paninski instance."""
+    handle = RngHandle(args.seed).child("trial", trial)
     sigma = DensityMatrix.from_diagonal(spec.lambdas)
-    if hidden == "paninski":  # drawn from the instance tuned once per run
+    if args.hidden == "paninski":  # drawn from the instance tuned once per run
         rho = sample_paninski(sigma, inst, handle.child("state").generator())
     else:
-        rho = hidden_state(hidden, spec, eps, handle.child("state"))
-    src = CopySource(rho, budget)
+        rho = hidden_state(args.hidden, spec, args.eps, handle.child("state"))
+    src = CopySource(rho, args.budget)
     t0 = time.perf_counter()
-    run = basic_certify if algorithm == "basic" else certify
-    verdict = run(src, sigma, eps, delta, rng=handle.child("algo"))
+    run = basic_certify if args.algorithm == "basic" else certify
+    verdict = run(src, sigma, args.eps, args.delta, rng=handle.child("algo"))
     wall_ms = (time.perf_counter() - t0) * 1e3
     return {
         "trial": trial,
-        "seed": seed,
-        "hidden": hidden,
+        "seed": args.seed,
+        "hidden": args.hidden,
         "verdict": verdict.answer,
         "copies": verdict.copies_used,
         "wall_ms": round(wall_ms, 3),
@@ -202,22 +210,14 @@ def _one_certify_trial(packed) -> dict:
 
 
 def cmd_certify(args) -> int:
-    if args.trials < 1:
-        raise ValidationError("--trials must be >= 1")
-    if args.threads < 1:
-        raise ValidationError(f"--threads must be >= 1, got {args.threads}")
-    if args.budget is not None and args.budget < 0:
-        raise ValidationError(f"--budget must be >= 0, got {args.budget}")
+    _count_flags(args, "trials", "threads")
+    _count_flags(args, "budget", least=0)
     if not args.eps > 0:  # offdiag and corner states fail on a NaN eps
         raise ValidationError(f"--eps must be > 0, got {args.eps}")
     spec = make_spectrum(args.family, args.d, args.rank, args.ratio, args.input)
     # the Paninski instance depends on the spectrum and eps alone
     inst = tune_paninski(spec, args.eps) if args.hidden == "paninski" else None
-    jobs = [
-        (t, list(spec.lambdas), args.hidden, inst, args.eps, args.delta, args.seed,
-         args.algorithm, args.budget)
-        for t in range(args.trials)
-    ]
+    trial = functools.partial(_one_certify_trial, args, spec, inst)
     # a fork-based pool starts every worker on the first submit, so never ask
     # for more processes than there are trials or CPUs
     workers = min(args.threads, args.trials, os.cpu_count() or 1)
@@ -227,9 +227,9 @@ def cmd_certify(args) -> int:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_one_certify_trial, jobs))
+            rows = list(pool.map(trial, range(args.trials)))
     else:
-        rows = [_one_certify_trial(j) for j in jobs]
+        rows = list(map(trial, range(args.trials)))
     yes = sum(r["verdict"] == "YES" for r in rows)
     yes_rate = yes / args.trials
     summary = {
@@ -245,8 +245,12 @@ def cmd_certify(args) -> int:
     return 0
 
 
-def sweep_success(d: int, eps: float, seed: int, trials: int, target: float, n_copies: int,
-                  delta: float = 0.85) -> bool:
+# the error a sweep probe's basic_certify is run at: a majority of 3 rounds
+SWEEP_DELTA = 0.85
+
+
+def sweep_success(d: int, eps: float, seed: int, trials: int, target: float,
+                  n_copies: int) -> bool:
     """Whether basic_certify at ``n_copies`` per round (majority of 3 rounds)
     is right on at least a ``target`` share of ``trials`` trials under both
     hypotheses: YES on I/d, NO on the spike alternative.
@@ -293,7 +297,8 @@ def sweep_success(d: int, eps: float, seed: int, trials: int, target: float, n_c
         hyp = max(unfinished, key=lambda h: (wrong[h], -right[h] - wrong[h]))
         handle = probe.child(right[hyp] + wrong[hyp])
         rho = sigma if hyp == "null" else hidden_state("spike", spec, eps, handle.child("state"))
-        verdict = basic_certify(CopySource(rho), sigma, eps, delta, cfg, rng=handle.child(hyp))
+        verdict = basic_certify(CopySource(rho), sigma, eps, SWEEP_DELTA, cfg,
+                                rng=handle.child(hyp))
         if verdict.answer == ("YES" if hyp == "null" else "NO"):
             right[hyp] += 1
         else:
@@ -302,8 +307,7 @@ def sweep_success(d: int, eps: float, seed: int, trials: int, target: float, n_c
                 return False
 
 
-def minimal_copies(d: int, eps: float, seed: int, trials: int, target: float,
-                   delta: float = 0.85) -> int:
+def minimal_copies(d: int, eps: float, seed: int, trials: int, target: float) -> int:
     """Doubling plus bisection for the least per-round copy count reaching the
     target success rate on both hypotheses (majority of 3 rounds).
 
@@ -318,7 +322,7 @@ def minimal_copies(d: int, eps: float, seed: int, trials: int, target: float,
     """
 
     def success(n_copies: int) -> bool:
-        return sweep_success(d, eps, seed, trials, target, n_copies, delta)
+        return sweep_success(d, eps, seed, trials, target, n_copies)
 
     n = 16
     while not success(n):
@@ -338,8 +342,7 @@ def minimal_copies(d: int, eps: float, seed: int, trials: int, target: float,
 
 
 def cmd_sweep(args) -> int:
-    if args.trials < 1:
-        raise ValidationError(f"--trials must be >= 1, got {args.trials}")
+    _count_flags(args, "trials")
     try:
         dims = [int(x) for x in args.d_list.split(",")]
     except ValueError:
@@ -413,19 +416,10 @@ def haar_schedule(d: int, copies: int, gen) -> Basis:
     return Basis.trusted(np.stack([haar_unitary(d, gen) for _ in range(copies)]))
 
 
-def _phis(schedule: Basis, sigma, ens) -> list[float]:
-    """phi over every ordered ensemble pair, for each copy's basis in turn."""
-    return [x for u in schedule.u
-            for x in phi_table(Basis.trusted(u), sigma, ens).ravel().tolist()]
-
-
 def cmd_divergence(args) -> int:
-    if args.copies < 1:
-        raise ValidationError(f"--copies must be >= 1, got {args.copies}")
-    if args.schedules < 1:
-        raise ValidationError(f"--schedules must be >= 1, got {args.schedules}")
-    if args.ensemble == "paninski" and args.param_draws < 1:
-        raise ValidationError(f"--param-draws must be >= 1, got {args.param_draws}")
+    _count_flags(args, "copies", "schedules")
+    if args.ensemble == "paninski":
+        _count_flags(args, "param-draws")
     spec = make_spectrum(args.family, args.d, args.rank, args.ratio, args.input)
     try:
         transcript_count(spec.dim, args.copies)
@@ -443,7 +437,7 @@ def cmd_divergence(args) -> int:
         schedule = haar_schedule(spec.dim, args.copies, handle.child("schedule", s).generator())
         if args.ensemble == "corner":
             rep = exact_transcript_divergence(sigma, ens, schedule)
-            bound, se = ingster_bound(_phis(schedule, sigma, ens), args.copies)
+            bound, se = ingster_bound(phi_table(schedule, sigma, ens).ravel(), args.copies)
         else:
             gen = handle.child("draws", s).generator()
             draws = (sample_paninski(sigma, inst, gen) for _ in range(args.param_draws))
@@ -463,9 +457,7 @@ def cmd_divergence(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    for flag in ("samples", "fuzz", "schedules"):
-        if getattr(args, flag) < 1:
-            raise ValidationError(f"--{flag} must be >= 1, got {getattr(args, flag)}")
+    _count_flags(args, "samples", "fuzz", "schedules")
     handle = RngHandle(args.seed)
     checks: list[dict] = []
 
@@ -513,7 +505,7 @@ def cmd_verify(args) -> int:
     for s in range(args.schedules):
         schedule = haar_schedule(2, 4, handle.child("ingster", s).generator())
         rep = exact_transcript_divergence(corner_sigma, ens, schedule)
-        bound, se = ingster_bound(_phis(schedule, corner_sigma, ens), 4)
+        bound, se = ingster_bound(phi_table(schedule, corner_sigma, ens).ravel(), 4)
         ok &= rep.chi2 <= bound + 3 * se + 1e-12
     record("ingster-dominates-chi2", ok)
 

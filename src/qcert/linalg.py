@@ -169,11 +169,7 @@ def spectral_quasinorm(lam: np.ndarray, p: float) -> float:
     return float((np.abs(lam) ** p).sum()) ** (1.0 / p)
 
 
-def fidelity_mm(sigma: DensityMatrix) -> float:
-    """Fidelity with the maximally mixed state, (Tr sqrt(sigma))^2 / d."""
-    return spectral_fidelity_mm(np.linalg.eigvalsh(_mat(sigma)))
-
-
 def spectral_fidelity_mm(lam: np.ndarray) -> float:
-    """``fidelity_mm`` from eigenvalues, summed in their order (ascending: bit for bit)."""
+    """Fidelity with the maximally mixed state, (Tr sqrt(sigma))^2 / d, from
+    sigma's eigenvalues, summed in their order."""
     return float(np.sqrt(np.clip(lam, 0.0, None)).sum() ** 2 / len(lam))

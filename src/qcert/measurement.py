@@ -126,7 +126,7 @@ class CopySource:
         self.budget = budget
         self.acceptance = 1.0
         self._root = self
-        self._indices = None  # conditioning subset of a conditional view
+        self._indices = None  # a conditional view's subset, in the full state's coordinates
         self._block = None  # the measured block, read by _block on the first law
         self._copies = 0
 
@@ -141,20 +141,24 @@ class CopySource:
     def conditional(self, indices) -> "CopySource":
         """View measuring the conditional state Pi rho Pi / Tr(Pi rho Pi).
 
-        Pi projects onto the coordinates ``indices`` of the full state. Each
-        copy is first measured with {Pi, I - Pi}; copies landing outside are
+        Pi projects onto the coordinates ``indices`` of this source, which on
+        a conditional view are its own coordinates 0..dim-1. Each copy is
+        first measured with {Pi, I - Pi}; copies landing outside are
         discarded, and every physical copy, discards included, is charged.
         """
         idx = np.asarray(indices, dtype=int)
         if idx.size == 0:
             raise ValidationError("conditional subset must be nonempty")
-        if idx.min() < 0 or idx.max() >= self.state.dim:
-            raise ValidationError(f"conditional subset must lie in 0..{self.state.dim - 1}")
-        return self._view(self.state, idx)
+        if idx.min() < 0 or idx.max() >= self.dim:
+            raise ValidationError(f"conditional subset must lie in 0..{self.dim - 1}")
+        return self._view(self.state, idx if self._indices is None else self._indices[idx])
 
     def rotated(self, v: np.ndarray) -> "CopySource":
         """View of the state V^dagger rho V: measuring M on it measures V M V^dagger on rho."""
-        return self._view(DensityMatrix(v.conj().T @ self.state.mat @ v), self._indices)
+        if self._indices is not None:
+            raise ValidationError("a conditional view cannot be rotated; "
+                                  "rotate the source before conditioning it")
+        return self._view(DensityMatrix(v.conj().T @ self.state.mat @ v), None)
 
     @property
     def dim(self) -> int:
@@ -217,24 +221,27 @@ class CopySource:
 
 def phi_table(m: Basis, rho, states) -> np.ndarray:
     """phi(u, v) = sum_z p0(z) g_u(z) g_v(z), g_u = p_u / p0 - 1, the correlation
-    of likelihood deviations under the null law p0 of one basis ``m``, for every
-    ordered pair of ``states`` (read once), as a (K, K) array: the null law and
-    each state's weights are computed once.
+    of likelihood deviations under the null law p0 of a basis ``m``, for every
+    ordered pair of ``states`` (read once), as a (K, K) array, or (N, K, K) for
+    a stack of N bases such as a schedule: the null laws and each state's
+    weights are computed once, stacked.
 
     Outcomes with vanishing null probability are dropped when every state
     also vanishes there; otherwise the ratio is infinite and an error is
-    raised. Each entry sums its outcomes in order, as a scalar loop would.
+    raised. Each entry sums its outcomes in order, as a scalar loop would, so
+    every table of a stack equals that of its basis held alone.
     """
     p0 = outcome_distribution(rho, m)
-    w = np.array([m.weights(_state_block(s)) for s in states]).reshape(-1, p0.size)
-    table = np.zeros((len(w), len(w)))
-    for z in range(p0.size):
-        if p0[z] <= PROB_FLOOR:
-            if (w[:, z] > 1e-12).any():
-                raise UndefinedOutcomeError(
-                    f"outcome {z} has null probability ~0 but alternative mass"
-                )
-            continue
-        g = w[:, z] / p0[z] - 1.0
-        table += p0[z] * g[:, None] * g[None, :]
+    w = np.array([m.weights(_state_block(s)) for s in states]).reshape(-1, *p0.shape)
+    live = p0 > PROB_FLOOR
+    undefined = np.argwhere((w > 1e-12) & ~live)  # rows (state, ..., outcome)
+    if undefined.size:
+        raise UndefinedOutcomeError(
+            f"outcome {undefined[:, -1].min()} has null probability ~0 but alternative mass"
+        )
+    p = np.where(live, p0, 0.0)  # a dead outcome adds 0 * g_u * g_v
+    g = np.moveaxis(w / np.where(live, p0, 1.0) - 1.0, 0, -1)  # (..., outcomes, K)
+    table = np.zeros(p0.shape[:-1] + (len(w), len(w)))
+    for z in range(p0.shape[-1]):
+        table += p[..., z, None, None] * g[..., z, :, None] * g[..., z, None, :]
     return table

@@ -174,6 +174,37 @@ class TestConditionalSource:
         with pytest.raises(ValidationError):
             CopySource(DensityMatrix.maximally_mixed(4)).conditional(indices)
 
+    def test_view_of_a_view_takes_its_own_coordinates(self):
+        """A conditional of a conditional view projects onto the view's own
+        coordinates: its acceptance and law are those of the block of the
+        full state gathered by hand, and it charges the same source."""
+        gen = rng_for("cert", "nested")
+        rho = random_density(8, gen)
+        src = CopySource(rho)
+        outer = src.conditional([4, 5, 6])
+        m = Basis(haar_unitary(2, gen, size=3))
+        for view, coords in ((outer.conditional([0]), [4]), (outer.conditional([0, 2]), [4, 6]),
+                             (outer.conditional([0, 2]).conditional([1]), [6])):
+            block = rho.mat[np.ix_(coords, coords)]
+            assert view.dim == len(coords)
+            assert view.acceptance == float(np.diagonal(block).real.sum())
+            if view.dim == 2:
+                assert np.array_equal(view.law(m), m.weights(block))
+        measure(outer.conditional([1]), Basis(np.eye(1)), 10, rng_for("cert", "nested-draw"))
+        assert src.copies_used >= 10
+
+    @pytest.mark.parametrize("indices", [[3], [5], [-1]])
+    def test_view_subset_outside_the_view_rejected(self, indices):
+        outer = CopySource(DensityMatrix.maximally_mixed(8)).conditional([4, 5, 6])
+        with pytest.raises(ValidationError, match=r"0\.\.2"):
+            outer.conditional(indices)
+
+    @pytest.mark.parametrize("v_dim", [3, 8])
+    def test_conditional_view_not_rotated(self, v_dim):
+        outer = CopySource(DensityMatrix.maximally_mixed(8)).conditional([4, 5, 6])
+        with pytest.raises(ValidationError, match="before conditioning"):
+            outer.rotated(haar_unitary(v_dim, rng_for("cert", "rot-view")))
+
     def test_zero_acceptance_raises_without_charge(self):
         src = CopySource(DensityMatrix.from_diagonal([0.5, 0.5, 0.0]))
         with pytest.raises(BudgetExhaustedError):
@@ -317,6 +348,24 @@ class TestFractionTest:
 
 
 class TestCertify:
+    @pytest.mark.parametrize("src_dim, sigma_dim", [(8, 4), (4, 8)])
+    def test_dimension_mismatch_rejected_before_any_charge(self, src_dim, sigma_dim):
+        src = CopySource(DensityMatrix.maximally_mixed(src_dim))
+        with pytest.raises(ValidationError,
+                           match=f"^source dim {src_dim} != sigma dim {sigma_dim}$"):
+            certify(src, DensityMatrix.maximally_mixed(sigma_dim), 0.3, 0.2, rng=RngHandle(1))
+        assert src.copies_used == 0
+
+    def test_conditional_view_with_rotated_sigma_is_a_usage_error(self):
+        # certify rotates its source into sigma's eigenbasis; a conditional
+        # view cannot be rotated, which is a ValidationError, not numpy's
+        gen = rng_for("cert", "view-rotated")
+        src = CopySource(random_density(8, gen))
+        with pytest.raises(ValidationError, match="before conditioning"):
+            certify(src.conditional([4, 5, 6]), random_density(3, gen), 0.3, 0.2,
+                    rng=RngHandle(1))
+        assert src.copies_used == 0
+
     def test_null_yes(self):
         spec, sigma = two_bucket_sigma()
         v = certify(CopySource(sigma), sigma, 0.3, 0.2, CFG, rng=RngHandle(1).child("n"))
@@ -940,6 +989,26 @@ class TestBatchedRounds:
         diag = v.diagnostics
         assert diag["rounds"] == rounds and diag["rounds_run"] == run <= rounds
         assert diag["rejections"] == sum(rejected[:run])
+
+    def test_stacked_multinomial_draws_row_by_row(self):
+        """numpy draws the rows of a stacked ``pvals`` in order, each as a 1-D
+        call draws it: basic_certify's one call on a chunk's (r, 2, d) rows
+        gives the counts, and leaves the generator in the state, of a measured
+        and a reference call per round. Rows may hold zeros; n reaches 1e15."""
+        for seed in range(300):
+            gen = np.random.default_rng([seed, 2])
+            d = int(gen.integers(2, 130))
+            p = gen.dirichlet(np.ones(d), size=(int(gen.integers(1, 6)), 2))
+            zero = gen.random(p.shape) < 0.2
+            zero[..., 0] = False
+            p[zero] = 0.0
+            p /= p.sum(axis=-1, keepdims=True)
+            n = int(10 ** gen.uniform(0, 15))
+            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+            stacked = a.multinomial(n, p)
+            alone = [b.multinomial(n, row) for row in p.reshape(-1, d)]
+            assert np.array_equal(stacked.reshape(-1, d), alone)
+            assert a.bit_generator.state == b.bit_generator.state
 
     @settings(max_examples=30)
     @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 40), r=st.integers(1, 12),

@@ -10,7 +10,7 @@ import pytest
 
 from qcert import cli
 from qcert.cli import main, make_spectrum
-from qcert.linalg import DensityMatrix, ValidationError, fidelity_mm, spectral_quasinorm
+from qcert.linalg import DensityMatrix, ValidationError, spectral_fidelity_mm, spectral_quasinorm
 from qcert.measurement import Basis
 from qcert.rng import RngHandle
 from qcert.spectrum import remove_mass_lower_nonadaptive
@@ -88,6 +88,28 @@ class TestCertifyCommand:
         with pytest.raises(SystemExit) as err:
             main(["certify", "--trials", "0"])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize("argv, message", [
+        (["certify", "--trials", "0"], "--trials must be >= 1, got 0"),
+        (["certify", "--threads", "-1"], "--threads must be >= 1, got -1"),
+        (["certify", "--budget", "-5"], "--budget must be >= 0, got -5"),
+        (["sweep", "--trials", "0"], "--trials must be >= 1, got 0"),
+        (["divergence", "--copies", "0"], "--copies must be >= 1, got 0"),
+        (["divergence", "--schedules", "-1"], "--schedules must be >= 1, got -1"),
+        (["divergence", "--ensemble", "paninski", "--param-draws", "0"],
+         "--param-draws must be >= 1, got 0"),
+        (["verify", "--samples", "0"], "--samples must be >= 1, got 0"),
+        (["verify", "--fuzz", "-2"], "--fuzz must be >= 1, got -2"),
+        (["verify", "--schedules", "0"], "--schedules must be >= 1, got 0"),
+    ])
+    def test_count_flags_share_one_message(self, argv, message, capsys):
+        """Every count flag below its least value is the same usage error,
+        naming the flag, its bound and the value given."""
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"qcert: {message}\n" and captured.out == ""
 
     @pytest.mark.parametrize("argv", [
         ["certify", "--d", "0"],
@@ -382,7 +404,8 @@ class TestBoundsCommand:
             want = (spectral_quasinorm(np.linalg.eigvalsh(np.diag(values.astype(complex))), p)
                     if values.sum() > 0 else 0.0)
             assert payload[key] == want, key
-        assert payload["fidelity_mm"] == fidelity_mm(DensityMatrix.from_diagonal(spec.lambdas))
+        sigma = DensityMatrix.from_diagonal(spec.lambdas)
+        assert payload["fidelity_mm"] == spectral_fidelity_mm(np.linalg.eigvalsh(sigma.mat))
 
 
 class TestVerifyCommand:
@@ -485,14 +508,24 @@ class TestDivergenceCommand:
 
     def test_phis_weigh_each_state_once_per_basis(self, capsys, monkeypatch):
         """The Ingster phis take the null law and each corner state's weights
-        once per copy's basis: 3 single-basis weights calls per copy."""
-        single = []
-        weights = Basis.weights
+        for every copy's basis at once: 3 stacked weights calls per schedule,
+        and no single-basis call."""
+        calls, per_table = [], []
+        weights, table = Basis.weights, cli.phi_table
         monkeypatch.setattr(Basis, "weights",
-                            lambda m, block: single.append(m.u.ndim == 2) or weights(m, block))
+                            lambda m, block: calls.append(m.u.shape) or weights(m, block))
+
+        def counted(*args):
+            before = len(calls)
+            out = table(*args)
+            per_table.append(calls[before:])
+            return out
+
+        monkeypatch.setattr(cli, "phi_table", counted)
         code, _ = run_cli(["divergence", "--family", "spiked", "--d", "4", "--ensemble", "corner",
                            "--copies", "5", "--schedules", "5"], capsys)
-        assert code == 0 and sum(single) == 3 * 5 * 5
+        assert code == 0 and per_table == [[(5, 5, 5)] * 3] * 5
+        assert all(len(shape) == 3 for shape in calls)
 
     def test_corner_ignores_param_draws(self, capsys):
         code, _ = run_cli(["divergence", "--family", "spiked", "--d", "4", "--ensemble", "corner",

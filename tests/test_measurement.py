@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcert.instances import sample_paninski, tune_paninski
+from qcert.instances import corner_ensemble, sample_paninski, tune_paninski
 from qcert.linalg import DensityMatrix, ValidationError
 from qcert.measurement import (
     Basis,
@@ -361,6 +361,47 @@ class TestPhi:
         table = phi_table(m, sigma, states)
         want = [[scalar_phi(m, sigma, a, b) for b in states] for a in states]
         assert table.tolist() == want
+
+    @pytest.mark.parametrize("kind", ["corner", "spiked-corner", "paninski", "padded"])
+    def test_stack_tables_equal_tables_alone(self, kind):
+        """A schedule of bases gives one table per basis, bit for bit that
+        basis's table alone and the scalar loop's; "padded" mixes bases that
+        drop a vanishing outcome with bases that have none."""
+        gen = rng_for("meas", "phi-stack", kind)
+        if kind == "paninski":
+            spec = Spectrum(np.full(8, 0.125))
+            sigma = DensityMatrix.from_diagonal(spec.lambdas)
+            inst = tune_paninski(spec, 0.2)
+            states = [sample_paninski(sigma, inst, gen) for _ in range(3)]
+            us = haar_unitary(8, gen, size=4)
+        elif kind == "padded":
+            lam = np.append(gen.dirichlet(np.ones(4)), 0.0)
+            sigma = DensityMatrix.from_diagonal(lam)
+            states = [DensityMatrix(np.pad(random_density(4, gen).mat, (0, 1))) for _ in range(3)]
+            us = haar_unitary(5, gen, size=4)
+            us[::2] = np.eye(5)
+            us[::2, :-1, :-1] = haar_unitary(4, gen, size=2)
+        else:
+            lam = [0.8, 0.2] if kind == "corner" else [0.75] + [1 / 16] * 4
+            sigma = DensityMatrix.from_diagonal(lam)
+            states = corner_ensemble(sigma, 0.3)
+            us = haar_unitary(len(lam), gen, size=5)
+        table = phi_table(Basis(us), sigma, states)
+        assert table.shape == (len(us), len(states), len(states))
+        for t, u in enumerate(us):
+            alone = phi_table(Basis(u), sigma, states)
+            assert table[t].tobytes() == alone.tobytes()
+            assert table[t].tolist() == [[scalar_phi(Basis(u), sigma, a, b) for b in states]
+                                         for a in states]
+
+    def test_stack_with_an_undefined_outcome_raises(self):
+        # one basis of the schedule sees alternative mass where the null has none
+        rho = DensityMatrix.from_diagonal([1.0, 0.0])
+        alt = DensityMatrix.from_diagonal([0.5, 0.5])
+        us = haar_unitary(2, rng_for("meas", "phi-stack-dead"), size=3)
+        us[1] = np.eye(2)
+        with pytest.raises(UndefinedOutcomeError):
+            phi_table(Basis(us), rho, [alt, alt])
 
     def test_same_state_zero(self):
         rho = random_density(3, rng_for("meas", "phi0"))
