@@ -99,11 +99,10 @@ def basic_certify(src, sigma: DensityMatrix, eps: float, delta: float,
     the copies every round spends. Diagnostics: ``rounds`` charged,
     ``rounds_run`` simulated, and ``rejections`` among the rounds run.
 
-    Once per call: the round constants, the charge, and the reading of
-    rho's measured block, which the source gathers on its first ``law``
-    (sigma, a ``DensityMatrix``, was read when it was built). A block with
-    no nonzero off-diagonal entry is held as its real diagonal, so no chunk
-    gathers or scans it again. Once per chunk: one Haar stack from
+    Once per call: the round constants and the charge. Nothing is gathered
+    or scanned: the source holds rho's measured block from the moment it is
+    made, and sigma's was read when it was built, each in ``block_form``.
+    Once per chunk: one Haar stack from
     ``haar_unitary``, one validated Born kernel per block, one clip and one row
     sum normalising every measured row, one multinomial call, and
     one row-wise L2 test whose checks (shapes, nonnegative counts, equal
@@ -145,22 +144,22 @@ def basic_certify(src, sigma: DensityMatrix, eps: float, delta: float,
     })
 
 
-def _fraction_test(src, indices, n: int, rng) -> float:
-    """Observed fraction of n copies landing in the coordinate subset.
+def _fraction_test(src, view, n: int, rng) -> float:
+    """Observed fraction of n copies of ``src`` landing in ``view``'s subset.
 
     Measuring {Pi, I - Pi} charges n copies; the count landing in Pi is one
-    binomial draw at Tr(Pi rho), the acceptance of the conditional view,
-    clipped to [0, 1] against the trace tolerance of a ``DensityMatrix``.
+    binomial draw at Tr(Pi rho), the view's acceptance, clipped to [0, 1]
+    against the trace tolerance of a ``DensityMatrix``.
     """
     src.charge(n, 1, rng)
-    return rng.binomial(n, min(max(src.conditional(indices).acceptance, 0.0), 1.0)) / n
+    return rng.binomial(n, min(max(view.acceptance, 0.0), 1.0)) / n
 
 
 def _diagonalize(sigma: DensityMatrix) -> tuple[Spectrum, np.ndarray | None]:
     """sigma's spectrum, plus its eigenbasis map, or None when sigma has no
-    nonzero off-diagonal entry (``sigma.diagonal_entries``, read when it was built)."""
-    lam, vec = sigma.diagonal_entries, None
-    if lam is None:
+    nonzero off-diagonal entry (``sigma.block`` is then its real diagonal)."""
+    lam, vec = sigma.block, None
+    if lam.ndim == 2:
         lam, vec = hermitian_eig(sigma.mat)
     lam = np.clip(lam, 0.0, None)
     return Spectrum(lam / lam.sum()), vec
@@ -204,7 +203,8 @@ def certify(src, sigma: DensityMatrix, eps: float, delta: float,
         # Scenario 1: mass on the removed tail.
         # an empty tail is never measured, so it charges no copies
         n1 = math.ceil(DEFAULT_C_TRACE * math.log(2 / delta) / eps**2) if tail.size else 0
-        frac = _fraction_test(src, tail, n1, rng.child("s1").generator()) if n1 else 0.0
+        frac = (_fraction_test(src, src.conditional(tail), n1, rng.child("s1").generator())
+                if n1 else 0.0)
         diag["scenario1"] = {"fraction": frac, "threshold": eps**2 / 5, "copies": n1}
         if frac >= eps**2 / 5:
             return Verdict("NO", src.copies_used - start, diag)
@@ -228,7 +228,8 @@ def certify(src, sigma: DensityMatrix, eps: float, delta: float,
 
         for entries, label, idx, gen, margin, scale, stage_delta in stages:
             trace = float(lam[idx].sum())
-            frac = _fraction_test(src, idx, n_trace, gen.child("trace").generator())
+            view = src.conditional(idx)
+            frac = _fraction_test(src, view, n_trace, gen.child("trace").generator())
             entry = {**label, "trace": trace, "fraction": frac, "skipped": False}
             entries.append(entry)
             if frac >= trace + margin:
@@ -238,7 +239,7 @@ def certify(src, sigma: DensityMatrix, eps: float, delta: float,
                 continue
             eps_hs = min(eps / (scale * trace) / math.sqrt(len(idx)), 2.0)
             sub_sigma = DensityMatrix.from_diagonal(lam[idx] / trace)
-            verdict = basic_certify(src.conditional(idx), sub_sigma, eps_hs, stage_delta, cfg,
+            verdict = basic_certify(view, sub_sigma, eps_hs, stage_delta, cfg,
                                     rng=gen.child("basic"))
             entry["basic"] = verdict.answer
             if verdict.answer != "YES":

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import ValidationError
-from .spectrum import _greedy_prefix
+from .linalg import ValidationError, spectral_quasinorm
+from .spectrum import _lightest
 
 
 def _paired_counts(x, y) -> tuple[np.ndarray, np.ndarray]:
@@ -65,8 +65,5 @@ def l23_functional(p, eps: float) -> float:
     if arr.size == 0:
         return 0.0
     arr[int(np.argmax(arr))] = 0.0
-    support = np.flatnonzero(arr > 0)
-    order = support[np.lexsort((support, arr[support]))]
-    arr[_greedy_prefix(order, arr, eps)] = 0.0
-    total = float((arr ** (2 / 3)).sum())
-    return total ** 1.5
+    arr[_lightest(arr, eps)] = 0.0
+    return spectral_quasinorm(arr, 2 / 3)

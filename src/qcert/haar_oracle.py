@@ -46,8 +46,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import DensityMatrix, ValidationError, check_hermitian
-from .measurement import Basis, _block, outcome_distribution
+from .linalg import DensityMatrix, ValidationError, block_form, check_hermitian
+from .measurement import Basis, outcome_distribution
 from .rng import _check_count, haar_blocks
 
 MAX_ORDER = 6
@@ -315,7 +315,7 @@ def verify_moments_basic(m, samples: int, rng: np.random.Generator) -> MomentsRe
     d = mat.shape[0]
     tr = float(np.trace(mat).real)
     hs2 = float(np.trace(mat @ mat).real)
-    block = _block(mat)
+    block = block_form(mat)
 
     z_sum = z2_sum = z4_sum = 0.0
     done = 0

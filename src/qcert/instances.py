@@ -186,13 +186,20 @@ def plan_offdiag(
 
 def build_offdiag(sigma: DensityMatrix, inst: OffDiagInstance,
                   rng: np.random.Generator) -> DensityMatrix:
-    """sigma plus the Hermitian dilation of amplitude * W, W a Haar isometry."""
+    """sigma plus the Hermitian dilation of amplitude * W, W a Haar isometry.
+    A state without an eigensolve: sigma is diagonal with entries >= 2^-(j+1)
+    on the rows or columns from bucket j, else ``ValidationError``, and the
+    planned amplitude is at most the geometric mean of those floors."""
+    lam = sigma.block
+    if (lam.ndim != 1 or lam[list(inst.rows)].min() < 2.0 ** -(inst.j_row + 1)
+            or lam[list(inst.cols)].min() < 2.0 ** -(inst.j_col + 1)):
+        raise ValidationError("sigma is not a diagonal state with the planned buckets' entries")
     w = haar_isometry(len(inst.rows), len(inst.cols), rng)
     mat = sigma.mat.copy()
     block = inst.amplitude * w
     mat[np.ix_(inst.rows, inst.cols)] += block
     mat[np.ix_(inst.cols, inst.rows)] += block.conj().T
-    return DensityMatrix(mat)
+    return DensityMatrix.trusted(mat)
 
 
 def plan_corner(spec: Spectrum, eps: float) -> tuple[int, int]:

@@ -39,24 +39,25 @@ def hermitian_part(a) -> np.ndarray:
     return (m + m.conj().T) / 2
 
 
-def check_hermitian(a, tol: float = HERMITICITY_TOL) -> np.ndarray:
+def check_hermitian(a) -> np.ndarray:
     """Validate hermiticity entrywise, then symmetrize to absorb roundoff."""
     m = _mat(a)
     adj = m.conj().T
     dev = np.abs(m - adj).max() if m.size else 0.0
-    if dev > tol:
-        raise ValidationError(f"matrix is not Hermitian: max |A - A^dag| = {dev:.3e} > {tol:.1e}")
+    if dev > HERMITICITY_TOL:
+        raise ValidationError(f"matrix is not Hermitian: max |A - A^dag| = {dev:.3e} "
+                              f"> {HERMITICITY_TOL:.1e}")
     # hermitian_part(m), with the adjoint formed once
     return (m + adj) / 2
 
 
-def diagonal_entries(m: np.ndarray) -> np.ndarray | None:
-    """The real diagonal of a square matrix with no nonzero off-diagonal
-    entry, else None. A dense matrix shows itself in its first row, which is
-    checked before the whole matrix is counted."""
+def block_form(m: np.ndarray) -> np.ndarray:
+    """A square block as it is measured: its real diagonal when no off-diagonal
+    entry is nonzero, else ``m`` itself. A dense matrix shows itself in its
+    first row, which is checked before the whole matrix is counted."""
     diag = np.diagonal(m)
     if m[:1, 1:].any() or np.count_nonzero(m) != np.count_nonzero(diag):
-        return None
+        return m
     return diag.real.copy()
 
 
@@ -80,12 +81,11 @@ class DensityMatrix:
 
     The constructor validates that every entry is finite, then hermiticity
     (1e-12), trace (1e-9) and the minimum eigenvalue (>= -1e-9), and stores
-    the symmetrized matrix. ``diagonal_entries`` holds its real diagonal when
-    no off-diagonal entry is nonzero, else None, decided once when built, so
-    measuring the state never scans it again.
+    the symmetrized matrix. ``block`` is its ``block_form``, read once when
+    built, so measuring the state never scans it again.
     """
 
-    __slots__ = ("mat", "dim", "diagonal_entries")
+    __slots__ = ("mat", "dim", "block")
 
     def __init__(self, mat):
         m = _mat(mat)
@@ -98,7 +98,7 @@ class DensityMatrix:
     def _set(self, m: np.ndarray) -> None:
         self.mat = m
         self.dim = m.shape[0]
-        self.diagonal_entries = diagonal_entries(m)
+        self.block = block_form(m)
 
     @classmethod
     def trusted(cls, mat) -> "DensityMatrix":
@@ -122,7 +122,7 @@ class DensityMatrix:
         _check_trace(np.trace(m).real)
         _check_least_eigenvalue(lam.min())
         state = cls.__new__(cls)
-        state.mat, state.dim, state.diagonal_entries = m, lam.size, lam
+        state.mat, state.dim, state.block = m, lam.size, lam
         return state
 
     @classmethod

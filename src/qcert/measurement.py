@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import DensityMatrix, ValidationError, _mat, diagonal_entries
+from .linalg import DensityMatrix, ValidationError, block_form
 
 PROB_FLOOR = 1e-15
 
@@ -55,7 +55,7 @@ class Basis:
         stack. A dim x dim matrix takes the O(k^3) kernel
         Re sum_rows conj(U) * (block U); the real diagonal of a diagonal one
         takes the O(k^2) kernel (|U|^2)^T diag, |U|^2 computed once per
-        basis. Which form a matrix takes is decided once, by ``_block``,
+        basis. Which form a matrix takes is decided once, by ``block_form``,
         where it enters: here only the number of axes is read."""
         if block.ndim == 2:
             return np.real(np.sum(self.u.conj() * (block @ self.u), axis=-2))
@@ -64,23 +64,8 @@ class Basis:
         return np.sum(self._sq * block[:, None], axis=-2)
 
 
-def _block(mat: np.ndarray) -> np.ndarray:
-    """``mat`` in the form ``Basis.weights`` measures: its real diagonal when
-    no off-diagonal entry is nonzero, else ``mat`` itself. A caller that
-    measures one block many times reads it once."""
-    diag = diagonal_entries(mat)
-    return mat if diag is None else diag
-
-
-def _state_block(rho) -> np.ndarray:
-    """``_block`` of a state; a ``DensityMatrix`` was read when it was built."""
-    if isinstance(rho, DensityMatrix):
-        return rho.mat if rho.diagonal_entries is None else rho.diagonal_entries
-    return _block(_mat(rho))
-
-
 def _weights(block: np.ndarray, m: Basis, total: float = 1.0) -> np.ndarray:
-    """Born weights of a block read by ``_block`` under ``m``, validated as
+    """Born weights of a ``block_form`` block under ``m``, validated as
     nonnegative within 1e-9 and as summing to ``total`` within 1e-9 (every
     row of a stack)."""
     if block.shape[0] != m.dim:
@@ -94,9 +79,9 @@ def _weights(block: np.ndarray, m: Basis, total: float = 1.0) -> np.ndarray:
     return p
 
 
-def outcome_distribution(rho, m: Basis) -> np.ndarray:
+def outcome_distribution(rho: DensityMatrix, m: Basis) -> np.ndarray:
     """Born-rule outcome probabilities <u_z| rho |u_z>; one row per basis of a stack."""
-    return _weights(_state_block(rho), m)
+    return _weights(rho.block, m)
 
 
 def sampling_probs(p: np.ndarray) -> np.ndarray:
@@ -117,25 +102,22 @@ class CopySource:
     them all at once and computes the law of a stacked ``Basis`` once per chunk.
     Exceeding the budget raises :class:`BudgetExhaustedError`. ``conditional``
     and ``rotated`` return views that share this source's counter and budget.
-    ``acceptance`` is the probability that a copy is accepted: exactly 1 on a
-    full source, Tr(Pi rho Pi) on a conditional view, set once per view.
+    Each holds its measured ``block``, in ``block_form``, and its
+    ``acceptance``, the probability that a copy is accepted, from the moment
+    it is made: exactly 1 on a full source, the sum of the block's real
+    diagonal, Tr(Pi rho Pi), on a conditional view, which holds no ``state``.
     """
 
     def __init__(self, state: DensityMatrix, budget: int | None = None):
-        self.state = state
+        self.state, self.block, self.acceptance = state, state.block, 1.0
         self.budget = budget
-        self.acceptance = 1.0
         self._root = self
-        self._indices = None  # a conditional view's subset, in the full state's coordinates
-        self._block = None  # the measured block, read by _block on the first law
         self._copies = 0
 
-    def _view(self, state: DensityMatrix, indices) -> "CopySource":
-        view = CopySource(state, self.budget)
-        view._root = self._root
-        view._indices = indices
-        if indices is not None:
-            view.acceptance = float(state.mat[indices, indices].real.sum())
+    def _view(self, state, block: np.ndarray, acceptance: float) -> "CopySource":
+        view = CopySource.__new__(CopySource)
+        view.state, view.block, view.acceptance = state, block, acceptance
+        view.budget, view._root, view._copies = self.budget, self._root, 0
         return view
 
     def conditional(self, indices) -> "CopySource":
@@ -145,24 +127,31 @@ class CopySource:
         a conditional view are its own coordinates 0..dim-1. Each copy is
         first measured with {Pi, I - Pi}; copies landing outside are
         discarded, and every physical copy, discards included, is charged.
+        The view's block is gathered here, from this source's block.
         """
         idx = np.asarray(indices, dtype=int)
         if idx.size == 0:
             raise ValidationError("conditional subset must be nonempty")
         if idx.min() < 0 or idx.max() >= self.dim:
             raise ValidationError(f"conditional subset must lie in 0..{self.dim - 1}")
-        return self._view(self.state, idx if self._indices is None else self._indices[idx])
+        block = self.block
+        block = block[idx] if block.ndim == 1 else block_form(block[np.ix_(idx, idx)])
+        diag = block if block.ndim == 1 else np.diagonal(block).real
+        return self._view(None, block, float(diag.sum()))
 
     def rotated(self, v: np.ndarray) -> "CopySource":
         """View of the state V^dagger rho V: measuring M on it measures V M V^dagger on rho."""
-        if self._indices is not None:
+        if self.state is None:
             raise ValidationError("a conditional view cannot be rotated; "
                                   "rotate the source before conditioning it")
-        return self._view(DensityMatrix(v.conj().T @ self.state.mat @ v), None)
+        if np.shape(v) != (self.dim, self.dim):
+            raise ValidationError(f"rotation shape {np.shape(v)} != state shape {(self.dim,) * 2}")
+        state = DensityMatrix(v.conj().T @ self.state.mat @ v)
+        return self._view(state, state.block, 1.0)
 
     @property
     def dim(self) -> int:
-        return self.state.dim if self._indices is None else int(self._indices.size)
+        return self.block.shape[0]
 
     @property
     def copies_used(self) -> int:
@@ -182,16 +171,10 @@ class CopySource:
 
         On a full source the weights are the outcome law. On a conditional
         view they are the Born weights of the block rho[S, S], and the law of
-        an accepted copy is a row divided by its sum. The block is gathered
-        and checked for off-diagonal entries on the first call only. Nothing
-        is charged.
+        an accepted copy is a row divided by its sum. Nothing is gathered or
+        charged.
         """
-        if self._block is None:
-            block, idx = _state_block(self.state), self._indices
-            if idx is not None:  # a diagonal state's block is its diagonal's entries
-                block = block[idx] if block.ndim == 1 else _block(block[np.ix_(idx, idx)])
-            self._block = block
-        return _weights(self._block, m, self.acceptance)
+        return _weights(self.block, m, self.acceptance)
 
     def charge(self, n: int, batches: int, rng: np.random.Generator) -> None:
         """Charge ``batches`` batches of n accepted copies each, in order.
@@ -232,7 +215,7 @@ def phi_table(m: Basis, rho, states) -> np.ndarray:
     every table of a stack equals that of its basis held alone.
     """
     p0 = outcome_distribution(rho, m)
-    w = np.array([m.weights(_state_block(s)) for s in states]).reshape(-1, *p0.shape)
+    w = np.array([m.weights(s.block) for s in states]).reshape(-1, *p0.shape)
     live = p0 > PROB_FLOOR
     undefined = np.argwhere((w > 1e-12) & ~live)  # rows (state, ..., outcome)
     if undefined.size:

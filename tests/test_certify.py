@@ -1,5 +1,6 @@
 import importlib
 import math
+import re
 import types
 
 import numpy as np
@@ -177,21 +178,28 @@ class TestConditionalSource:
     def test_view_of_a_view_takes_its_own_coordinates(self):
         """A conditional of a conditional view projects onto the view's own
         coordinates: its acceptance and law are those of the block of the
-        full state gathered by hand, and it charges the same source."""
+        full state gathered by hand, and it charges the same source. On a
+        dense and on a diagonal state, the acceptance is the full state's
+        diagonal on those coordinates, summed bit for bit as a scan of the
+        matrix sums it."""
         gen = rng_for("cert", "nested")
-        rho = random_density(8, gen)
-        src = CopySource(rho)
-        outer = src.conditional([4, 5, 6])
+        dense = random_density(8, gen)
         m = Basis(haar_unitary(2, gen, size=3))
-        for view, coords in ((outer.conditional([0]), [4]), (outer.conditional([0, 2]), [4, 6]),
-                             (outer.conditional([0, 2]).conditional([1]), [6])):
-            block = rho.mat[np.ix_(coords, coords)]
-            assert view.dim == len(coords)
-            assert view.acceptance == float(np.diagonal(block).real.sum())
-            if view.dim == 2:
-                assert np.array_equal(view.law(m), m.weights(block))
-        measure(outer.conditional([1]), Basis(np.eye(1)), 10, rng_for("cert", "nested-draw"))
-        assert src.copies_used >= 10
+        for rho in (dense, DensityMatrix.from_diagonal(dense.diagonal())):
+            src = CopySource(rho)
+            outer = src.conditional([4, 5, 6])
+            for view, coords in ((outer, [4, 5, 6]), (outer.conditional([0]), [4]),
+                                 (outer.conditional([0, 2]), [4, 6]),
+                                 (outer.conditional([0, 2]).conditional([1]), [6])):
+                block = rho.mat[np.ix_(coords, coords)]
+                assert view.dim == len(coords)
+                assert view.acceptance == float(np.diagonal(block).real.sum())
+                assert view.acceptance == float(rho.mat[coords, coords].real.sum())
+                if view.dim == 2:
+                    measured = block if rho is dense else np.diagonal(block).real
+                    assert np.array_equal(view.law(m), m.weights(measured))
+            measure(outer.conditional([1]), Basis(np.eye(1)), 10, rng_for("cert", "nested-draw"))
+            assert src.copies_used >= 10
 
     @pytest.mark.parametrize("indices", [[3], [5], [-1]])
     def test_view_subset_outside_the_view_rejected(self, indices):
@@ -204,6 +212,11 @@ class TestConditionalSource:
         outer = CopySource(DensityMatrix.maximally_mixed(8)).conditional([4, 5, 6])
         with pytest.raises(ValidationError, match="before conditioning"):
             outer.rotated(haar_unitary(v_dim, rng_for("cert", "rot-view")))
+
+    @pytest.mark.parametrize("v", [np.eye(3), np.eye(5), np.ones(4)])
+    def test_rotation_of_the_wrong_shape_rejected(self, v):
+        with pytest.raises(ValidationError, match=re.escape(str(np.shape(v))) + r".*\(4, 4\)"):
+            CopySource(DensityMatrix.maximally_mixed(4)).rotated(v)
 
     def test_zero_acceptance_raises_without_charge(self):
         src = CopySource(DensityMatrix.from_diagonal([0.5, 0.5, 0.0]))
@@ -330,7 +343,7 @@ class TestFractionTest:
         rho = random_density(6, gen)
         idx = np.array([0, 2, 3])
         src = CopySource(rho)
-        frac = _fraction_test(src, idx, 5000, rng_for("fraction-draw", seed))
+        frac = _fraction_test(src, src.conditional(idx), 5000, rng_for("fraction-draw", seed))
         ref_gen = rng_for("fraction-draw", seed)
         pi = np.zeros((6, 6), dtype=complex)
         pi[idx, idx] = 1.0
@@ -344,7 +357,7 @@ class TestFractionTest:
         lam = np.array([0.5 + 4e-10, 0.5, 0.0])
         src = CopySource(DensityMatrix.from_diagonal(lam))
         assert src.conditional([0, 1]).acceptance > 1.0
-        assert _fraction_test(src, [0, 1], 100, rng_for("fraction-clip")) == 1.0
+        assert _fraction_test(src, src.conditional([0, 1]), 100, rng_for("fraction-clip")) == 1.0
 
 
 class TestCertify:
@@ -415,7 +428,7 @@ class TestCertify:
         assert v.answer == "YES"
 
     def test_one_diagonal_rule(self, monkeypatch):
-        """Whether sigma is diagonal is read from ``diagonal_entries``: a
+        """Whether sigma is diagonal is read from ``sigma.block``: a
         diagonal sigma built three ways gives one verdict and copy count
         without a rotation, and one 1e-13 off-diagonal entry is enough to
         send sigma through its eigenbasis."""
@@ -644,9 +657,8 @@ def round_guard_case(kind: str, d: int):
     src = CopySource(DensityMatrix.from_diagonal(lam), budget)
     if kind == "rotated":
         src = src.rotated(haar_unitary(2 * d, gen))
-    src = src.conditional(idx)
     block = np.diagonal(src.state.mat)[idx].real
-    return src, DensityMatrix.from_diagonal(block / block.sum())
+    return src.conditional(idx), DensityMatrix.from_diagonal(block / block.sum())
 
 
 class TestRoundPins:
@@ -690,21 +702,19 @@ class TestRoundPins:
     @pytest.mark.parametrize("kind, gathered, counted, run",
                              [("rotated", 1, 0, 28), ("mixed", 0, 0, 21), ("row0", 1, 1, 28)])
     def test_blocks_read_once_per_call(self, kind, gathered, counted, run, monkeypatch):
-        """Over 3 or more chunks of 7 rounds, a conditional view gathers its
-        block at most once and counts its nonzeros at most once. A dense
-        block shows an off-diagonal entry in its first row and is not
-        counted; a diagonal state, read when it was built, is measured
-        through its entries; a dense block whose first row is diagonal is
-        counted on the first chunk only."""
-        if kind == "rotated":
-            src, sigma = round_guard_case("rotated", 33)
-        elif kind == "mixed":
-            src = CopySource(DensityMatrix.maximally_mixed(66)).conditional(range(0, 66, 2))
+        """A conditional view gathers its block at most once and counts its
+        nonzeros at most once, when it is made; over 3 or more chunks of 7
+        rounds basic_certify does neither. A dense block shows an
+        off-diagonal entry in its first row and is not counted; a diagonal
+        state, read when it was built, gives the view its entries; a dense
+        block whose first row is diagonal is counted once."""
+        if kind == "mixed":
+            full, idx = CopySource(DensityMatrix.maximally_mixed(66)), range(0, 66, 2)
             sigma = DensityMatrix.maximally_mixed(33)
-        else:
+        elif kind == "row0":
             mat = np.zeros((66, 66), dtype=complex)
             mat[0, 0], mat[1:, 1:] = 0.5, 0.5 * random_density(65, rng_for("round-guard", "row0")).mat
-            src = CopySource(DensityMatrix(mat)).conditional(range(0, 66, 2))
+            full, idx = CopySource(DensityMatrix(mat)), range(0, 66, 2)
             sigma = DensityMatrix.maximally_mixed(33)
         counts, gathers = [], []
         count_nonzero, ix = np.count_nonzero, np.ix_
@@ -712,6 +722,11 @@ class TestRoundPins:
                             lambda a, *args: (np.ndim(a) == 2 and counts.append(np.shape(a)))
                             or count_nonzero(a, *args))
         monkeypatch.setattr(np, "ix_", lambda *args: gathers.append(len(args)) or ix(*args))
+        if kind == "rotated":  # rotates a dense 66 x 66 state, then conditions it
+            src, sigma = round_guard_case("rotated", 33)
+        else:
+            src = full.conditional(idx)
+        assert counts == [(33, 33)] * counted and len(gathers) == gathered
         v = basic_certify(src, sigma, 0.5, 0.1, CFG, rng=RngHandle(5).child("round-guard", 33))
         assert v.diagnostics["rounds_run"] == run
         assert counts == [(33, 33)] * counted and len(gathers) == gathered

@@ -12,7 +12,8 @@ from qcert.instances import (
     sample_paninski,
     tune_paninski,
 )
-from qcert.linalg import DensityMatrix, trace_distance
+from qcert.linalg import DensityMatrix, ValidationError, trace_distance
+from qcert.rng import haar_isometry, haar_unitary
 from qcert.spectrum import Spectrum
 
 from conftest import rng_for
@@ -136,6 +137,41 @@ class TestOffDiag:
         assert np.abs(diff[np.ix_(inst.rows, inst.rows)]).max() == 0.0
         assert np.abs(diff[np.ix_(inst.cols, inst.cols)]).max() == 0.0
 
+    def test_stores_the_bits_the_validating_constructor_stores(self):
+        spec = two_bucket_spectrum()
+        inst = plan_offdiag(spec, 0.25, j_row=2, j_col=3)
+        sigma = DensityMatrix.from_diagonal(spec.lambdas)
+        rho = build_offdiag(sigma, inst, rng_for("inst", "bits"))
+        block = inst.amplitude * haar_isometry(len(inst.rows), len(inst.cols),
+                                               rng_for("inst", "bits"))
+        mat = sigma.mat.copy()
+        mat[np.ix_(inst.rows, inst.cols)] += block
+        mat[np.ix_(inst.cols, inst.rows)] += block.conj().T
+        want = DensityMatrix(mat)
+        assert rho.mat.tobytes() == want.mat.tobytes() and rho.block is rho.mat
+
+    @pytest.mark.parametrize("lam", [[0.25, 0.25, 0.125, 0.125, 0.125, 0.125],  # rows j=2, cols j=1
+                                     [0.25] * 4])  # one bucket split in halves
+    def test_psd_at_the_positivity_bound(self, lam):
+        """Entries on the bucket floors and eps = max_eps: the Schur bound is
+        tight, and the least eigenvalue is 0 up to roundoff."""
+        spec = Spectrum(np.array(lam))
+        inst = plan_offdiag(spec, plan_offdiag(spec, 0.0).max_eps)
+        sigma = DensityMatrix.from_diagonal(spec.lambdas)
+        for t in range(20):
+            rho = build_offdiag(sigma, inst, rng_for("inst", "bound", len(lam), t))
+            assert np.linalg.eigvalsh(rho.mat)[0] >= -1e-12
+
+    def test_sigma_off_the_plan_rejected(self):
+        spec = two_bucket_spectrum()
+        inst = plan_offdiag(spec, 0.25, j_row=2, j_col=3)
+        lam = spec.lambdas
+        u = haar_unitary(lam.size, rng_for("inst", "off-plan"))
+        for sigma in (DensityMatrix.from_diagonal(lam[::-1]),  # rows below 2^-3
+                      DensityMatrix(u @ np.diag(lam) @ u.conj().T)):  # not diagonal
+            with pytest.raises(ValidationError, match="planned buckets"):
+                build_offdiag(sigma, inst, rng_for("inst", "off-plan"))
+
     def test_infeasible_eps_reports_cap(self):
         spec = two_bucket_spectrum()
         with pytest.raises(InfeasibleError) as err:
@@ -229,3 +265,4 @@ class TestFuzzValidity:
             sigma = DensityMatrix.from_diagonal(spec.lambdas)
             rho = build_offdiag(sigma, inst, gen)
             assert abs(np.trace(rho.mat).real - 1) <= 1e-9
+            assert np.linalg.eigvalsh(rho.mat)[0] >= -1e-12

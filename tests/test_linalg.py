@@ -239,7 +239,7 @@ class TestDensityMatrix:
         got = DensityMatrix.from_diagonal(lam)
         assert got.mat.tobytes() == want.mat.tobytes() and got.dim == want.dim == len(lam)
         # the diagonal it keeps is the one a scan of the matrix finds
-        assert got.diagonal_entries.tobytes() == want.diagonal_entries.tobytes()
+        assert got.block.tobytes() == want.block.tobytes()
 
     @pytest.mark.parametrize("lam, message", [
         ([0.5, 0.4], "trace = 0.9, not 1 within 1.0e-09"),  # a plain float, not np.float64(0.9)

@@ -4,13 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcert.instances import corner_ensemble, sample_paninski, tune_paninski
-from qcert.linalg import DensityMatrix, ValidationError
+from qcert.linalg import DensityMatrix, ValidationError, block_form
 from qcert.measurement import (
     Basis,
     BudgetExhaustedError,
     CopySource,
     UndefinedOutcomeError,
-    _block,
     outcome_distribution,
     phi_table,
     sampling_probs,
@@ -68,7 +67,7 @@ class TestBasis:
         reused) and on a dense one. At d = 2 the stack takes Gram-Schmidt."""
         gen = rng_for("meas", "trusted", d)
         us = haar_unitary(d, gen, size=r)
-        diagonal = DensityMatrix.from_diagonal(gen.dirichlet(np.ones(d))).diagonal_entries
+        diagonal = DensityMatrix.from_diagonal(gen.dirichlet(np.ones(d))).block
         dense = random_density(d, gen).mat
         trusted, checked = Basis.trusted(us), Basis(us)
         for block in (diagonal, dense, diagonal):
@@ -81,27 +80,33 @@ def dense_weights(u: np.ndarray, block: np.ndarray) -> np.ndarray:
 
 
 class TestDiagonalKernel:
-    """A block read by ``_block`` takes Basis.weights' O(d^2) kernel when it is
+    """A block read by ``block_form`` takes Basis.weights' O(d^2) kernel when it is
     exactly diagonal."""
 
     @settings(max_examples=60)
     @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 40),
            r=st.none() | st.integers(1, 4), zeros=st.floats(0.0, 0.9),
-           conditional=st.booleans())
-    def test_matches_dense_path(self, seed, d, r, zeros, conditional):
+           views=st.integers(0, 2))
+    def test_matches_dense_path(self, seed, d, r, zeros, views):
+        """Also on a conditional view and a view of a view, whose acceptance
+        is the full state's diagonal on the subset summed as a scan of the
+        matrix sums it, bit for bit: it sets the discard draws."""
         gen = RngHandle(seed).child("diag-kernel").generator()
         lam = gen.dirichlet(np.ones(d))
         lam[gen.random(d) < zeros] = 0.0
         lam[int(gen.integers(d))] += 1.0  # at least one entry stays positive
         state = DensityMatrix.from_diagonal(lam / lam.sum())
-        src, block = CopySource(state), state.mat
-        if conditional:
-            idx = np.sort(gen.choice(d, size=int(gen.integers(1, d + 1)), replace=False))
-            src, block = src.conditional(idx), block[np.ix_(idx, idx)]
+        src, block, full_idx = CopySource(state), state.mat, np.arange(d)
+        for _ in range(views):
+            idx = np.sort(gen.choice(src.dim, size=int(gen.integers(1, src.dim + 1)),
+                                     replace=False))
+            src, block, full_idx = src.conditional(idx), block[np.ix_(idx, idx)], full_idx[idx]
         m = Basis(haar_unitary(src.dim, gen, size=r))
         p = src.law(m)
         assert np.abs(p - dense_weights(m.u, block)).max() <= 1e-12
         assert abs(src.acceptance - np.diagonal(block).real.sum()) <= 1e-12
+        if views:
+            assert src.acceptance == float(state.mat[full_idx, full_idx].real.sum())
         for t in range(len(m.u) if r else 0):  # a stack's rows are its bases held alone
             assert np.array_equal(p[t], Basis(m.u[t]).weights(np.diagonal(block).real))
 
@@ -117,7 +122,7 @@ class TestDiagonalKernel:
         block[i, j] = scale * (gen.random() + 1j * gen.random())
         block[j, i] = np.conj(block[i, j])
         u = haar_unitary(d, gen, size=r)
-        assert _block(block) is block
+        assert block_form(block) is block
         assert np.array_equal(Basis(u).weights(block), dense_weights(u, block))
 
 
@@ -146,14 +151,14 @@ class TestDiagonalKernel:
     @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 40),
            r=st.none() | st.integers(1, 4))
     def test_diagonal_read_as_its_entries(self, seed, d, r):
-        """``_block`` reads a diagonal matrix as its real diagonal, bit for
+        """``block_form`` reads a diagonal matrix as its real diagonal, bit for
         bit, which the O(d^2) kernel measures; a state built from its
         diagonal keeps the same entries."""
         gen = RngHandle(seed).child("diag-entries").generator()
         lam = gen.dirichlet(np.ones(d))
-        block = _block(np.diag(lam).astype(complex))
+        block = block_form(np.diag(lam).astype(complex))
         assert block.ndim == 1 and block.tobytes() == lam.tobytes()
-        assert DensityMatrix.from_diagonal(lam).diagonal_entries.tobytes() == lam.tobytes()
+        assert DensityMatrix.from_diagonal(lam).block.tobytes() == lam.tobytes()
         m = Basis(haar_unitary(d, gen, size=r))
         sq = m.u.real**2 + m.u.imag**2
         assert np.array_equal(m.weights(block), np.sum(sq * lam[:, None], axis=-2))
