@@ -54,10 +54,8 @@ MAX_ORDER = 6
 # exact_transcript_divergence refuses schedules with more transcripts than this.
 MAX_TRANSCRIPTS = 10**6
 
-# verify_moments_basic: the stated (d^-4) second-moment bound's multiplier, and
-# the number of Haar unitaries drawn per stack (part of its stream contract).
+# verify_moments_basic: the stated (d^-4) second-moment bound's multiplier.
 _SECOND_MOMENT_MULTIPLIER = 1.5
-_MOMENTS_CHUNK = 100_000
 
 
 def _partitions(k: int) -> tuple[tuple[int, ...], ...]:
@@ -301,13 +299,11 @@ def verify_moments_basic(m, samples: int, rng: np.random.Generator) -> MomentsRe
     stated bound fails. The quantity to check is `ez2_exact` (exact from the
     S_4 characters, d >= 4), whose true scale is ||M||_HS^4/d^2.
 
-    Each chunk of up to _MOMENTS_CHUNK samples is one Haar stack, read
-    sub-stack by sub-stack from ``haar_blocks``, which streams the real parts
-    and, at d <= 6, orthonormalises by Gram-Schmidt. Each sub-stack is
-    measured as a throwaway ``Basis.trusted``, which forms no U^dag U. Only
-    the per-sample Z (8 * take bytes) and a fixed number of sub-stacks are
-    held, whatever d^2 * samples, and the estimates equal those of the
-    one-shot stack bit for bit.
+    The samples are one Haar stack, taken sub-stack by sub-stack from
+    ``haar_blocks``. Each sub-stack is measured as a throwaway
+    ``Basis.trusted``, which forms no U^dag U, and adds its sums of Z, Z^2
+    and Z^4 to the running sums. So a fixed number of sub-stacks is held,
+    whatever d^2 * samples.
     """
     if samples < 1:
         raise ValidationError(f"samples must be >= 1, got {samples}")
@@ -318,19 +314,11 @@ def verify_moments_basic(m, samples: int, rng: np.random.Generator) -> MomentsRe
     block = block_form(mat)
 
     z_sum = z2_sum = z4_sum = 0.0
-    done = 0
-    while done < samples:
-        take = min(_MOMENTS_CHUNK, samples - done)
-        z = np.empty(take)
-        start = 0
-        for q in haar_blocks(d, rng, take):
-            x = Basis.trusted(q).weights(block)
-            z[start:start + len(q)] = (x**2).sum(axis=1)
-            start += len(q)
+    for q in haar_blocks(d, rng, samples):
+        z = (Basis.trusted(q).weights(block) ** 2).sum(axis=1)
         z_sum += z.sum()
         z2_sum += (z**2).sum()
         z4_sum += (z**4).sum()
-        done += take
     ez_mc = z_sum / samples
     ez2_mc = z2_sum / samples
     ez_se = math.sqrt(max(z2_sum / samples - ez_mc**2, 0.0) / samples)
@@ -364,8 +352,6 @@ class DivergenceReport:
     kl: float
     num_transcripts: int
     min_likelihood_ratio: float
-    p0: np.ndarray
-    p1: np.ndarray
 
 
 def _product_distribution(state, schedule: Basis) -> np.ndarray:
@@ -429,8 +415,6 @@ def exact_transcript_divergence(sigma: DensityMatrix, ensemble,
         kl=kl,
         num_transcripts=int(size),
         min_likelihood_ratio=float(ratios.min()) if ratios.size else 1.0,
-        p0=p0,
-        p1=p1,
     )
 
 

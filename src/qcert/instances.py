@@ -101,24 +101,23 @@ def tune_paninski(spec: Spectrum, eps: float) -> PaninskiInstance:
     return PaninskiInstance(buckets, eps, _magnitudes(zeta, multi))
 
 
-def perturbation_diagonal(inst: PaninskiInstance) -> np.ndarray:
-    """The +/-eps_j diagonal, paired within the leading 2*floor(d_j/2) bucket coords."""
-    diag = np.zeros(inst.buckets.ambient_dim)
+def sample_paninski(sigma: DensityMatrix, inst: PaninskiInstance,
+                    rng: np.random.Generator) -> DensityMatrix:
+    """One draw sigma + U^dag E U with a fresh block-Haar U.
+
+    E is the +/-eps_j diagonal, paired within the leading 2*floor(d_j/2)
+    coordinates of each bucket j.
+    """
+    if sigma.dim != inst.buckets.ambient_dim:
+        raise ValidationError("state dimension does not match the tuned instance")
+    diag = np.zeros(sigma.dim)
     for j, e in inst.eps_per_bucket.items():
         idx = inst.buckets.indices(j)
         half = len(idx) // 2
         diag[idx[:half]] = e
         diag[idx[half : 2 * half]] = -e
-    return diag
-
-
-def sample_paninski(sigma: DensityMatrix, inst: PaninskiInstance,
-                    rng: np.random.Generator) -> DensityMatrix:
-    """One draw sigma + U^dag E U with a fresh block-Haar U."""
-    if sigma.dim != inst.buckets.ambient_dim:
-        raise ValidationError("state dimension does not match the tuned instance")
     u = block_haar(inst.buckets, rng)
-    pert = u.conj().T @ np.diag(perturbation_diagonal(inst)).astype(complex) @ u
+    pert = u.conj().T @ np.diag(diag).astype(complex) @ u
     return DensityMatrix(sigma.mat + pert)
 
 

@@ -7,7 +7,6 @@ any machine and under any parallel schedule.
 
 from __future__ import annotations
 
-import copy
 import hashlib
 from dataclasses import dataclass
 
@@ -45,27 +44,29 @@ class RngHandle:
 
 # Haar stacks are factored in sub-stacks of at most this many matrix entries
 # (size * d * d), so the QR and its temporaries never span a whole stack.
-# 2**14 entries are 256 KiB of complex. The streamed draw holds about six
-# sub-stacks at once, so this sets verify_moments_basic's working set: 1.7 MiB
-# at d=8 and 20 000 samples under tracemalloc, 6.4 MiB at 2**16. The bits do
-# not depend on it. verify_moments_basic over 20 000 samples in ms (2-core
-# Xeon, one BLAS thread, best of 7, three runs):
+# 2**14 entries are 256 KiB of complex. Each sub-stack draws its real parts,
+# then its imaginary parts, so a stack's bits depend on this size: it is part
+# of the stream contract, as certify's _CHUNK_ENTRIES is. A draw holds about
+# six sub-stacks at once, which sets verify_moments_basic's working set:
+# 1.55 MiB at d=8 and 20 000 samples under tracemalloc, 6.2 MiB at 2**16.
+# verify_moments_basic over 20 000 samples in ms (Xeon, one core, one BLAS
+# thread, best of 7, three runs):
 #          2**16        2**14        2**13
-#   d=2    10 to 14     9 to 13      9 to 13
-#   d=4    39 to 41     37 to 41     40 to 43
-#   d=6    90 to 105    92 to 105    102 to 120
-#   d=8    163 to 199   154 to 164   154 to 164
+#   d=2    12 to 17     10 to 16     10 to 17
+#   d=4    31 to 42     29 to 43     32 to 40
+#   d=6    74 to 84     75 to 104    77 to 137
+#   d=8    133 to 211   121 to 212   121 to 217
 # Do not go to 2**13: a d=6 sub-stack then holds 227 unitaries, below the 256
 # from which _cgs2's fixed cost per sub-stack pays off (see the table below).
 _BLOCK_ENTRIES = 2**14
 _INV_SQRT2 = 1 / np.sqrt(2)
 
-# A requested stack of at least _CGS2_MIN_SIZE unitaries over C^d with
-# d <= _CGS2_MAX_DIM is orthonormalised by _cgs2, any other stack by LAPACK's
-# QR plus the phase fix. The rule is part of the stream contract, not a knob:
-# the two kernels agree within about 1e-14, not bit for bit. Speed-up of _cgs2
-# over _phase_fixed_qr on one sub-stack of n unitaries (2-core AVX-512 Xeon,
-# one BLAS thread, best of 15, two runs):
+# A sub-stack of at least _CGS2_MIN_SIZE unitaries over C^d with
+# d <= _CGS2_MAX_DIM is orthonormalised by _cgs2, any other sub-stack by
+# LAPACK's QR plus the phase fix. The rule is part of the stream contract, not
+# a knob: the two kernels agree within about 1e-14, not bit for bit. Speed-up
+# of _cgs2 over _phase_fixed_qr on one sub-stack of n unitaries (2-core
+# AVX-512 Xeon, one BLAS thread, best of 15, two runs):
 #   d=2: x2.2 at n=128, x3.0 to x3.5 at n=256, x4 to x6 at n=4096
 #   d=4: x0.9 to x1.0 at n=128, x1.4 to x1.5 at n=256, x2.4 to x4 at n=4096
 #   d=6: x0.9 to x1.0 at n=256, x1.6 to x1.9 at n=1820 (a full 2**16-entry sub-stack)
@@ -162,65 +163,43 @@ def _cgs2(re: np.ndarray, im: np.ndarray) -> np.ndarray:
 def haar_blocks(d: int, gen: np.random.Generator, size: int):
     """One stack of ``size`` Haar unitaries over C^d, as consecutive sub-stacks.
 
-    The stream is that of one Ginibre stack: all real parts, then all
-    imaginary parts. Each yielded sub-stack holds at most
-    ``max(1, _BLOCK_ENTRIES // d**2)`` unitaries. A stack that fits in one
-    sub-stack draws its real parts here and its imaginary parts when taken:
-    two ``standard_normal`` calls. A longer stack streams its real parts:
-    they are drawn here one sub-stack at a time and dropped, from a snapshot
-    of the generator taken where they start; as the iterator reaches a
-    sub-stack it draws that sub-stack's imaginary parts from the generator
-    and redraws its real parts from the snapshot. The generator ends where
-    the one-shot draw leaves it, and the working set is a fixed number of
-    sub-stacks, whatever ``size``.
-
-    The kernel is chosen once from (d, size): ``_cgs2`` when d <= 6 and
-    size >= 256, else LAPACK's QR with Mezzadri's phase fix (Mezzadri 2007).
-    Both compute each matrix on its own bits, so the concatenated sub-stacks
-    equal the one-shot stack bit for bit.
+    Each sub-stack holds ``max(1, _BLOCK_ENTRIES // d**2)`` unitaries, the
+    last one the remainder, and is drawn when it is taken: its real parts,
+    then its imaginary parts. So the stack is, bit for bit, one draw per
+    sub-stack size in turn, and nothing is drawn before the first sub-stack is
+    taken; ``d`` and ``size`` are checked at call. A sub-stack of n unitaries
+    is orthonormalised by ``_cgs2`` when d <= 6 and n >= 256, else by LAPACK's
+    QR with Mezzadri's phase fix (Mezzadri 2007).
     """
     _check_count("dimension", d, 1)
     _check_count("size", size, 0)
     step = _block_rows(d)
-    if d <= _CGS2_MAX_DIM and size >= _CGS2_MIN_SIZE:
-        orthonormalise = _cgs2
-    else:
-        orthonormalise = _phase_fixed_qr
-    if size <= step:
-        real = [gen.standard_normal((size, d, d))] if size else []
-        return _orthonormalised(real, gen, orthonormalise)
-    rows = [min(step, size - start) for start in range(0, size, step)]
-    replay = copy.deepcopy(gen)
-    skipped = np.empty((step, d, d))
-    for n in rows:
-        gen.standard_normal(out=skipped[:n])
-    real = (replay.standard_normal((n, d, d)) for n in rows)
-    return _orthonormalised(real, gen, orthonormalise)
+    return (_haar_stack(d, gen, min(step, size - start)) for start in range(0, size, step))
 
 
-def _orthonormalised(real, gen: np.random.Generator, orthonormalise):
-    """The sub-stacks of ``haar_blocks`` over their real parts, in order."""
-    for re in real:
-        yield orthonormalise(re, gen.standard_normal(re.shape))
+def _haar_stack(d: int, gen: np.random.Generator, n: int) -> np.ndarray:
+    """n Haar unitaries over C^d from n real parts, then n imaginary parts."""
+    re = gen.standard_normal((n, d, d))
+    kernel = _cgs2 if d <= _CGS2_MAX_DIM and n >= _CGS2_MIN_SIZE else _phase_fixed_qr
+    return kernel(re, gen.standard_normal((n, d, d)))
 
 
 def haar_unitary(d: int, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
     """Haar-random unitary over C^d via phase-fixed QR of a Ginibre matrix.
 
     With ``size`` set, returns a stacked array of shape (size, d, d): the
-    sub-stacks of ``haar_blocks``, so all real parts are drawn first, then the
-    imaginary parts, and a stack of at least 256 unitaries at d <= 6 takes its
-    Gram-Schmidt kernel. A stack that fits in one sub-stack, as every
-    ``basic_certify`` chunk does, is that sub-stack itself, without a copy.
-    A longer one, which no caller in the library draws, is its sub-stacks
-    concatenated, so it needs twice the memory of the result.
+    sub-stacks of ``haar_blocks``, so each sub-stack draws its real parts,
+    then its imaginary parts, and a sub-stack of at least 256 unitaries at
+    d <= 6 takes the Gram-Schmidt kernel. A stack that fits in one sub-stack,
+    as every ``basic_certify`` chunk does, is that sub-stack itself, without a
+    copy. A longer one, which no caller in the library draws, is its
+    sub-stacks concatenated, so it needs twice the memory of the result.
     """
     blocks = haar_blocks(d, rng, 1 if size is None else size)
     if size is None:
         return next(blocks)[0]
-    first = next(blocks, np.empty((0, d, d), dtype=complex))
-    rest = list(blocks)
-    return np.concatenate([first, *rest]) if rest else first
+    stacks = list(blocks) or [np.empty((0, d, d), dtype=complex)]
+    return stacks[0] if len(stacks) == 1 else np.concatenate(stacks)
 
 
 def haar_isometry(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:

@@ -128,13 +128,13 @@ class TestGramSchmidtKernel:
     @pytest.mark.parametrize("d, size", [(4, None), (4, 300), (8, rng_module._block_rows(8)),
                                          (40, rng_module._block_rows(40))])
     def test_one_sub_stack_draw_makes_two_normal_calls(self, d, size):
-        # no snapshot and no redraw: real parts, then imaginary parts
+        # one sub-stack: its real parts, then its imaginary parts
         gen = CountingGenerator(5)
         haar_unitary(d, gen, size)
         assert gen.normal_calls == 2
 
     def test_streamed_draw_skips_then_draws_imaginary_parts(self):
-        # three sub-stacks: three skipped real-part draws, three imaginary ones
+        # three sub-stacks, each drawing its real parts, then its imaginary parts
         gen = CountingGenerator(5)
         haar_unitary(8, gen, 3 * rng_module._block_rows(8))
         assert gen.normal_calls == 6
@@ -144,12 +144,16 @@ class TestBlockedDraw:
     @pytest.mark.parametrize("d, size", [(8, 3 * rng_module._block_rows(8) + 100),
                                          (3, 3 * rng_module._block_rows(3) + 5), (260, 3), (5, 1)])
     def test_blocked_stack_matches_one_shot(self, d, size):
-        """Three sub-stacks plus a remainder (or one sub-stack) equal the
-        one-shot stack bit for bit, and leave the generator where the one-shot
-        draw does."""
+        """Three sub-stacks plus a remainder (or one sub-stack) equal one
+        one-shot draw per sub-stack size in turn, bit for bit, and leave the
+        generator where those draws do: QR throughout at d=8, Gram-Schmidt
+        then QR for the 5-unitary remainder at d=3, one unitary per sub-stack
+        at d=260."""
         gen, ref = rng_for("blocks", d, size), rng_for("blocks", d, size)
         u = haar_unitary(d, gen, size)
-        assert np.array_equal(u, one_shot_haar(d, ref, size))
+        step = rng_module._block_rows(d)
+        want = [one_shot_haar(d, ref, min(step, size - start)) for start in range(0, size, step)]
+        assert np.array_equal(u, np.concatenate(want))
         assert gen.random() == ref.random()
 
     def test_sub_stack_sizes(self):
@@ -191,17 +195,20 @@ class TestBlockedDraw:
         assert np.array_equal(ginibre(6, gen, size), want)
         assert gen.random() == ref.random()
 
-    def test_real_parts_drawn_at_call(self):
-        """haar_blocks draws every real part before the first sub-stack is
-        taken, in one sub-stack or in several, and validates the dimension
-        at once."""
+    def test_checks_at_call_and_draws_when_taken(self):
+        """haar_blocks rejects a bad dimension or size at call, and draws
+        nothing until the first sub-stack is taken, in one sub-stack or in
+        several."""
+        gen = rng_for("blocks", "lazy")
+        for d, size in ((0, 3), (4, -1)):
+            with pytest.raises(ValidationError):
+                haar_blocks(d, gen, size)
         for size in (10, 3 * rng_module._block_rows(4) + 1):
-            gen, ref = rng_for("blocks", "eager", size), rng_for("blocks", "eager", size)
-            haar_blocks(4, gen, size)
-            ref.standard_normal((size, 4, 4))
-            assert gen.random() == ref.random()
-        with pytest.raises(ValidationError):
-            haar_blocks(0, gen, 3)
+            gen = CountingGenerator(5)
+            blocks = haar_blocks(4, gen, size)
+            assert gen.normal_calls == 0
+            next(blocks)
+            assert gen.normal_calls == 2
 
     @pytest.mark.parametrize("size", [-1, 2.0, 2.5, "3", True, None])
     def test_rejects_bad_size(self, size):
