@@ -46,9 +46,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import DensityMatrix, ValidationError, block_form, check_hermitian
+from .linalg import DensityMatrix, ValidationError, block_form, check_count, check_hermitian
 from .measurement import Basis, outcome_distribution
-from .rng import _check_count, haar_blocks
+from .rng import haar_blocks
 
 MAX_ORDER = 6
 # exact_transcript_divergence refuses schedules with more transcripts than this.
@@ -169,11 +169,11 @@ def _classes_at(k: int, d: int) -> _ClassesAtD:
 
 
 def _check_order(order: int, d: int) -> None:
-    """Integers (not bools, by rng._check_count) with 1 <= order <= MAX_ORDER and d >= order."""
-    _check_count("order", order, 1)
+    """Integers (not bools, by linalg.check_count) with 1 <= order <= MAX_ORDER and d >= order."""
+    check_count("order", order, 1)
     if order > MAX_ORDER:
         raise ValidationError(f"order must be in 1..{MAX_ORDER}, got {order}")
-    _check_count("d", d, order)
+    check_count("d", d, order)
 
 
 def _schur(mats: np.ndarray, order: int) -> np.ndarray:
@@ -305,8 +305,7 @@ def verify_moments_basic(m, samples: int, rng: np.random.Generator) -> MomentsRe
     and Z^4 to the running sums. So a fixed number of sub-stacks is held,
     whatever d^2 * samples.
     """
-    if samples < 1:
-        raise ValidationError(f"samples must be >= 1, got {samples}")
+    check_count("samples", samples, 1)
     mat = check_hermitian(m)
     d = mat.shape[0]
     tr = float(np.trace(mat).real)

@@ -106,10 +106,16 @@ def sample_paninski(sigma: DensityMatrix, inst: PaninskiInstance,
     """One draw sigma + U^dag E U with a fresh block-Haar U.
 
     E is the +/-eps_j diagonal, paired within the leading 2*floor(d_j/2)
-    coordinates of each bucket j.
+    coordinates of each bucket j. A state without an eigensolve: sigma is
+    diagonal with entries >= eps_j on each bucket j, else ``ValidationError``,
+    and U^dag E U is traceless and block-diagonal by bucket, at least -eps_j I.
     """
     if sigma.dim != inst.buckets.ambient_dim:
         raise ValidationError("state dimension does not match the tuned instance")
+    lam = sigma.block
+    if lam.ndim != 1 or any(lam[inst.buckets.indices(j)].min() < e
+                            for j, e in inst.eps_per_bucket.items()):
+        raise ValidationError("sigma is not a diagonal state with entries >= eps_j on bucket j")
     diag = np.zeros(sigma.dim)
     for j, e in inst.eps_per_bucket.items():
         idx = inst.buckets.indices(j)
@@ -118,7 +124,7 @@ def sample_paninski(sigma: DensityMatrix, inst: PaninskiInstance,
         diag[idx[half : 2 * half]] = -e
     u = block_haar(inst.buckets, rng)
     pert = u.conj().T @ np.diag(diag).astype(complex) @ u
-    return DensityMatrix(sigma.mat + pert)
+    return DensityMatrix.trusted(sigma.mat + pert)
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,12 @@ class ValidationError(ValueError):
     """Input violates a structural precondition (shape, symmetry, trace...)."""
 
 
+def check_count(name: str, value, least: int) -> None:
+    """Reject ``value`` unless it is a Python or numpy integer, not a bool, >= ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValidationError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 class EigenConvergenceError(RuntimeError):
     """The iterative eigensolver did not converge within its sweep cap."""
 

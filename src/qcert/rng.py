@@ -8,11 +8,12 @@ any machine and under any parallel schedule.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ValidationError
+from .linalg import ValidationError, check_count
 
 
 def _label_to_int(label) -> int:
@@ -42,42 +43,34 @@ class RngHandle:
         return np.random.Generator(np.random.Philox(seq))
 
 
-# Haar stacks are factored in sub-stacks of at most this many matrix entries
-# (size * d * d), so the QR and its temporaries never span a whole stack.
+# Haar stacks are drawn in sub-stacks of at most this many matrix entries
+# (size * d * d), so a draw and its temporaries never span a whole stack.
 # 2**14 entries are 256 KiB of complex. Each sub-stack draws its real parts,
 # then its imaginary parts, so a stack's bits depend on this size: it is part
-# of the stream contract, as certify's _CHUNK_ENTRIES is. A draw holds about
-# six sub-stacks at once, which sets verify_moments_basic's working set:
-# 1.55 MiB at d=8 and 20 000 samples under tracemalloc, 6.2 MiB at 2**16.
-# verify_moments_basic over 20 000 samples in ms (Xeon, one core, one BLAS
-# thread, best of 7, three runs):
+# of the stream contract, as certify's _CHUNK_ENTRIES is. verify_moments_basic
+# over 20 000 samples in ms (Xeon, one core, one BLAS thread, best of 7, three
+# runs), and its tracemalloc peak at d=8:
 #          2**16        2**14        2**13
-#   d=2    12 to 17     10 to 16     10 to 17
-#   d=4    31 to 42     29 to 43     32 to 40
-#   d=6    74 to 84     75 to 104    77 to 137
-#   d=8    133 to 211   121 to 212   121 to 217
-# Do not go to 2**13: a d=6 sub-stack then holds 227 unitaries, below the 256
-# from which _cgs2's fixed cost per sub-stack pays off (see the table below).
+#   d=2    12 to 16     10 to 12     10 to 11
+#   d=4    23 to 24     21 to 23     26 to 27
+#   d=6    41 to 44     45 to 67     80 to 84
+#   d=8    82 to 85     92 to 100    133 to 238
+#   peak   4.0 MiB      1.0 MiB
+# 2**13 leaves sub-stacks at d >= 6 below the 256 that Householder products need.
 _BLOCK_ENTRIES = 2**14
 _INV_SQRT2 = 1 / np.sqrt(2)
 
-# A sub-stack of at least _CGS2_MIN_SIZE unitaries over C^d with
-# d <= _CGS2_MAX_DIM is orthonormalised by _cgs2, any other sub-stack by
-# LAPACK's QR plus the phase fix. The rule is part of the stream contract, not
-# a knob: the two kernels agree within about 1e-14, not bit for bit. Speed-up
-# of _cgs2 over _phase_fixed_qr on one sub-stack of n unitaries (2-core
-# AVX-512 Xeon, one BLAS thread, best of 15, two runs):
-#   d=2: x2.2 at n=128, x3.0 to x3.5 at n=256, x4 to x6 at n=4096
-#   d=4: x0.9 to x1.0 at n=128, x1.4 to x1.5 at n=256, x2.4 to x4 at n=4096
-#   d=6: x0.9 to x1.0 at n=256, x1.6 to x1.9 at n=1820 (a full 2**16-entry sub-stack)
-#   d=8: x0.3 to x1.2, slower on most sizes
-_CGS2_MAX_DIM = 6
-_CGS2_MIN_SIZE = 256
-
-
-def _check_count(name: str, value, least: int) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-        raise ValidationError(f"{name} must be an integer >= {least}, got {value!r}")
+# A sub-stack of at least this many unitaries is drawn as Householder products
+# by _householder, a smaller one by LAPACK's QR plus the phase fix: this is part
+# of the stream contract, not a knob, and keeps divergence schedules and certify
+# chunks of fewer than 256 rounds on the QR. One sub-stack of n unitaries,
+# normals included, in us, QR / Householder (2-core AVX-512 Xeon, one BLAS
+# thread, best of 200 in each of two runs):
+#          n=64        n=256         whole sub-stack
+#   d=2    72 / 65     203 / 90      2983 / 851 (n=4096)
+#   d=4    139 / 168   471 / 265     2072 / 898 (n=1024)
+#   d=8    344 / 439   1664 / 1147   (n=256)
+_HOUSEHOLDER_MIN_SIZE = 256
 
 
 def _complex_gaussian(re: np.ndarray, im: np.ndarray) -> np.ndarray:
@@ -112,51 +105,47 @@ def _phase_fixed_qr(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     return q
 
 
-def _cgs2(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    """The Q of ``_phase_fixed_qr`` by classical Gram-Schmidt run twice.
+def _householder(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """n Haar unitaries over C^k as products of Householder reflections
+    (Stewart 1980; Mezzadri 2007), each from k(k+1)/2 complex Gaussians.
 
-    Vectorised over the stack: its R has a real positive diagonal, so Q is
-    the phase-fixed one up to rounding, and scaling the input leaves it
-    unchanged. Only real elementwise ufuncs touch the data and every sum is
-    written out left to right, so a matrix's bits do not depend on the stack
-    it sits in.
+    Column s of the (k(k+1)/2, n) arrays ``re`` and ``im`` holds unitary s,
+    rows m(m-1)/2 to m(m+1)/2 - 1 its m-vector x. U_1 = phi and
+    U_m = (I - tau v v^dag) diag(-phi, U_{m-1}) for m = 2..k, where
+    phi = x_1 / |x_1| (1 when x_1 = 0), v = x + phi |x| e_1 and
+    tau = 1 / (|x| (|x| + |x_1|)), so U_m's first column is x / |x|. Only
+    real ufuncs and ``einsum`` over the stack axis touch the contiguous real
+    and imaginary (m, m, n) arrays of U_m, so a matrix's bits do not depend on
+    the stack it sits in.
     """
-    n, d, _ = re.shape
-    # a[j, i, s] = z[s, i, j]: column j of every matrix is one (d, n) slab
-    ar = re.transpose(2, 1, 0).copy()
-    ai = im.transpose(2, 1, 0).copy()
-    for j in range(d):
-        vr, vi = ar[j], ai[j]  # orthonormalised in place
-        qr, qi = ar[:j], ai[:j]
-        for _ in range(2 if j else 0):  # twice is enough (Giraud et al. 2005)
-            # c_k = <q_k, v> = sum_i conj(q_ik) v_i
-            pr = qr * vr
-            pr += qi * vi
-            pi = qr * vi
-            pi -= qi * vr
-            cr, ci = pr[:, 0].copy(), pi[:, 0].copy()
-            for i in range(1, d):
-                cr += pr[:, i]
-                ci += pi[:, i]
-            # v -= sum_k c_k q_k
-            pr = qr * cr[:, None]
-            pr -= qi * ci[:, None]
-            pi = qr * ci[:, None]
-            pi += qi * cr[:, None]
-            for k in range(j):
-                vr -= pr[k]
-                vi -= pi[k]
-        sq = vr * vr
-        sq += vi * vi
-        norm = sq[0].copy()
-        for i in range(1, d):
-            norm += sq[i]
-        np.sqrt(norm, out=norm)
-        vr /= norm
-        vi /= norm
-    q = np.empty((n, d, d), dtype=complex)
-    q.real = ar.transpose(2, 1, 0)
-    q.imag = ai.transpose(2, 1, 0)
+    rows, n = re.shape
+    k = (math.isqrt(8 * rows + 1) - 1) // 2
+    first = [m * (m - 1) // 2 for m in range(1, k + 1)]
+    x1r, x1i = re[first], im[first]
+    abs1 = np.sqrt(x1r * x1r + x1i * x1i)
+    zero = abs1 == 0
+    phr, phi = x1r / (abs1 + zero) + zero, x1i / (abs1 + zero)
+    ur, ui = phr[:1, None].copy(), phi[:1, None].copy()
+    for m, start in enumerate(first[1:], 2):
+        xr, xi = re[start:start + m], im[start:start + m]
+        norm = np.sqrt(np.einsum("is,is->s", xr, xr) + np.einsum("is,is->s", xi, xi))
+        # w = tau conj(v_2..m)^T U_{m-1}, v_2..m = x_2..m
+        inv_tau = norm * (norm + abs1[m - 1])
+        wr = (np.einsum("is,ics->cs", xr[1:], ur) + np.einsum("is,ics->cs", xi[1:], ui)) / inv_tau
+        wi = (np.einsum("is,ics->cs", xr[1:], ui) - np.einsum("is,ics->cs", xi[1:], ur)) / inv_tau
+        # U_m: first column x / |x|, first row -v_1 w, the rest U_{m-1} - v_2..m w
+        ur -= np.einsum("is,cs->ics", xr[1:], wr) - np.einsum("is,cs->ics", xi[1:], wi)
+        ui -= np.einsum("is,cs->ics", xr[1:], wi) + np.einsum("is,cs->ics", xi[1:], wr)
+        nr, ni = np.empty((m, m, n)), np.empty((m, m, n))
+        nr[1:, 1:], ni[1:, 1:] = ur, ui
+        v1r, v1i = xr[0] + phr[m - 1] * norm, xi[0] + phi[m - 1] * norm
+        nr[0, 1:] = v1i * wi - v1r * wr
+        ni[0, 1:] = -(v1r * wi + v1i * wr)
+        nr[:, 0], ni[:, 0] = xr / norm, xi / norm
+        ur, ui = nr, ni
+    q = np.empty((n, k, k), dtype=complex)
+    q.real = ur.transpose(2, 0, 1)
+    q.imag = ui.transpose(2, 0, 1)
     return q
 
 
@@ -167,33 +156,32 @@ def haar_blocks(d: int, gen: np.random.Generator, size: int):
     last one the remainder, and is drawn when it is taken: its real parts,
     then its imaginary parts. So the stack is, bit for bit, one draw per
     sub-stack size in turn, and nothing is drawn before the first sub-stack is
-    taken; ``d`` and ``size`` are checked at call. A sub-stack of n unitaries
-    is orthonormalised by ``_cgs2`` when d <= 6 and n >= 256, else by LAPACK's
-    QR with Mezzadri's phase fix (Mezzadri 2007).
+    taken; ``d`` and ``size`` are checked at call. A sub-stack of n >= 256
+    unitaries, which only d <= 8 allows, is drawn as Householder products,
+    a smaller one as the phase-fixed QR of Ginibre matrices (Mezzadri 2007).
     """
-    _check_count("dimension", d, 1)
-    _check_count("size", size, 0)
+    check_count("dimension", d, 1)
+    check_count("size", size, 0)
     step = _block_rows(d)
     return (_haar_stack(d, gen, min(step, size - start)) for start in range(0, size, step))
 
 
 def _haar_stack(d: int, gen: np.random.Generator, n: int) -> np.ndarray:
-    """n Haar unitaries over C^d from n real parts, then n imaginary parts."""
-    re = gen.standard_normal((n, d, d))
-    kernel = _cgs2 if d <= _CGS2_MAX_DIM and n >= _CGS2_MIN_SIZE else _phase_fixed_qr
-    return kernel(re, gen.standard_normal((n, d, d)))
+    """n Haar unitaries over C^d from one draw of real parts, then one of
+    imaginary parts: d(d+1)/2 rows of n when n >= 256, else n d x d ones."""
+    large = n >= _HOUSEHOLDER_MIN_SIZE
+    shape = (d * (d + 1) // 2, n) if large else (n, d, d)
+    re = gen.standard_normal(shape)
+    return (_householder if large else _phase_fixed_qr)(re, gen.standard_normal(shape))
 
 
 def haar_unitary(d: int, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
-    """Haar-random unitary over C^d via phase-fixed QR of a Ginibre matrix.
-
-    With ``size`` set, returns a stacked array of shape (size, d, d): the
-    sub-stacks of ``haar_blocks``, so each sub-stack draws its real parts,
-    then its imaginary parts, and a sub-stack of at least 256 unitaries at
-    d <= 6 takes the Gram-Schmidt kernel. A stack that fits in one sub-stack,
-    as every ``basic_certify`` chunk does, is that sub-stack itself, without a
-    copy. A longer one, which no caller in the library draws, is its
-    sub-stacks concatenated, so it needs twice the memory of the result.
+    """Haar-random unitary over C^d: one matrix, or with ``size`` set a
+    (size, d, d) stack, drawn as the sub-stacks of ``haar_blocks``. A stack
+    that fits in one sub-stack, as every ``basic_certify`` chunk does, is that
+    sub-stack itself, without a copy. A longer one, which no caller in the
+    library draws, is its sub-stacks concatenated, so it needs twice the
+    memory of the result.
     """
     blocks = haar_blocks(d, rng, 1 if size is None else size)
     if size is None:

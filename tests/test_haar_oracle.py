@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import math
+import re
 import tracemalloc
 from dataclasses import dataclass
 
@@ -427,15 +428,29 @@ class TestVerifyMoments:
         assert rep.ez_mc == 0.0 and rep.ez_exact == 0.0
 
     @pytest.mark.parametrize("d, ez, ez2", [
-        (3, 2.1186461810286588, 7.069720723589395),
-        (5, 3.6724531740926656, 18.548690522699403),
+        (3, 2.0866438528044453, 7.046276547713196),
+        (5, 3.735036187723062, 19.192686429634),
     ], ids=["d3", "d5"])
     def test_monte_carlo_estimates_pinned(self, d, ez, ez2):
-        # bit-for-bit values of the Haar stream, drawn in sub-stacks of 1820
-        # and 680 unitaries at d=3, and of 655, 655, 655 and 535 at d=5
+        # bit-for-bit values of the Haar stream, drawn as Householder products
+        # in sub-stacks of 1820 and 680 unitaries at d=3, and of 655, 655, 655
+        # and 535 at d=5
         gen = rng_for("oracle", "pinned-mc", d)
         rep = verify_moments_basic(random_traceless(d, gen), 2500, gen)
         assert (rep.ez_mc, rep.ez2_mc) == (ez, ez2)
+
+    @pytest.mark.parametrize("samples", [True, 2.0, 2.5, 0, "3"])
+    def test_rejects_a_non_count_of_samples(self, samples):
+        # the message names the argument, not the sampler it reaches
+        want = f"samples must be an integer >= 1, got {samples!r}"
+        with pytest.raises(ValidationError, match=re.escape(want)):
+            verify_moments_basic(np.eye(2), samples, rng_for("oracle", "bad-samples"))
+
+    def test_numpy_integer_samples(self):
+        m = np.diag([1.0, -1.0])
+        got = verify_moments_basic(m, np.int64(300), rng_for("oracle", "np-samples"))
+        want = verify_moments_basic(m, 300, rng_for("oracle", "np-samples"))
+        assert got == want
 
     @pytest.mark.parametrize("d, samples", [(4, 100_000), (8, 20_000)])
     def test_memory_is_the_statistic_plus_sub_stacks(self, d, samples):

@@ -13,7 +13,7 @@ from qcert.instances import (
     tune_paninski,
 )
 from qcert.linalg import DensityMatrix, ValidationError, trace_distance
-from qcert.rng import haar_isometry, haar_unitary
+from qcert.rng import block_haar, haar_isometry, haar_unitary
 from qcert.spectrum import Spectrum
 
 from conftest import rng_for
@@ -102,6 +102,42 @@ class TestSamplePaninski:
         mean = acc / n
         se = np.sqrt(np.maximum(acc2 / n - np.abs(mean) ** 2, 0) / n)
         assert np.all(np.abs(mean - sigma.mat) <= 5 * se + 1e-12)
+
+    def test_stores_the_bits_the_validating_constructor_stores(self):
+        spec = two_bucket_spectrum()
+        inst = tune_paninski(spec, 0.15)
+        sigma = DensityMatrix.from_diagonal(spec.lambdas)
+        rho = sample_paninski(sigma, inst, rng_for("inst", "pan-bits"))
+        u = block_haar(inst.buckets, rng_for("inst", "pan-bits"))
+        diag = np.zeros(spec.lambdas.size)
+        for j, e in inst.eps_per_bucket.items():
+            idx = inst.buckets.indices(j)
+            half = len(idx) // 2
+            diag[idx[:half]], diag[idx[half:2 * half]] = e, -e
+        want = DensityMatrix(sigma.mat + u.conj().T @ np.diag(diag).astype(complex) @ u)
+        assert rho.mat.tobytes() == want.mat.tobytes()
+
+    @pytest.mark.parametrize("lam", [[0.25, 0.25, 0.125, 0.125, 0.125, 0.125], [0.25] * 4])
+    def test_psd_at_the_largest_eps(self, lam):
+        """Entries on the bucket floors and eps at saturation, where every
+        eps_j is its cap 2^-(j+1): the least eigenvalue is 0 up to roundoff."""
+        spec = Spectrum(np.array(lam))
+        inst = tune_paninski(spec, 1.0)
+        assert all(e == 2.0 ** -(j + 1) for j, e in inst.eps_per_bucket.items())
+        sigma = DensityMatrix.from_diagonal(spec.lambdas)
+        for t in range(20):
+            rho = sample_paninski(sigma, inst, rng_for("inst", "pan-bound", len(lam), t))
+            assert np.linalg.eigvalsh(rho.mat)[0] >= -1e-12
+
+    def test_sigma_off_the_instance_rejected(self):
+        spec = two_bucket_spectrum()
+        inst = tune_paninski(spec, 0.15)
+        lam = spec.lambdas
+        u = haar_unitary(lam.size, rng_for("inst", "pan-off"))
+        for sigma in (DensityMatrix(u @ np.diag(lam) @ u.conj().T),  # not diagonal
+                      DensityMatrix.from_diagonal(np.r_[0.9, np.full(6, 0.1 / 6)])):  # below eps_j
+            with pytest.raises(ValidationError, match="diagonal state"):
+                sample_paninski(sigma, inst, rng_for("inst", "pan-off"))
 
 
 class TestOffDiag:

@@ -1,7 +1,8 @@
 """No module of ``src/qcert`` imports an underscored name from
-``qcert.linalg`` or ``qcert.measurement``: whether a block is held as its
-real diagonal or as a dense matrix is decided by ``linalg.block_form`` alone,
-and other modules reach it through public names."""
+``qcert.linalg``, ``qcert.measurement`` or ``qcert.rng``: whether a block is
+held as its real diagonal or as a dense matrix is decided by
+``linalg.block_form`` alone, the Haar kernels stay behind ``rng``'s samplers,
+and other modules reach them through public names."""
 
 import ast
 from pathlib import Path
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "qcert"
-GUARDED = {"linalg", "measurement"}
+GUARDED = {"linalg", "measurement", "rng"}
 
 
 def private_imports(source: str) -> list[str]:
@@ -28,9 +29,11 @@ def private_imports(source: str) -> list[str]:
 def test_the_check_sees_relative_and_absolute_imports():
     source = ("from .linalg import DensityMatrix, _mat\n"
               "from qcert.measurement import (Basis,\n    _weights)\n"
-              "from .rng import _check_count\n"
+              "from .rng import _householder, haar_blocks\n"
+              "from .spectrum import _check_eps\n"
               "from .linalg import block_form\n")
-    assert private_imports(source) == ["linalg._mat", "qcert.measurement._weights"]
+    assert private_imports(source) == ["linalg._mat", "qcert.measurement._weights",
+                                       "rng._householder"]
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)

@@ -1,4 +1,5 @@
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -7,10 +8,11 @@ from scipy import stats
 from qcert.linalg import ValidationError
 from qcert import rng as rng_module
 from qcert.certify import _CHUNK_ENTRIES
+from qcert.haar_oracle import haar_moment
 from qcert.rng import RngHandle, block_haar, ginibre, haar_blocks, haar_isometry, haar_unitary
 from qcert.spectrum import Spectrum, bucketize
 
-from conftest import rng_for
+from conftest import random_hermitian, rng_for
 
 
 class TestDeterminism:
@@ -63,7 +65,8 @@ class TestHaarUnitary:
         assert abs(vals.mean() - 1 / d) <= 3 * se
 
     def test_left_invariance_ks(self):
-        # distribution of Tr(A U^dag B U) is invariant under U -> VU
+        # distribution of Tr(A U^dag B U) is invariant under U -> VU; both
+        # stacks are sub-stacks of 1024 Householder products
         gen = rng_for("rng", "invariance")
         d, n = 4, 10_000
         a = np.diag(gen.standard_normal(d)).astype(complex)
@@ -77,17 +80,91 @@ class TestHaarUnitary:
         assert stats.ks_2samp(t1, t2).statistic < crit
 
 
+class TestHouseholderLaw:
+    """Stacks of at least 256, drawn as Householder products, against exact
+    Haar moments: each Monte Carlo mean within 3 standard errors, or, for the
+    d^2 entries of one matrix, within the bound that keeps the chance that
+    any of them strays that of one 3-SE test (Bonferroni)."""
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_unitarity(self, d):
+        u = haar_unitary(d, rng_for("householder", "unitary", d), size=256)
+        gram = np.swapaxes(u.conj(), -2, -1) @ u
+        assert np.abs(gram - np.eye(d)).max() <= 1e-13
+
+    @staticmethod
+    def within_3_se(vals, want, tests=1):
+        z = stats.norm.isf(stats.norm.sf(3) / tests)
+        se = vals.std(ddof=1, axis=0) / np.sqrt(len(vals))
+        return np.all(np.abs(vals.mean(axis=0) - want) <= z * se)
+
+    @pytest.mark.parametrize("d", [2, 4, 8])
+    def test_entry_and_trace_moments(self, d):
+        # E|U_ij|^2 = 1/d, E|U_11|^4 = 2/(d(d+1)), E|Tr U|^2 = 1
+        u = haar_unitary(d, rng_for("householder", "moments", d), size=20_000)
+        sq = np.abs(u) ** 2
+        assert self.within_3_se(sq, 1 / d, tests=d * d)
+        assert self.within_3_se(sq[:, 0, 0] ** 2, 2 / (d * (d + 1)))
+        assert self.within_3_se(np.abs(np.trace(u, axis1=1, axis2=2)) ** 2, 1.0)
+
+    @pytest.mark.parametrize("d", [2, 4, 8])
+    def test_matches_haar_moment(self, d):
+        gen = rng_for("householder", "haar-moment", d)
+        a, b = random_hermitian(d, gen), random_hermitian(d, gen)
+        u = haar_unitary(d, gen, size=20_000)
+        t = np.einsum("ij,nji->n", a, np.swapaxes(u.conj(), 1, 2) @ b @ u).real
+        for order in (2, 4) if d >= 4 else (2,):  # haar_moment needs d >= order
+            assert self.within_3_se(t**order, haar_moment(a, b, order)), order
+
+    def test_zero_first_entries_give_a_unitary_without_warnings(self):
+        """x_1 = 0 in every level's vector: phi is 1, and no division by zero."""
+        d, n = 5, 256
+
+        class ZeroFirstEntries(np.random.Generator):
+            def standard_normal(self, *args, **kwargs):
+                x = super().standard_normal(*args, **kwargs)
+                x[[m * (m - 1) // 2 for m in range(1, d + 1)]] = 0.0
+                return x
+
+        gen = ZeroFirstEntries(np.random.Philox(7))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            u = haar_unitary(d, gen, size=n)
+        gram = np.swapaxes(u.conj(), -2, -1) @ u
+        assert np.isfinite(u).all() and np.abs(gram - np.eye(d)).max() <= 1e-13
+
+
 def one_shot_haar(d, gen, size=None):
-    """The one-shot formula: one Ginibre stack (all real parts, then all
-    imaginary parts), then Gram-Schmidt for a stack of at least 256 at d <= 6,
-    else one QR and the phase fix."""
+    """The one-shot formula: for a stack of at least 256, d(d+1)/2 rows of
+    real parts, then of imaginary parts, as Householder products; else one
+    Ginibre stack (all real parts, then all imaginary parts), one QR and the
+    phase fix."""
+    if size is not None and size >= 256:
+        rows = d * (d + 1) // 2
+        re, im = gen.standard_normal((rows, size)), gen.standard_normal((rows, size))
+        return rng_module._householder(re, im)
     shape = (d, d) if size is None else (size, d, d)
     re, im = gen.standard_normal(shape), gen.standard_normal(shape)
-    if size is not None and d <= 6 and size >= 256:
-        return rng_module._cgs2(re, im)
     q, r = np.linalg.qr((re + 1j * im) / np.sqrt(2))
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (diag / np.abs(diag))[..., None, :]
+
+
+def reflection_product(x):
+    """One unitary by the Householder recursion, matrix by matrix in complex
+    arithmetic, from its k(k+1)/2 complex Gaussians x (level m's m-vector at
+    m(m-1)/2 onwards): U_1 = phi, U_m = (I - tau v v^dag) diag(-phi, U_{m-1})."""
+    k = (int(np.sqrt(8 * len(x) + 1)) - 1) // 2
+    u = np.zeros((0, 0), dtype=complex)
+    for m in range(1, k + 1):
+        v = x[m * (m - 1) // 2:m * (m + 1) // 2].copy()
+        phi = v[0] / abs(v[0]) if v[0] != 0 else 1.0
+        norm, abs1 = np.linalg.norm(v), abs(v[0])
+        v[0] += phi * norm
+        b = np.zeros((m, m), dtype=complex)
+        b[0, 0], b[1:, 1:] = -phi, u
+        u = (np.eye(m) - np.outer(v, v.conj()) / (norm * (norm + abs1))) @ b
+    return u
 
 
 class CountingGenerator(np.random.Generator):
@@ -103,26 +180,25 @@ class CountingGenerator(np.random.Generator):
 
 
 class TestGramSchmidtKernel:
-    @pytest.mark.parametrize("d", range(1, 7))
-    def test_matches_phase_fixed_qr(self, d):
-        gen = rng_for("cgs2", "qr", d)
-        re, im = gen.standard_normal((2, 300, d, d))
-        q = rng_module._cgs2(re, im)
-        want, r = np.linalg.qr(re + 1j * im)
-        diag = np.diagonal(r, axis1=-2, axis2=-1)
-        want *= (diag / np.abs(diag))[..., None, :]
-        assert np.abs(q - want).max() <= 1e-12
-        gram = np.swapaxes(q.conj(), -2, -1) @ q
-        assert np.abs(gram - np.eye(d)).max() <= 1e-13
+    """The sub-stack kernel ``rng._householder``, which draws every sub-stack
+    of at least 256 unitaries, and the normal draws that feed the kernels."""
 
-    @pytest.mark.parametrize("d", range(1, 7))
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_matches_reflection_product(self, d):
+        gen = rng_for("householder", "reference", d)
+        re, im = gen.standard_normal((2, d * (d + 1) // 2, 40))
+        q = rng_module._householder(re, im)
+        want = [reflection_product(re[:, s] + 1j * im[:, s]) for s in range(40)]
+        assert np.abs(q - np.array(want)).max() <= 1e-13
+
+    @pytest.mark.parametrize("d", range(1, 9))
     def test_bits_independent_of_stack_grouping(self, d):
-        gen = rng_for("cgs2", "grouping", d)
-        re, im = gen.standard_normal((2, 99, d, d))
-        whole = rng_module._cgs2(re, im)
+        gen = rng_for("householder", "grouping", d)
+        re, im = gen.standard_normal((2, d * (d + 1) // 2, 99))
+        whole = rng_module._householder(re, im)
         for split in (1, 2, 3, 4, 8, 33):
-            parts = [rng_module._cgs2(re[s:s + split], im[s:s + split])
-                     for s in range(0, len(re), split)]
+            parts = [rng_module._householder(re[:, s:s + split], im[:, s:s + split])
+                     for s in range(0, re.shape[1], split)]
             assert np.array_equal(np.concatenate(parts), whole), split
 
     @pytest.mark.parametrize("d, size", [(4, None), (4, 300), (8, rng_module._block_rows(8)),
@@ -146,9 +222,9 @@ class TestBlockedDraw:
     def test_blocked_stack_matches_one_shot(self, d, size):
         """Three sub-stacks plus a remainder (or one sub-stack) equal one
         one-shot draw per sub-stack size in turn, bit for bit, and leave the
-        generator where those draws do: QR throughout at d=8, Gram-Schmidt
-        then QR for the 5-unitary remainder at d=3, one unitary per sub-stack
-        at d=260."""
+        generator where those draws do: Householder products then QR for the
+        100-unitary remainder at d=8 and for the 5-unitary remainder at d=3,
+        one unitary per sub-stack at d=260."""
         gen, ref = rng_for("blocks", d, size), rng_for("blocks", d, size)
         u = haar_unitary(d, gen, size)
         step = rng_module._block_rows(d)
