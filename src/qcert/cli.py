@@ -34,6 +34,7 @@ from .instances import (
     tune_paninski,
 )
 from .haar_oracle import (
+    divergence_from_weights,
     exact_transcript_divergence,
     ingster_bound,
     transcript_count,
@@ -41,8 +42,9 @@ from .haar_oracle import (
 )
 from .linalg import (PSD_TOL, DensityMatrix, ValidationError, spectral_fidelity_mm,
                      spectral_quasinorm, trace_distance)
-from .measurement import Basis, CopySource, phi_table
-from .rng import RngHandle, ginibre, haar_unitary
+from .measurement import (Basis, CopySource, ensemble_weights, outcome_distribution,
+                          phi_from_weights)
+from .rng import RngHandle, ginibre, haar_draws
 from .spectrum import (
     Spectrum,
     predicted_bounds,
@@ -412,8 +414,22 @@ def cmd_bounds(args) -> int:
 
 def haar_schedule(d: int, copies: int, gen) -> Basis:
     """A nonadaptive schedule of ``copies`` Haar bases, drawn one after
-    another from ``gen``, as one (copies, d, d) ``Basis`` stack."""
-    return Basis.trusted(np.stack([haar_unitary(d, gen) for _ in range(copies)]))
+    another from ``gen`` as one ``haar_draws`` stack, as one (copies, d, d)
+    ``Basis`` stack."""
+    return Basis.trusted(haar_draws([d], gen, copies)[0])
+
+
+# qcert divergence draws its Paninski parameter states in stacks of at most
+# this many, so its memory is bounded whatever --param-draws is.
+PARAM_DRAW_STACK = 64
+
+
+def _corner_rows(sigma: DensityMatrix, ens: list, schedule: Basis):
+    """The exact divergences and the Ingster bound (with its SE) of a finite
+    ensemble under one schedule, from one weighing of sigma and of the states."""
+    p0, w = outcome_distribution(sigma, schedule), ensemble_weights(schedule, ens)
+    phis = phi_from_weights(p0, w).ravel()
+    return divergence_from_weights(p0, [w]), ingster_bound(phis, len(schedule.u))
 
 
 def cmd_divergence(args) -> int:
@@ -436,11 +452,12 @@ def cmd_divergence(args) -> int:
     for s in range(args.schedules):
         schedule = haar_schedule(spec.dim, args.copies, handle.child("schedule", s).generator())
         if args.ensemble == "corner":
-            rep = exact_transcript_divergence(sigma, ens, schedule)
-            bound, se = ingster_bound(phi_table(schedule, sigma, ens).ravel(), args.copies)
+            rep, (bound, se) = _corner_rows(sigma, ens, schedule)
         else:
-            gen = handle.child("draws", s).generator()
-            draws = (sample_paninski(sigma, inst, gen) for _ in range(args.param_draws))
+            gen, count = handle.child("draws", s).generator(), args.param_draws
+            draws = (state for start in range(0, count, PARAM_DRAW_STACK)
+                     for state in sample_paninski(sigma, inst, gen,
+                                                  min(PARAM_DRAW_STACK, count - start)))
             rep = exact_transcript_divergence(sigma, draws, schedule)
             bound = se = float("nan")
         rows.append({
@@ -504,8 +521,7 @@ def cmd_verify(args) -> int:
     ok = True
     for s in range(args.schedules):
         schedule = haar_schedule(2, 4, handle.child("ingster", s).generator())
-        rep = exact_transcript_divergence(corner_sigma, ens, schedule)
-        bound, se = ingster_bound(phi_table(schedule, corner_sigma, ens).ravel(), 4)
+        rep, (bound, se) = _corner_rows(corner_sigma, ens, schedule)
         ok &= rep.chi2 <= bound + 3 * se + 1e-12
     record("ingster-dominates-chi2", ok)
 

@@ -39,6 +39,7 @@ per cycle type.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -47,12 +48,15 @@ from functools import lru_cache
 import numpy as np
 
 from .linalg import DensityMatrix, ValidationError, block_form, check_count, check_hermitian
-from .measurement import Basis, outcome_distribution
+from .measurement import Basis, ensemble_weights, outcome_distribution
 from .rng import haar_blocks
 
 MAX_ORDER = 6
 # exact_transcript_divergence refuses schedules with more transcripts than this.
 MAX_TRANSCRIPTS = 10**6
+# It folds at most this many transcript probabilities (states x transcripts)
+# at a time: 2**13 floats are 64 KiB.
+_FOLD_ENTRIES = 2**13
 
 # verify_moments_basic: the stated (d^-4) second-moment bound's multiplier.
 _SECOND_MOMENT_MULTIPLIER = 1.5
@@ -353,14 +357,6 @@ class DivergenceReport:
     min_likelihood_ratio: float
 
 
-def _product_distribution(state, schedule: Basis) -> np.ndarray:
-    """Law of the whole transcript, first copy major: one stacked outcome law, folded."""
-    out = np.ones(1)
-    for row in outcome_distribution(state, schedule):
-        out = np.outer(out, row).ravel()
-    return out
-
-
 def transcript_count(d: int, copies: int) -> int:
     """d**copies, the transcripts of a rank-1 schedule of ``copies`` bases in
     dimension d; past MAX_TRANSCRIPTS, a ValidationError that gives both."""
@@ -370,6 +366,16 @@ def transcript_count(d: int, copies: int) -> int:
         raise ValidationError(f"transcript space d**copies = {d}**{copies} = {shown} "
                               f"exceeds MAX_TRANSCRIPTS = {MAX_TRANSCRIPTS}")
     return size
+
+
+def _product_laws(w: np.ndarray) -> np.ndarray:
+    """(K, d**N): the law of the whole transcript, first copy major, of each
+    of K states from its (N, d) per-copy laws, in one broadcast per copy; a
+    transcript's probability multiplies its N factors left to right, from 1."""
+    laws = np.ones((len(w), 1))
+    for n in range(w.shape[1]):
+        laws = (laws[:, :, None] * w[:, n, None, :]).reshape(len(w), -1)
+    return laws
 
 
 def exact_transcript_divergence(sigma: DensityMatrix, ensemble,
@@ -382,18 +388,42 @@ def exact_transcript_divergence(sigma: DensityMatrix, ensemble,
     rank-1 elements never lowers the divergence (data processing).
     ``ensemble`` is a nonempty iterable of equally likely states, such as a
     finite ensemble's list or a generator of Monte Carlo parameter draws,
-    which is read once, one state at a time; the mixture's law is the sum of
-    the states' transcript laws over their count.
+    which is read once. It is read as stacks of at most
+    ``_FOLD_ENTRIES // d**N`` states (at least one), each weighed by
+    ``ensemble_weights`` and folded by ``divergence_from_weights``, so memory
+    stays bounded whatever the ensemble's length.
     """
     if schedule.u.ndim != 3:
         raise ValidationError(f"schedule must be an (N, d, d) stack, got {schedule.u.shape}")
     size = transcript_count(schedule.dim, schedule.u.shape[0])
-    p0 = _product_distribution(sigma, schedule)
-    p1 = np.zeros_like(p0)
+    p0 = outcome_distribution(sigma, schedule)
+    states = iter(ensemble)
+    stacks = iter(lambda: list(itertools.islice(states, max(1, _FOLD_ENTRIES // size))), [])
+    return divergence_from_weights(p0, (ensemble_weights(schedule, s) for s in stacks))
+
+
+def divergence_from_weights(p0: np.ndarray, stacks) -> DivergenceReport:
+    """``exact_transcript_divergence`` from the (N, d) per-copy null laws p0
+    and an iterable, read once, of (K, N, d) stacks of per-copy laws of
+    equally likely states, so that a caller who also needs the laws weighs
+    each state once.
+
+    Each stack's K transcript laws are formed in one broadcast (K * d**N
+    floats) and added to the mixture's law state by state, in order; the
+    mixture's law is their sum over the number of states.
+    """
+    if p0.ndim != 2:
+        raise ValidationError(f"null laws must be an (N, d) stack, got {p0.shape}")
+    size = transcript_count(p0.shape[1], p0.shape[0])
+    rows, p0 = p0.shape, _product_laws(p0[None])[0]
+    p1 = np.zeros(size)
     count = 0
-    for state in ensemble:
-        p1 += _product_distribution(state, schedule)
-        count += 1
+    for w in stacks:
+        if w.shape[1:] != rows:
+            raise ValidationError(f"state laws {w.shape[1:]} do not match the null laws {rows}")
+        for law in _product_laws(w):
+            p1 += law
+        count += len(w)
     if not count:
         raise ValidationError("the ensemble holds no state")
     p1 /= count

@@ -102,13 +102,17 @@ def tune_paninski(spec: Spectrum, eps: float) -> PaninskiInstance:
 
 
 def sample_paninski(sigma: DensityMatrix, inst: PaninskiInstance,
-                    rng: np.random.Generator) -> DensityMatrix:
-    """One draw sigma + U^dag E U with a fresh block-Haar U.
+                    rng: np.random.Generator, size: int | None = None):
+    """One draw sigma + U^dag E U with a fresh block-Haar U, or with ``size``
+    set a list of ``size`` such draws made as one stack: one ``block_haar``
+    stack, one stacked U^dag E U and ``DensityMatrix.trusted_stack``, state k
+    bit for bit the k-th of ``size`` calls in a row.
 
     E is the +/-eps_j diagonal, paired within the leading 2*floor(d_j/2)
-    coordinates of each bucket j. A state without an eigensolve: sigma is
-    diagonal with entries >= eps_j on each bucket j, else ``ValidationError``,
-    and U^dag E U is traceless and block-diagonal by bucket, at least -eps_j I.
+    coordinates of each bucket j. States without an eigensolve: sigma is
+    checked once to be diagonal with entries >= eps_j on each bucket j, else
+    ``ValidationError``, and U^dag E U is traceless and block-diagonal by
+    bucket, at least -eps_j I.
     """
     if sigma.dim != inst.buckets.ambient_dim:
         raise ValidationError("state dimension does not match the tuned instance")
@@ -122,9 +126,10 @@ def sample_paninski(sigma: DensityMatrix, inst: PaninskiInstance,
         half = len(idx) // 2
         diag[idx[:half]] = e
         diag[idx[half : 2 * half]] = -e
-    u = block_haar(inst.buckets, rng)
-    pert = u.conj().T @ np.diag(diag).astype(complex) @ u
-    return DensityMatrix.trusted(sigma.mat + pert)
+    u = block_haar(inst.buckets, rng, 1 if size is None else size)
+    pert = u.conj().swapaxes(-2, -1) @ np.diag(diag).astype(complex) @ u
+    states = DensityMatrix.trusted_stack(sigma.mat + pert)
+    return states[0] if size is None else states
 
 
 @dataclass(frozen=True)

@@ -50,18 +50,34 @@ class Basis:
         m.u, m.dim, m._sq = u, u.shape[-1], None  # _sq: |U|^2, set on the first diagonal block
         return m
 
-    def weights(self, block: np.ndarray) -> np.ndarray:
+    def weights(self, block: np.ndarray, stacked: bool = False) -> np.ndarray:
         """Unvalidated Born weights <u_z| block |u_z>, one row per basis of a
         stack. A dim x dim matrix takes the O(k^3) kernel
         Re sum_rows conj(U) * (block U); the real diagonal of a diagonal one
         takes the O(k^2) kernel (|U|^2)^T diag, |U|^2 computed once per
         basis. Which form a matrix takes is decided once, by ``block_form``,
-        where it enters: here only the number of axes is read."""
-        if block.ndim == 2:
+        where it enters: here only the number of axes is read. With
+        ``stacked``, ``block`` is a stack of K blocks of one form along its
+        first axis, and row k of the result is bit for bit that of block k."""
+        dense = block.ndim == (3 if stacked else 2)
+        if stacked:  # the stack axis goes ahead of the basis stack's axes
+            block = block.reshape(block.shape[:1] + (1,) * (self.u.ndim - 2) + block.shape[1:])
+        if dense:
             return np.real(np.sum(self.u.conj() * (block @ self.u), axis=-2))
         if self._sq is None:
             self._sq = self.u.real**2 + self.u.imag**2
-        return np.sum(self._sq * block[:, None], axis=-2)
+        return np.sum(self._sq * block[..., None], axis=-2)
+
+
+def _checked(p: np.ndarray, total: float = 1.0) -> np.ndarray:
+    """``p``, validated as nonnegative within 1e-9 with every row summing to
+    ``total`` within 1e-9."""
+    off = np.abs(p.sum(axis=-1) - total).max(initial=0.0)
+    if p.min(initial=0.0) < -1e-9 or off > 1e-9:
+        raise ValidationError(
+            f"invalid outcome distribution (min {p.min():.2e}, sum off {total:.6g} by {off:.2e})"
+        )
+    return p
 
 
 def _weights(block: np.ndarray, m: Basis, total: float = 1.0) -> np.ndarray:
@@ -70,13 +86,7 @@ def _weights(block: np.ndarray, m: Basis, total: float = 1.0) -> np.ndarray:
     row of a stack)."""
     if block.shape[0] != m.dim:
         raise ValidationError(f"state dim {block.shape[0]} != basis dim {m.dim}")
-    p = m.weights(block)
-    off = np.abs(p.sum(axis=-1) - total).max(initial=0.0)
-    if p.min(initial=0.0) < -1e-9 or off > 1e-9:
-        raise ValidationError(
-            f"invalid outcome distribution (min {p.min():.2e}, sum off {total:.6g} by {off:.2e})"
-        )
-    return p
+    return _checked(m.weights(block), total)
 
 
 def outcome_distribution(rho: DensityMatrix, m: Basis) -> np.ndarray:
@@ -202,20 +212,47 @@ class CopySource:
             self._charge(n + k)
 
 
+def ensemble_weights(m: Basis, states) -> np.ndarray:
+    """The outcome laws of every state of the nonempty ``states`` (read once)
+    under ``m``, stacked as (K, ..., outcomes): row k is
+    ``outcome_distribution(states[k], m)`` bit for bit, and validated as it
+    validates. The dense blocks are weighed in one stacked call and the
+    diagonal ones in another."""
+    blocks = [s.block for s in states]
+    if any(b.shape[0] != m.dim for b in blocks):
+        raise ValidationError(f"a state's dim differs from the basis dim {m.dim}")
+    w = None
+    for dense in (False, True):
+        rows = [k for k, b in enumerate(blocks) if (b.ndim == 2) == dense]
+        if rows:
+            part = m.weights(np.array([blocks[k] for k in rows]), stacked=True)
+            w = np.empty((len(blocks),) + part.shape[1:]) if w is None else w
+            w[rows] = part
+    if w is None:
+        raise ValidationError("the ensemble holds no state")
+    return _checked(w)
+
+
 def phi_table(m: Basis, rho, states) -> np.ndarray:
     """phi(u, v) = sum_z p0(z) g_u(z) g_v(z), g_u = p_u / p0 - 1, the correlation
     of likelihood deviations under the null law p0 of a basis ``m``, for every
     ordered pair of ``states`` (read once), as a (K, K) array, or (N, K, K) for
-    a stack of N bases such as a schedule: the null laws and each state's
-    weights are computed once, stacked.
+    a stack of N bases such as a schedule: ``phi_from_weights`` of the null
+    laws and of ``ensemble_weights``.
+    """
+    return phi_from_weights(outcome_distribution(rho, m), ensemble_weights(m, states))
+
+
+def phi_from_weights(p0: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``phi_table`` from the null laws p0, (..., outcomes), and the stacked
+    laws w of K states, (K, ..., outcomes), so that a caller who also needs
+    the laws weighs each state once.
 
     Outcomes with vanishing null probability are dropped when every state
     also vanishes there; otherwise the ratio is infinite and an error is
     raised. Each entry sums its outcomes in order, as a scalar loop would, so
     every table of a stack equals that of its basis held alone.
     """
-    p0 = outcome_distribution(rho, m)
-    w = np.array([m.weights(s.block) for s in states]).reshape(-1, *p0.shape)
     live = p0 > PROB_FLOOR
     undefined = np.argwhere((w > 1e-12) & ~live)  # rows (state, ..., outcome)
     if undefined.size:

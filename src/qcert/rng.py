@@ -113,10 +113,12 @@ def _householder(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     rows m(m-1)/2 to m(m+1)/2 - 1 its m-vector x. U_1 = phi and
     U_m = (I - tau v v^dag) diag(-phi, U_{m-1}) for m = 2..k, where
     phi = x_1 / |x_1| (1 when x_1 = 0), v = x + phi |x| e_1 and
-    tau = 1 / (|x| (|x| + |x_1|)), so U_m's first column is x / |x|. Only
-    real ufuncs and ``einsum`` over the stack axis touch the contiguous real
-    and imaginary (m, m, n) arrays of U_m, so a matrix's bits do not depend on
-    the stack it sits in.
+    tau = 1 / (|x| (|x| + |x_1|)), so U_m's first column is x / |x|. The real
+    and imaginary parts of every U_m are built in place in one (k, k, n) pair,
+    as its trailing (m, m) block, whose own trailing block is U_{m-1}; the
+    outer products of v_2..m and w go to two (m-1, m-1, n) work arrays cut
+    from one buffer. Only real ufuncs and ``einsum`` over the stack axis touch
+    them, so a matrix's bits do not depend on the stack it sits in.
     """
     rows, n = re.shape
     k = (math.isqrt(8 * rows + 1) - 1) // 2
@@ -125,24 +127,28 @@ def _householder(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     abs1 = np.sqrt(x1r * x1r + x1i * x1i)
     zero = abs1 == 0
     phr, phi = x1r / (abs1 + zero) + zero, x1i / (abs1 + zero)
-    ur, ui = phr[:1, None].copy(), phi[:1, None].copy()
+    ur, ui = np.empty((k, k, n)), np.empty((k, k, n))
+    ur[-1, -1], ui[-1, -1] = phr[0], phi[0]
+    work = np.empty((2, (k - 1) ** 2 * n))
     for m, start in enumerate(first[1:], 2):
+        top = k - m  # U_m is [top:, top:], U_{m-1} is [top + 1:, top + 1:]
         xr, xi = re[start:start + m], im[start:start + m]
+        br, bi = ur[top + 1:, top + 1:], ui[top + 1:, top + 1:]
+        ta, tb = work[:, :(m - 1) ** 2 * n].reshape(2, m - 1, m - 1, n)
         norm = np.sqrt(np.einsum("is,is->s", xr, xr) + np.einsum("is,is->s", xi, xi))
         # w = tau conj(v_2..m)^T U_{m-1}, v_2..m = x_2..m
         inv_tau = norm * (norm + abs1[m - 1])
-        wr = (np.einsum("is,ics->cs", xr[1:], ur) + np.einsum("is,ics->cs", xi[1:], ui)) / inv_tau
-        wi = (np.einsum("is,ics->cs", xr[1:], ui) - np.einsum("is,ics->cs", xi[1:], ur)) / inv_tau
+        wr = (np.einsum("is,ics->cs", xr[1:], br) + np.einsum("is,ics->cs", xi[1:], bi)) / inv_tau
+        wi = (np.einsum("is,ics->cs", xr[1:], bi) - np.einsum("is,ics->cs", xi[1:], br)) / inv_tau
         # U_m: first column x / |x|, first row -v_1 w, the rest U_{m-1} - v_2..m w
-        ur -= np.einsum("is,cs->ics", xr[1:], wr) - np.einsum("is,cs->ics", xi[1:], wi)
-        ui -= np.einsum("is,cs->ics", xr[1:], wi) + np.einsum("is,cs->ics", xi[1:], wr)
-        nr, ni = np.empty((m, m, n)), np.empty((m, m, n))
-        nr[1:, 1:], ni[1:, 1:] = ur, ui
+        br -= np.subtract(np.einsum("is,cs->ics", xr[1:], wr, out=ta),
+                          np.einsum("is,cs->ics", xi[1:], wi, out=tb), out=ta)
+        bi -= np.add(np.einsum("is,cs->ics", xr[1:], wi, out=ta),
+                     np.einsum("is,cs->ics", xi[1:], wr, out=tb), out=ta)
         v1r, v1i = xr[0] + phr[m - 1] * norm, xi[0] + phi[m - 1] * norm
-        nr[0, 1:] = v1i * wi - v1r * wr
-        ni[0, 1:] = -(v1r * wi + v1i * wr)
-        nr[:, 0], ni[:, 0] = xr / norm, xi / norm
-        ur, ui = nr, ni
+        ur[top, top + 1:] = v1i * wi - v1r * wr
+        ui[top, top + 1:] = -(v1r * wi + v1i * wr)
+        ur[top:, top], ui[top:, top] = xr / norm, xi / norm
     q = np.empty((n, k, k), dtype=complex)
     q.real = ur.transpose(2, 0, 1)
     q.imag = ui.transpose(2, 0, 1)
@@ -197,23 +203,48 @@ def haar_isometry(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
     return haar_unitary(rows, rng)[:, :cols]
 
 
-def block_haar(buckets, rng: np.random.Generator) -> np.ndarray:
-    """Block-diagonal unitary with an independent Haar block per bucket.
+def haar_draws(dims, rng: np.random.Generator, size: int) -> list[np.ndarray]:
+    """``size`` draws of one Haar unitary per dimension k of ``dims``, in turn,
+    as one (size, k, k) stack per entry of ``dims``: bit for bit the unitaries
+    that ``haar_unitary(k, rng)`` calls for each k of ``dims``, made ``size``
+    times over, would return, and the generator is left where they leave it.
+
+    The normals are one ``standard_normal`` call laid out draw by draw, each
+    unitary's real parts, then its imaginary parts, and each block size takes
+    one phase-fixed QR over all its unitaries.
+    """
+    check_count("size", size, 0)
+    for k in dims:
+        check_count("dimension", k, 1)
+    widths = [2 * k * k for k in dims]
+    starts = np.cumsum([0] + widths[:-1])
+    normals = rng.standard_normal((size, sum(widths)))
+    out = [None] * len(dims)
+    for k in set(dims):
+        at = [i for i, other in enumerate(dims) if other == k]
+        parts = np.stack([normals[:, s:s + 2 * k * k] for s in starts[at]], axis=1)
+        parts = parts.reshape(-1, 2, k, k)
+        q = _phase_fixed_qr(parts[:, 0], parts[:, 1]).reshape(size, len(at), k, k)
+        for n, i in enumerate(at):
+            out[i] = q[:, n]
+    return out
+
+
+def block_haar(buckets, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
+    """Block-diagonal unitary with an independent Haar block per bucket, or
+    with ``size`` set a (size, d, d) stack of them, each bit for bit what
+    ``size`` calls in a row would return (``haar_draws``).
 
     Within a bucket of size d_j > 1 the block is a Haar unitary on the first
     2*floor(d_j/2) coordinates (a trailing odd coordinate is left fixed);
     size-1 buckets get the identity. Coordinates outside every bucket (zero
     spectrum entries) are also fixed.
     """
-    d = buckets.ambient_dim
-    u = np.eye(d, dtype=complex)
-    for j in buckets.levels:
-        idx = buckets.indices(j)
-        k = 2 * (len(idx) // 2)
-        if k < 2:
-            continue
-        sub = haar_unitary(k, rng)
-        active = idx[:k]
-        u[np.ix_(active, active)] = sub
-    return u
-
+    d, draws = buckets.ambient_dim, 1 if size is None else size
+    check_count("size", draws, 0)
+    active = [idx[:2 * (len(idx) // 2)] for idx in map(buckets.indices, buckets.levels)
+              if len(idx) > 1]
+    u = np.tile(np.eye(d, dtype=complex), (draws, 1, 1))
+    for idx, q in zip(active, haar_draws([len(idx) for idx in active], rng, draws)):
+        u[:, idx[:, None], idx] = q
+    return u[0] if size is None else u

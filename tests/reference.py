@@ -10,9 +10,15 @@ second-moment constants (criterion 10) are the facts the acceptance criteria
 check. ``eager_success`` and ``eager_minimal_copies`` run every trial of every
 sweep probe, the rule the program's early-stopping sweep must reproduce.
 ``scalar_phi`` is phi's per-pair loop, which ``phi_table`` must reproduce bit
-for bit. ``weingarten_values``, ``haar_moment`` and ``ez2_exact`` rebuild the
-S_k class data on every call, as the exact oracles once did; the oracles'
-once-per-order tables must give their values bit for bit.
+for bit. ``per_state_divergence`` folds an ensemble one state at a time, each
+state's transcript law built copy by copy with ``np.outer``, as
+``exact_transcript_divergence`` once did; its stacked fold must give the same
+report bit for bit. ``block_haar_draw``, ``paninski_draw`` and
+``haar_schedule_draw`` make one draw at a time, one ``haar_unitary`` per block,
+as the library once did; its stacked draws must equal them byte for byte.
+``weingarten_values``, ``haar_moment`` and ``ez2_exact`` rebuild the S_k class
+data on every call, as the exact oracles once did; the oracles' once-per-order
+tables must give their values bit for bit.
 """
 
 import math
@@ -22,11 +28,12 @@ import numpy as np
 
 from qcert import cli
 from qcert.certify import CertifyConfig
-from qcert.haar_oracle import _character, _hooks_and_contents, _partitions
+from qcert.haar_oracle import (DivergenceReport, _character, _hooks_and_contents, _partitions,
+                               transcript_count)
 from qcert.linalg import (PSD_TOL, DensityMatrix, ValidationError, _mat, block_form,
                           check_hermitian, hermitian_part)
 from qcert.measurement import PROB_FLOOR, CopySource, UndefinedOutcomeError, outcome_distribution
-from qcert.rng import RngHandle
+from qcert.rng import RngHandle, haar_unitary
 from qcert.spectrum import Spectrum
 
 # Audited constants for the ensemble second-moment bounds. The bucketwise
@@ -64,9 +71,12 @@ class Povm:
     def __len__(self):
         return self.elements.shape[0]
 
-    def weights(self, block: np.ndarray) -> np.ndarray:
+    def weights(self, block: np.ndarray, stacked: bool = False) -> np.ndarray:
         """Unvalidated Born weights <M_z, block> of a dim x dim matrix, or of
-        a diagonal one given as its real diagonal."""
+        a diagonal one given as its real diagonal; with ``stacked``, one row
+        per block of a stack."""
+        if stacked:
+            return np.array([self.weights(b) for b in block])
         if block.ndim == 1:
             block = np.diag(block)
         return np.einsum("zij,ji->z", self.elements, block).real
@@ -177,6 +187,67 @@ def scalar_phi(m, rho, rho_u, rho_v) -> float:
         gv = pv[z] / p0[z] - 1.0
         total += p0[z] * gu * gv
     return float(total)
+
+
+def block_haar_draw(buckets, gen) -> np.ndarray:
+    """One block-Haar unitary: a ``haar_unitary`` per bucket of at least two,
+    in level order, on the bucket's leading 2*floor(d_j/2) coordinates."""
+    u = np.eye(buckets.ambient_dim, dtype=complex)
+    for j in buckets.levels:
+        idx = buckets.indices(j)
+        k = 2 * (len(idx) // 2)
+        if k >= 2:
+            u[np.ix_(idx[:k], idx[:k])] = haar_unitary(k, gen)
+    return u
+
+
+def paninski_draw(sigma, inst, gen) -> DensityMatrix:
+    """One Paninski state sigma + U^dag E U from ``block_haar_draw``."""
+    diag = np.zeros(sigma.dim)
+    for j, e in inst.eps_per_bucket.items():
+        idx = inst.buckets.indices(j)
+        half = len(idx) // 2
+        diag[idx[:half]], diag[idx[half:2 * half]] = e, -e
+    u = block_haar_draw(inst.buckets, gen)
+    return DensityMatrix.trusted(sigma.mat + u.conj().T @ np.diag(diag).astype(complex) @ u)
+
+
+def haar_schedule_draw(d: int, copies: int, gen) -> np.ndarray:
+    """``copies`` Haar bases, one ``haar_unitary`` after another."""
+    return np.array([haar_unitary(d, gen) for _ in range(copies)]).reshape(copies, d, d)
+
+
+def product_distribution(state, schedule) -> np.ndarray:
+    """Law of the whole transcript of one state, first copy major: its stacked
+    outcome law, folded copy by copy."""
+    out = np.ones(1)
+    for row in outcome_distribution(state, schedule):
+        out = np.outer(out, row).ravel()
+    return out
+
+
+def per_state_divergence(sigma, ensemble, schedule) -> DivergenceReport:
+    """TV / chi-squared / KL between sigma and the mixture of ``ensemble``
+    under a schedule, each state's transcript law built and added on its own."""
+    size = transcript_count(schedule.dim, schedule.u.shape[0])
+    p0 = product_distribution(sigma, schedule)
+    p1 = np.zeros_like(p0)
+    count = 0
+    for state in ensemble:
+        p1 += product_distribution(state, schedule)
+        count += 1
+    p1 /= count
+    tv = float(np.abs(p1 - p0).sum() / 2)
+    pos = p0 > 0
+    if ((~pos) & (p1 > 1e-15)).any():
+        chi2 = kl = math.inf
+    else:
+        chi2 = float(((p1[pos] - p0[pos]) ** 2 / p0[pos]).sum())
+        mask = pos & (p1 > 0)
+        kl = float((p1[mask] * np.log(p1[mask] / p0[mask])).sum())
+    ratios = p1[pos] / p0[pos]
+    return DivergenceReport(tv=tv, chi2=chi2, kl=kl, num_transcripts=int(size),
+                            min_likelihood_ratio=float(ratios.min()) if ratios.size else 1.0)
 
 
 def eager_success(d: int, eps: float, seed: int, trials: int, n_copies: int,

@@ -10,11 +10,14 @@ import pytest
 
 from qcert import cli
 from qcert.cli import main, make_spectrum
+from qcert.haar_oracle import ingster_bound
+from qcert.instances import corner_ensemble, tune_paninski
 from qcert.linalg import DensityMatrix, ValidationError, spectral_fidelity_mm, spectral_quasinorm
 from qcert.measurement import Basis
 from qcert.rng import RngHandle
 from qcert.spectrum import remove_mass_lower_nonadaptive
 
+import reference
 from conftest import count_checked_bases
 
 
@@ -445,6 +448,48 @@ class TestVerifyCommand:
 
 
 class TestDivergenceCommand:
+    @pytest.mark.parametrize("family", [["--family", "mm", "--d", "4"],
+                                        ["--family", "geometric", "--d", "8", "--ratio", "0.8"]])
+    def test_paninski_rows_are_the_per_state_fold(self, family, capsys):
+        """300 parameter draws are four 64-state draw stacks and a ragged one:
+        every row is the per-state fold of one-at-a-time draws and schedules
+        from the same streams, bit for bit."""
+        code, out = run_cli(["divergence", *family, "--ensemble", "paninski", "--eps", "0.1",
+                             "--copies", "2", "--schedules", "2", "--param-draws", "300",
+                             "--seed", "3", "--format", "json"], capsys)
+        assert code == 0
+        spec = make_spectrum(family[1], int(family[3]), None,
+                             float(family[5]) if len(family) > 4 else 0.5)
+        sigma, inst = DensityMatrix.from_diagonal(spec.lambdas), tune_paninski(spec, 0.1)
+        handle = RngHandle(3).child("divergence")
+        for s, row in enumerate(json.loads(out)["rows"]):
+            sched = Basis(reference.haar_schedule_draw(
+                spec.dim, 2, handle.child("schedule", s).generator()))
+            gen = handle.child("draws", s).generator()
+            states = [reference.paninski_draw(sigma, inst, gen) for _ in range(300)]
+            want = reference.per_state_divergence(sigma, states, sched)
+            assert [row[f] for f in ("tv", "chi2", "kl", "min_likelihood_ratio")] == [
+                want.tv, want.chi2, want.kl, want.min_likelihood_ratio]
+
+    def test_corner_rows_are_the_per_state_fold(self, capsys):
+        """One weighing per schedule serves both the divergences and the
+        phis: each row equals the per-state fold and the per-pair phis."""
+        code, out = run_cli(["divergence", "--family", "spiked", "--d", "4", "--ensemble",
+                             "corner", "--copies", "3", "--schedules", "2", "--seed", "4",
+                             "--format", "json"], capsys)
+        assert code == 0
+        sigma = DensityMatrix.from_diagonal(make_spectrum("spiked", 4).lambdas)
+        ens = corner_ensemble(sigma, 0.3)
+        handle = RngHandle(4).child("divergence")
+        for s, row in enumerate(json.loads(out)["rows"]):
+            us = reference.haar_schedule_draw(5, 3, handle.child("schedule", s).generator())
+            want = reference.per_state_divergence(sigma, ens, Basis(us))
+            phis = [reference.scalar_phi(Basis(u), sigma, a, b)
+                    for u in us for a in ens for b in ens]
+            assert [row[f] for f in ("tv", "chi2", "kl", "min_likelihood_ratio")] == [
+                want.tv, want.chi2, want.kl, want.min_likelihood_ratio]
+            assert [row["ingster_bound"], row["ingster_se"]] == list(ingster_bound(phis, 3))
+
     def test_corner_report(self, capsys, tmp_path):
         path = tmp_path / "sigma.json"
         path.write_text(json.dumps([0.8, 0.2]))
@@ -507,25 +552,18 @@ class TestDivergenceCommand:
         assert checked == []
 
     def test_phis_weigh_each_state_once_per_basis(self, capsys, monkeypatch):
-        """The Ingster phis take the null law and each corner state's weights
-        for every copy's basis at once: 3 stacked weights calls per schedule,
-        and no single-basis call."""
-        calls, per_table = [], []
-        weights, table = Basis.weights, cli.phi_table
-        monkeypatch.setattr(Basis, "weights",
-                            lambda m, block: calls.append(m.u.shape) or weights(m, block))
-
-        def counted(*args):
-            before = len(calls)
-            out = table(*args)
-            per_table.append(calls[before:])
-            return out
-
-        monkeypatch.setattr(cli, "phi_table", counted)
+        """The exact divergences and the Ingster phis share one weighing per
+        schedule, each over every copy's basis at once: sigma's null laws and
+        one stacked call for both corner states, 2 weights calls per schedule
+        where the two once made 3 each."""
+        calls = []
+        weights = Basis.weights
+        monkeypatch.setattr(Basis, "weights", lambda m, block, stacked=False: calls.append(
+            (m.u.shape, block.shape, stacked)) or weights(m, block, stacked))
         code, _ = run_cli(["divergence", "--family", "spiked", "--d", "4", "--ensemble", "corner",
                            "--copies", "5", "--schedules", "5"], capsys)
-        assert code == 0 and per_table == [[(5, 5, 5)] * 3] * 5
-        assert all(len(shape) == 3 for shape in calls)
+        assert code == 0
+        assert calls == [((5, 5, 5), (5,), False), ((5, 5, 5), (2, 5, 5), True)] * 5
 
     def test_corner_ignores_param_draws(self, capsys):
         code, _ = run_cli(["divergence", "--family", "spiked", "--d", "4", "--ensemble", "corner",

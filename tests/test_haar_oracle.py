@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import math
+import os
 import re
 import tracemalloc
 from dataclasses import dataclass
@@ -25,7 +26,7 @@ from qcert.haar_oracle import (
 )
 from qcert.instances import corner_ensemble
 from qcert.linalg import DensityMatrix, ValidationError
-from qcert.measurement import Basis, phi_table
+from qcert.measurement import Basis, outcome_distribution, phi_table
 from qcert.rng import haar_unitary
 
 import reference
@@ -454,7 +455,7 @@ class TestVerifyMoments:
 
     @pytest.mark.parametrize("d, samples", [(4, 100_000), (8, 20_000)])
     def test_memory_is_the_statistic_plus_sub_stacks(self, d, samples):
-        # Gram-Schmidt at d=4, LAPACK at d=8: a stack whose real parts alone
+        # Householder products at d=4 and d=8: a stack whose real parts alone
         # would take 12.2 and 9.8 MiB; the working set is a fixed number of
         # sub-stacks, whatever d^2 * samples
         gen = rng_for("oracle", "memory")
@@ -594,9 +595,72 @@ class TestTranscriptDivergence:
         held = exact_transcript_divergence(sigma, list(draws()), sched)
         for field in ("tv", "chi2", "kl", "num_transcripts", "min_likelihood_ratio"):
             assert getattr(lazy, field) == getattr(held, field), field
-        p0 = haar_oracle._product_distribution(sigma, sched)
-        p1 = sum(haar_oracle._product_distribution(s, sched) for s in draws()) / 50
+        p0 = reference.product_distribution(sigma, sched)
+        p1 = sum(reference.product_distribution(s, sched) for s in draws()) / 50
         assert lazy.tv == float(np.abs(p1 - p0).sum() / 2)
+
+    FIELDS = ("tv", "chi2", "kl", "num_transcripts", "min_likelihood_ratio")
+
+    @pytest.mark.parametrize("fold", [None, 50, 7 * 36])
+    def test_stacked_fold_equals_the_per_state_fold(self, fold, monkeypatch):
+        """300 Paninski draws read in stacks of the default size (227 states
+        for 36 transcripts, then 73), of one state (50 entries) and of 7 with
+        a ragged last one: every report field equals the one-state-at-a-time
+        fold of ``reference``, bit for bit."""
+        from qcert.instances import sample_paninski, tune_paninski
+        from qcert.spectrum import Spectrum
+
+        if fold is not None:
+            monkeypatch.setattr(haar_oracle, "_FOLD_ENTRIES", fold)
+        spec = Spectrum(np.array([0.2, 0.2, 0.2, 0.15, 0.15, 0.1]))
+        inst = tune_paninski(spec, 0.2)
+        sigma = DensityMatrix.from_diagonal(spec.lambdas)
+        sched = haar_schedule(6, 2, rng_for("oracle", "fold"))
+        states = sample_paninski(sigma, inst, rng_for("oracle", "fold-draws"), 300)
+        got = exact_transcript_divergence(sigma, iter(states), sched)
+        want = reference.per_state_divergence(sigma, states, sched)
+        for field in self.FIELDS:
+            assert getattr(got, field) == getattr(want, field), field
+
+    @pytest.mark.parametrize("copies", [0, 1, 3])
+    def test_mixed_forms_equal_the_per_state_fold(self, copies):
+        """Diagonal and dense states in one ensemble keep their own weights
+        kernels: the report equals the per-state fold bit for bit."""
+        sigma = self.sigma()
+        ens = [sigma, *corner_ensemble(sigma, 0.3), DensityMatrix.from_diagonal([0.7, 0.3])]
+        sched = haar_schedule(2, copies, rng_for("oracle", "mixed", copies))
+        got = exact_transcript_divergence(sigma, iter(ens), sched)
+        want = reference.per_state_divergence(sigma, ens, sched)
+        for field in self.FIELDS:
+            assert getattr(got, field) == getattr(want, field), field
+
+    def test_weights_must_match_the_null_laws(self):
+        sigma = self.sigma()
+        sched = haar_schedule(2, 3, rng_for("oracle", "mismatch"))
+        p0 = outcome_distribution(sigma, sched)
+        with pytest.raises(ValidationError, match="null laws"):
+            haar_oracle.divergence_from_weights(p0, [np.ones((2, 2, 2)) / 2])
+        with pytest.raises(ValidationError, match="null laws"):
+            haar_oracle.divergence_from_weights(p0[0], [np.ones((2, 2)) / 2])
+
+    def test_paninski_memory_does_not_grow_with_param_draws(self):
+        """``qcert divergence`` draws its states in bounded stacks and the
+        oracle folds them in bounded stacks: the peak at 2000 parameter draws
+        is within 1.2 times the peak at 200."""
+        from qcert.cli import main
+
+        peaks = []
+        for draws in (20, 200, 2000):  # the first run warms what one run leaves behind
+            argv = ["divergence", "--family", "mm", "--d", "4", "--ensemble", "paninski",
+                    "--eps", "0.3", "--copies", "6", "--schedules", "1",
+                    "--param-draws", str(draws), "--format", "json", "--out", os.devnull]
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[2] <= 1.2 * peaks[1], peaks
 
     @pytest.mark.parametrize("argv, tv, chi2", [
         (["--family", "spiked", "--d", "4", "--ensemble", "corner", "--eps", "0.3",
@@ -639,8 +703,8 @@ class TestTranscriptDivergence:
         p0, p1 = np.array(p0), np.array(p1)
         # the product distribution enumerates transcripts in the same
         # first-copy-major order as itertools.product
-        law1 = sum(haar_oracle._product_distribution(s, sched) for s in ens) / len(ens)
-        assert np.abs(p0 - haar_oracle._product_distribution(sigma, sched)).max() <= 1e-14
+        law1 = sum(reference.product_distribution(s, sched) for s in ens) / len(ens)
+        assert np.abs(p0 - reference.product_distribution(sigma, sched)).max() <= 1e-14
         assert np.abs(p1 - law1).max() <= 1e-14
         assert rep.tv == pytest.approx(np.abs(p1 - p0).sum() / 2, abs=1e-14)
         assert rep.chi2 == pytest.approx(((p1 - p0) ** 2 / p0).sum(), abs=1e-13)

@@ -12,12 +12,13 @@ from qcert.instances import (
     sample_paninski,
     tune_paninski,
 )
+from qcert.cli import make_spectrum
 from qcert.linalg import DensityMatrix, ValidationError, trace_distance
 from qcert.rng import block_haar, haar_isometry, haar_unitary
 from qcert.spectrum import Spectrum
 
 from conftest import rng_for
-from reference import corner_trace_distance, is_psd
+from reference import corner_trace_distance, is_psd, paninski_draw
 
 
 def two_bucket_spectrum() -> Spectrum:
@@ -95,8 +96,8 @@ class TestSamplePaninski:
         n = 10_000
         acc = np.zeros((4, 4), dtype=complex)
         acc2 = np.zeros((4, 4))
-        for _ in range(n):
-            m = sample_paninski(sigma, inst, gen).mat
+        for state in sample_paninski(sigma, inst, gen, n):
+            m = state.mat
             acc += m
             acc2 += np.abs(m) ** 2
         mean = acc / n
@@ -129,6 +130,37 @@ class TestSamplePaninski:
             rho = sample_paninski(sigma, inst, rng_for("inst", "pan-bound", len(lam), t))
             assert np.linalg.eigvalsh(rho.mat)[0] >= -1e-12
 
+    # mm: one bucket of 4; rank-mm: one of 5 (odd) and a zero entry; spiked:
+    # sizes 1 and 4; geometric: sizes 3, 4, 4 and 1
+    @pytest.mark.parametrize("spec", [("mm", 4, None, 0.5), ("rank-mm", 6, 5, 0.5),
+                                      ("spiked", 4, None, 0.5), ("geometric", 12, None, 0.85)],
+                             ids=lambda s: s[0])
+    @pytest.mark.parametrize("size", [1, 3, 300])
+    def test_stack_is_single_draws_byte_for_byte(self, spec, size):
+        """``size`` states drawn as one stack, 300 past the 64 that one
+        ``qcert divergence`` draw stack holds, are the one-at-a-time draws of
+        ``reference.paninski_draw``: matrices and blocks byte for byte."""
+        lam = make_spectrum(*spec).lambdas
+        inst = tune_paninski(Spectrum(lam), 0.05)
+        sigma = DensityMatrix.from_diagonal(lam)
+        gen, ref = rng_for("inst", "stack", spec[0], size), rng_for("inst", "stack", spec[0], size)
+        states = sample_paninski(sigma, inst, gen, size)
+        assert len(states) == size
+        for state in states:
+            want = paninski_draw(sigma, inst, ref)
+            assert state.mat.tobytes() == want.mat.tobytes()
+            assert state.block.shape == want.block.shape
+            assert state.block.tobytes() == want.block.tobytes()
+        assert gen.random() == ref.random()
+
+    def test_single_draw_is_the_stack_of_one(self):
+        spec = two_bucket_spectrum()
+        inst = tune_paninski(spec, 0.15)
+        sigma = DensityMatrix.from_diagonal(spec.lambdas)
+        rho = sample_paninski(sigma, inst, rng_for("inst", "one"))
+        (alone,) = sample_paninski(sigma, inst, rng_for("inst", "one"), 1)
+        assert isinstance(rho, DensityMatrix) and rho.mat.tobytes() == alone.mat.tobytes()
+
     def test_sigma_off_the_instance_rejected(self):
         spec = two_bucket_spectrum()
         inst = tune_paninski(spec, 0.15)
@@ -136,8 +168,9 @@ class TestSamplePaninski:
         u = haar_unitary(lam.size, rng_for("inst", "pan-off"))
         for sigma in (DensityMatrix(u @ np.diag(lam) @ u.conj().T),  # not diagonal
                       DensityMatrix.from_diagonal(np.r_[0.9, np.full(6, 0.1 / 6)])):  # below eps_j
-            with pytest.raises(ValidationError, match="diagonal state"):
-                sample_paninski(sigma, inst, rng_for("inst", "pan-off"))
+            for size in (None, 4):
+                with pytest.raises(ValidationError, match="diagonal state"):
+                    sample_paninski(sigma, inst, rng_for("inst", "pan-off"), size)
 
 
 class TestOffDiag:

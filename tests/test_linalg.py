@@ -223,6 +223,25 @@ class TestDensityMatrix:
         want, got = DensityMatrix(m), DensityMatrix.trusted(m)
         assert got.mat.tobytes() == want.mat.tobytes() and got.dim == want.dim == d
 
+    def test_trusted_stack_is_trusted_per_matrix(self):
+        """Dense matrices, a diagonal one, one whose only off-diagonal entry is
+        past its first row and one with -0.0 on its diagonal: each state of
+        the stack has the bits and the block form that ``trusted`` gives."""
+        gen = rng_for("linalg", "trusted-stack")
+        dense = [random_psd(4, gen) for _ in range(2)]
+        late = np.diag([0.4, 0.2, 0.2, 0.2]).astype(complex)
+        late[2, 3] = late[3, 2] = 0.05
+        stack = np.array([m / np.trace(m).real for m in dense]
+                         + [np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex), late,
+                            np.diag([0.5, 0.5, -0.0, 0.0]).astype(complex)])
+        states = DensityMatrix.trusted_stack(stack)
+        assert len(states) == len(stack)
+        for got, m in zip(states, stack):
+            want = DensityMatrix.trusted(m)
+            assert got.mat.tobytes() == want.mat.tobytes() and got.dim == want.dim == 4
+            assert got.block.shape == want.block.shape
+            assert got.block.tobytes() == want.block.tobytes()
+
     def test_symmetrizes_roundoff(self):
         m = np.diag([0.5, 0.5]).astype(complex)
         m[0, 1] = 1e-13  # below the hermiticity tolerance

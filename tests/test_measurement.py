@@ -10,7 +10,9 @@ from qcert.measurement import (
     BudgetExhaustedError,
     CopySource,
     UndefinedOutcomeError,
+    ensemble_weights,
     outcome_distribution,
+    phi_from_weights,
     phi_table,
     sampling_probs,
 )
@@ -346,6 +348,39 @@ class TestLikelihood:
         num = np.einsum("ij,ji->", e[sub], rho.mat[sub] - sigma.mat[sub]).real
         den = np.einsum("ij,ji->", e[sub], sigma.mat[sub]).real
         assert g_full == pytest.approx(num / den, abs=1e-12)
+
+
+class TestEnsembleWeights:
+    def states(self):
+        """Dense and diagonal states in an interleaved order."""
+        sigma = DensityMatrix.from_diagonal([0.5, 0.3, 0.2])
+        dense = [random_density(3, rng_for("meas", "ens", t)) for t in range(3)]
+        return [dense[0], sigma, dense[1], DensityMatrix.from_diagonal([0.2, 0.2, 0.6]), dense[2]]
+
+    @pytest.mark.parametrize("stack", [None, 4])
+    def test_rows_are_outcome_distributions(self, stack):
+        """Row k is outcome_distribution of state k, bit for bit, for one basis
+        and for a stack of four."""
+        gen = rng_for("meas", "ens-basis", stack)
+        m = Basis(haar_unitary(3, gen) if stack is None else haar_unitary(3, gen, stack))
+        states = self.states()
+        w = ensemble_weights(m, iter(states))
+        assert w.shape == (len(states),) + m.u.shape[:-2] + (3,)
+        for row, state in zip(w, states):
+            assert row.tobytes() == outcome_distribution(state, m).tobytes()
+
+    def test_rejects_an_empty_or_mismatched_ensemble(self):
+        m = Basis(np.eye(3))
+        with pytest.raises(ValidationError, match="no state"):
+            ensemble_weights(m, [])
+        with pytest.raises(ValidationError, match="dim"):
+            ensemble_weights(m, [DensityMatrix.from_diagonal([0.5, 0.5])])
+
+    def test_phi_table_is_phi_from_the_weights(self):
+        m = Basis(haar_unitary(3, rng_for("meas", "ens-phi"), 2))
+        rho, states = self.states()[1], self.states()
+        got = phi_from_weights(outcome_distribution(rho, m), ensemble_weights(m, states))
+        assert got.tobytes() == phi_table(m, rho, states).tobytes()
 
 
 class TestPhi:

@@ -9,10 +9,20 @@ from qcert.linalg import ValidationError
 from qcert import rng as rng_module
 from qcert.certify import _CHUNK_ENTRIES
 from qcert.haar_oracle import haar_moment
-from qcert.rng import RngHandle, block_haar, ginibre, haar_blocks, haar_isometry, haar_unitary
+from qcert.cli import haar_schedule, make_spectrum
+from qcert.rng import (RngHandle, block_haar, ginibre, haar_blocks, haar_draws, haar_isometry,
+                       haar_unitary)
 from qcert.spectrum import Spectrum, bucketize
 
+import reference
 from conftest import random_hermitian, rng_for
+
+# (family, d, rank, ratio) for make_spectrum, with the buckets they give:
+# one of 4; one of 7 (odd); one of 5 (odd) plus a zero entry; sizes 1 and 4;
+# all of size 1; sizes 3, 4 and 1; sizes 3, 4, 4 and 1 (two blocks of one size)
+STACK_SPECTRA = [("mm", 4, None, 0.5), ("mm", 7, None, 0.5), ("rank-mm", 6, 5, 0.5),
+                 ("spiked", 4, None, 0.5), ("geometric", 6, None, 0.5),
+                 ("geometric", 8, None, 0.8), ("geometric", 12, None, 0.85)]
 
 
 class TestDeterminism:
@@ -179,7 +189,7 @@ class CountingGenerator(np.random.Generator):
         return super().standard_normal(*args, **kwargs)
 
 
-class TestGramSchmidtKernel:
+class TestHouseholderKernel:
     """The sub-stack kernel ``rng._householder``, which draws every sub-stack
     of at least 256 unitaries, and the normal draws that feed the kernels."""
 
@@ -301,6 +311,31 @@ class TestBlockedDraw:
         assert list(haar_blocks(3, gen, 0)) == []
 
 
+class TestHaarDraws:
+    @pytest.mark.parametrize("d, copies", [(1, 3), (2, 5), (5, 300), (8, 1)])
+    def test_schedule_is_single_draws_byte_for_byte(self, d, copies):
+        gen, ref = rng_for("schedule", d, copies), rng_for("schedule", d, copies)
+        u = haar_schedule(d, copies, gen).u
+        want = reference.haar_schedule_draw(d, copies, ref)
+        assert u.shape == want.shape and u.tobytes() == want.tobytes()
+        assert gen.random() == ref.random()
+
+    def test_draws_interleave_dimensions(self):
+        """Draw t of each dimension in turn: one haar_unitary per entry of dims."""
+        dims, size = [2, 3, 2], 4
+        gen, ref = rng_for("draws", "mixed"), rng_for("draws", "mixed")
+        got = haar_draws(dims, gen, size)
+        want = [[haar_unitary(k, ref) for k in dims] for _ in range(size)]
+        for i, k in enumerate(dims):
+            assert got[i].shape == (size, k, k)
+            assert got[i].tobytes() == np.array([w[i] for w in want]).tobytes()
+
+    @pytest.mark.parametrize("dims, size", [([0], 2), ([2], -1), ([2.0], 2), ([2], None)])
+    def test_rejects_bad_dims_and_size(self, dims, size):
+        with pytest.raises(ValidationError):
+            haar_draws(dims, rng_for("draws", "bad"), size)
+
+
 class TestHaarIsometry:
     def test_square_case_is_unitary(self):
         w = haar_isometry(4, 4, rng_for("rng", "iso-sq"))
@@ -330,6 +365,43 @@ class TestHaarIsometry:
 
 
 class TestBlockHaar:
+    @pytest.mark.parametrize("spec", STACK_SPECTRA, ids=lambda s: f"{s[0]}-{s[1]}")
+    @pytest.mark.parametrize("size", [1, 3, 300])
+    def test_stack_is_single_draws_byte_for_byte(self, spec, size):
+        """A stack of ``size`` draws, 300 past the 256 at which haar_blocks
+        turns to Householder products, is ``size`` one-at-a-time draws of a
+        haar_unitary per bucket, byte for byte, and leaves the generator where
+        they leave it."""
+        buckets = bucketize(make_spectrum(*spec))
+        gen, ref = rng_for("block-stack", spec[0], spec[1], size), rng_for(
+            "block-stack", spec[0], spec[1], size)
+        u = block_haar(buckets, gen, size)
+        want = np.array([reference.block_haar_draw(buckets, ref) for _ in range(size)])
+        assert u.shape == want.shape and u.tobytes() == want.tobytes()
+        assert gen.random() == ref.random()
+
+    def test_single_draw_is_a_matrix(self):
+        buckets = bucketize(make_spectrum("spiked", 4, None, 0.5))
+        gen, ref = rng_for("block-one"), rng_for("block-one")
+        u = block_haar(buckets, gen)
+        want = reference.block_haar_draw(buckets, ref)
+        assert u.shape == (5, 5) and u.tobytes() == want.tobytes()
+
+    def test_one_normal_call_per_stack(self):
+        buckets = bucketize(make_spectrum("geometric", 12, None, 0.85))
+        gen = CountingGenerator(5)
+        block_haar(buckets, gen, 40)
+        assert gen.normal_calls == 1
+
+    @pytest.mark.parametrize("size", [-1, 2.0, True, "3"])
+    def test_rejects_bad_size(self, size):
+        with pytest.raises(ValidationError):
+            block_haar(bucketize(make_spectrum("mm", 4, None, 0.5)), rng_for("block-bad"), size)
+
+    def test_empty_stack(self):
+        u = block_haar(bucketize(make_spectrum("mm", 4, None, 0.5)), rng_for("block-empty"), 0)
+        assert u.shape == (0, 4, 4)
+
     def test_single_bucket_plain_haar(self):
         spec = Spectrum(np.full(4, 0.25))
         u = block_haar(bucketize(spec), rng_for("rng", "block1"))
