@@ -189,7 +189,7 @@ class CountingGenerator(np.random.Generator):
         return super().standard_normal(*args, **kwargs)
 
 
-class TestHouseholderKernel:
+class TestGramSchmidtKernel:
     """The sub-stack kernel ``rng._householder``, which draws every sub-stack
     of at least 256 unitaries, and the normal draws that feed the kernels."""
 
