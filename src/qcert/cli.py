@@ -531,7 +531,10 @@ def cmd_verify(args) -> int:
     return 0 if payload["all_ok"] else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``qcert`` parser, built once per process: parsing leaves it
+    unchanged, and each ``parse_args`` call returns a new namespace."""
     parser = argparse.ArgumentParser(prog="qcert", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -63,13 +63,14 @@ _INV_SQRT2 = 1 / np.sqrt(2)
 # A sub-stack of at least this many unitaries is drawn as Householder products
 # by _householder, a smaller one by LAPACK's QR plus the phase fix: this is part
 # of the stream contract, not a knob, and keeps divergence schedules and certify
-# chunks of fewer than 256 rounds on the QR. One sub-stack of n unitaries,
-# normals included, in us, QR / Householder (2-core AVX-512 Xeon, one BLAS
-# thread, best of 200 in each of two runs):
+# chunks of fewer than 256 rounds on the QR, although the complex kernel is
+# already the faster one at n=64. One sub-stack of n unitaries, normals included
+# (the Householder ones drawn into held buffers), in us, QR / Householder
+# (2-core Xeon, one BLAS thread, best of 200 in each of two runs):
 #          n=64        n=256         whole sub-stack
-#   d=2    72 / 65     203 / 90      2983 / 851 (n=4096)
-#   d=4    139 / 168   471 / 265     2072 / 898 (n=1024)
-#   d=8    344 / 439   1664 / 1147   (n=256)
+#   d=2    62 / 61     181 / 89      2873 / 778 (n=4096)
+#   d=4    130 / 112   442 / 207     1617 / 590 (n=1024)
+#   d=8    323 / 275   1254 / 696    (n=256)
 _HOUSEHOLDER_MIN_SIZE = 256
 
 
@@ -105,54 +106,73 @@ def _phase_fixed_qr(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     return q
 
 
-def _householder(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+def _householder_work(k: int, n: int) -> np.ndarray:
+    """A flat complex buffer for the work arrays of ``_householder`` on n
+    unitaries over C^k: U, the k(k+1)/2 rows of a, the rank-1 term, conj(a)
+    and w."""
+    return np.empty((2 * k * k + k * (k + 1) // 2 + k - 2) * n, dtype=complex)
+
+
+def _householder(re: np.ndarray, im: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
     """n Haar unitaries over C^k as products of Householder reflections
     (Stewart 1980; Mezzadri 2007), each from k(k+1)/2 complex Gaussians.
 
     Column s of the (k(k+1)/2, n) arrays ``re`` and ``im`` holds unitary s,
     rows m(m-1)/2 to m(m+1)/2 - 1 its m-vector x. U_1 = phi and
-    U_m = (I - tau v v^dag) diag(-phi, U_{m-1}) for m = 2..k, where
-    phi = x_1 / |x_1| (1 when x_1 = 0), v = x + phi |x| e_1 and
-    tau = 1 / (|x| (|x| + |x_1|)), so U_m's first column is x / |x|. The real
-    and imaginary parts of every U_m are built in place in one (k, k, n) pair,
-    as its trailing (m, m) block, whose own trailing block is U_{m-1}; the
-    outer products of v_2..m and w go to two (m-1, m-1, n) work arrays cut
-    from one buffer. Only real ufuncs and ``einsum`` over the stack axis touch
-    them, so a matrix's bits do not depend on the stack it sits in.
+    U_m = (I - a a^dag) diag(-phi, U_{m-1}) for m = 2..k, where
+    phi = x_1 / |x_1| (1 when x_1 = 0) and
+    a = (x + phi |x| e_1) / sqrt(|x| (|x| + |x_1|)), so U_m's first column is
+    x / |x| and its others are [0; U_{m-1}] - a w with w = a_{2..m}^dag U_{m-1}.
+
+    Every level's |x|, phi and a are found first, in real arithmetic. Then
+    each U_m is built in place, in complex arithmetic, as the trailing (m, m)
+    block of one (k, k, n) array, whose own trailing block is U_{m-1}. That
+    array and the other complex work arrays are cut from ``work``
+    (``_householder_work(k, n)`` or larger; a new one when it is None), so a
+    caller that builds many stacks can hold them once: only the returned
+    (n, k, k) stack is new. Every step is elementwise over the stack axis or
+    sums a level's rows with the stack axis innermost, so a unitary's bits do
+    not depend on the other columns of its stack, contiguous or strided, when
+    the stack holds at least two; a stack of one sums in another order.
     """
     rows, n = re.shape
     k = (math.isqrt(8 * rows + 1) - 1) // 2
-    first = [m * (m - 1) // 2 for m in range(1, k + 1)]
-    x1r, x1i = re[first], im[first]
-    abs1 = np.sqrt(x1r * x1r + x1i * x1i)
+    levels = range(1, k + 1)
+    first = [m * (m - 1) // 2 for m in levels]
+    if work is None:
+        work = _householder_work(k, n)
+    cuts = np.cumsum([0, k * k, rows, k * (k - 1), k - 1, k - 1]) * n
+    u, a, t, y, w = (work[lo:hi] for lo, hi in zip(cuts, cuts[1:]))
+    u, a = u.reshape(k, k, n), a.reshape(rows, n)
+    sq = re * re
+    sq += im * im
+    norm = np.sqrt([sq[i:i + m].sum(axis=0) for m, i in zip(levels, first)])
+    abs1 = np.sqrt(sq[first])
     zero = abs1 == 0
-    phr, phi = x1r / (abs1 + zero) + zero, x1i / (abs1 + zero)
-    ur, ui = np.empty((k, k, n)), np.empty((k, k, n))
-    ur[-1, -1], ui[-1, -1] = phr[0], phi[0]
-    work = np.empty((2, (k - 1) ** 2 * n))
-    for m, start in enumerate(first[1:], 2):
+    # a's first entry x_1 + phi |x| is x_1 (1 + |x| / |x_1|), or |x| when
+    # x_1 = 0; a is not used at level 1
+    grow = 1 + norm / (abs1 + zero)
+    a.real, a.imag = re, im
+    a.real[first] = re[first] * grow + zero * norm
+    a.imag[first] = im[first] * grow
+    scale = np.repeat(1 / np.sqrt(norm[1:] * (norm[1:] + abs1[1:])), levels[1:], axis=0)
+    a.real[1:] *= scale
+    a.imag[1:] *= scale
+    # U_1 = phi, then each level's first column x / |x|
+    inv_norm = 1 / (norm + (norm == 0))
+    u.fill(0)
+    u.real[-1, -1] = re[0] * inv_norm[0] + zero[0]
+    u.imag[-1, -1] = im[0] * inv_norm[0]
+    for m, start in zip(levels[1:], first[1:]):
         top = k - m  # U_m is [top:, top:], U_{m-1} is [top + 1:, top + 1:]
-        xr, xi = re[start:start + m], im[start:start + m]
-        br, bi = ur[top + 1:, top + 1:], ui[top + 1:, top + 1:]
-        ta, tb = work[:, :(m - 1) ** 2 * n].reshape(2, m - 1, m - 1, n)
-        norm = np.sqrt(np.einsum("is,is->s", xr, xr) + np.einsum("is,is->s", xi, xi))
-        # w = tau conj(v_2..m)^T U_{m-1}, v_2..m = x_2..m
-        inv_tau = norm * (norm + abs1[m - 1])
-        wr = (np.einsum("is,ics->cs", xr[1:], br) + np.einsum("is,ics->cs", xi[1:], bi)) / inv_tau
-        wi = (np.einsum("is,ics->cs", xr[1:], bi) - np.einsum("is,ics->cs", xi[1:], br)) / inv_tau
-        # U_m: first column x / |x|, first row -v_1 w, the rest U_{m-1} - v_2..m w
-        br -= np.subtract(np.einsum("is,cs->ics", xr[1:], wr, out=ta),
-                          np.einsum("is,cs->ics", xi[1:], wi, out=tb), out=ta)
-        bi -= np.add(np.einsum("is,cs->ics", xr[1:], wi, out=ta),
-                     np.einsum("is,cs->ics", xi[1:], wr, out=tb), out=ta)
-        v1r, v1i = xr[0] + phr[m - 1] * norm, xi[0] + phi[m - 1] * norm
-        ur[top, top + 1:] = v1i * wi - v1r * wr
-        ui[top, top + 1:] = -(v1r * wi + v1i * wr)
-        ur[top:, top], ui[top:, top] = xr / norm, xi / norm
-    q = np.empty((n, k, k), dtype=complex)
-    q.real = ur.transpose(2, 0, 1)
-    q.imag = ui.transpose(2, 0, 1)
-    return q
+        ym, wm = y[:(m - 1) * n].reshape(m - 1, n), w[:(m - 1) * n].reshape(m - 1, n)
+        np.conjugate(a[start + 1:start + m], out=ym)
+        np.einsum("is,ics->cs", ym, u[top + 1:, top + 1:], out=wm)
+        u[top:, top + 1:] -= np.multiply(a[start:start + m, None], wm,
+                                         out=t[:m * (m - 1) * n].reshape(m, m - 1, n))
+        np.multiply(re[start:start + m], inv_norm[m - 1], out=u.real[top:, top])
+        np.multiply(im[start:start + m], inv_norm[m - 1], out=u.imag[top:, top])
+    return u.transpose(2, 0, 1).copy()
 
 
 def haar_blocks(d: int, gen: np.random.Generator, size: int):
@@ -165,20 +185,34 @@ def haar_blocks(d: int, gen: np.random.Generator, size: int):
     taken; ``d`` and ``size`` are checked at call. A sub-stack of n >= 256
     unitaries, which only d <= 8 allows, is drawn as Householder products,
     a smaller one as the phase-fixed QR of Ginibre matrices (Mezzadri 2007).
+    Every sub-stack taken is a new array; the Householder ones of one stack
+    share one normals buffer and one set of kernel work arrays.
     """
     check_count("dimension", d, 1)
     check_count("size", size, 0)
+    return _sub_stacks(d, gen, size)
+
+
+def _sub_stacks(d: int, gen: np.random.Generator, size: int):
+    """The sub-stacks of ``haar_blocks``, each from one draw of real parts,
+    then one of imaginary parts: d(d+1)/2 rows of n when n >= 256, else n
+    d x d ones. The Householder buffers are made for the first sub-stack,
+    which is the largest, and cut down for a smaller remainder."""
     step = _block_rows(d)
-    return (_haar_stack(d, gen, min(step, size - start)) for start in range(0, size, step))
-
-
-def _haar_stack(d: int, gen: np.random.Generator, n: int) -> np.ndarray:
-    """n Haar unitaries over C^d from one draw of real parts, then one of
-    imaginary parts: d(d+1)/2 rows of n when n >= 256, else n d x d ones."""
-    large = n >= _HOUSEHOLDER_MIN_SIZE
-    shape = (d * (d + 1) // 2, n) if large else (n, d, d)
-    re = gen.standard_normal(shape)
-    return (_householder if large else _phase_fixed_qr)(re, gen.standard_normal(shape))
+    rows = d * (d + 1) // 2
+    normals = work = None
+    for start in range(0, size, step):
+        n = min(step, size - start)
+        if n < _HOUSEHOLDER_MIN_SIZE:
+            re = gen.standard_normal((n, d, d))
+            yield _phase_fixed_qr(re, gen.standard_normal((n, d, d)))
+            continue
+        if normals is None:
+            normals, work = np.empty((2, rows * n)), _householder_work(d, n)
+        re, im = normals[:, :rows * n].reshape(2, rows, n)
+        gen.standard_normal(out=re)
+        gen.standard_normal(out=im)
+        yield _householder(re, im, work)
 
 
 def haar_unitary(d: int, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
@@ -186,14 +220,19 @@ def haar_unitary(d: int, rng: np.random.Generator, size: int | None = None) -> n
     (size, d, d) stack, drawn as the sub-stacks of ``haar_blocks``. A stack
     that fits in one sub-stack, as every ``basic_certify`` chunk does, is that
     sub-stack itself, without a copy. A longer one, which no caller in the
-    library draws, is its sub-stacks concatenated, so it needs twice the
-    memory of the result.
+    library draws, is filled in sub-stack by sub-stack, so it needs the
+    result plus one sub-stack and the Householder work arrays.
     """
     blocks = haar_blocks(d, rng, 1 if size is None else size)
     if size is None:
         return next(blocks)[0]
-    stacks = list(blocks) or [np.empty((0, d, d), dtype=complex)]
-    return stacks[0] if len(stacks) == 1 else np.concatenate(stacks)
+    step = _block_rows(d)
+    if size <= step:
+        return next(blocks, np.empty((0, d, d), dtype=complex))
+    u = np.empty((size, d, d), dtype=complex)
+    for start in range(0, size, step):  # no sub-stack is kept while the next is drawn
+        u[start:start + step] = next(blocks)
+    return u
 
 
 def haar_isometry(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:

@@ -27,6 +27,30 @@ def run_cli(args, capsys):
     return code, out
 
 
+def test_parser_is_built_once_per_process(monkeypatch, capsys):
+    """A second ``main`` call constructs no parser, and a usage error in
+    between leaves the shared one as it was."""
+    built = []
+    add_subparsers = cli.argparse.ArgumentParser.add_subparsers
+
+    def counting(parser, **kwargs):  # once per build, on the top-level parser
+        built.append(parser.prog)
+        return add_subparsers(parser, **kwargs)
+
+    cli.build_parser.cache_clear()
+    monkeypatch.setattr(cli.argparse.ArgumentParser, "add_subparsers", counting)
+    try:
+        argv = ["bounds", "--family", "mm", "--d", "8", "--eps", "0.1"]
+        first = run_cli(argv, capsys)
+        with pytest.raises(SystemExit):
+            main(["bounds", "--eps", "zero"])
+        capsys.readouterr()
+        assert run_cli(argv, capsys) == first
+        assert built == ["qcert"]
+    finally:
+        cli.build_parser.cache_clear()
+
+
 class TestGenSigma:
     def test_mm(self, capsys):
         code, out = run_cli(["gen-sigma", "--family", "mm", "--d", "4"], capsys)

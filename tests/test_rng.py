@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -203,13 +204,24 @@ class TestGramSchmidtKernel:
 
     @pytest.mark.parametrize("d", range(1, 9))
     def test_bits_independent_of_stack_grouping(self, d):
+        """Any group of two or more of a stack's columns, whether a view or a
+        contiguous copy, and whether adjacent or strided, gives the bits of
+        the whole stack. A group of one need not: its sums run in another
+        order, and no caller passes fewer than 256 columns."""
         gen = rng_for("householder", "grouping", d)
-        re, im = gen.standard_normal((2, d * (d + 1) // 2, 99))
+        re, im = gen.standard_normal((2, d * (d + 1) // 2, 96))
         whole = rng_module._householder(re, im)
-        for split in (1, 2, 3, 4, 8, 33):
-            parts = [rng_module._householder(re[:, s:s + split], im[:, s:s + split])
-                     for s in range(0, re.shape[1], split)]
-            assert np.array_equal(np.concatenate(parts), whole), split
+        for size in (2, 3, 4, 8, 32, 48):
+            step = 96 // size
+            groups = ([slice(s, s + size) for s in range(0, 96, size)]
+                      + [slice(s, None, step) for s in range(step)])
+            for cols in groups:
+                for copy in (False, True):
+                    part_re, part_im = re[:, cols], im[:, cols]
+                    if copy:
+                        part_re, part_im = part_re.copy(), part_im.copy()
+                    got = rng_module._householder(part_re, part_im)
+                    assert np.array_equal(got, whole[cols]), (size, cols, copy)
 
     @pytest.mark.parametrize("d, size", [(4, None), (4, 300), (8, rng_module._block_rows(8)),
                                          (40, rng_module._block_rows(40))])
@@ -241,6 +253,39 @@ class TestBlockedDraw:
         want = [one_shot_haar(d, ref, min(step, size - start)) for start in range(0, size, step)]
         assert np.array_equal(u, np.concatenate(want))
         assert gen.random() == ref.random()
+
+    def test_sub_stacks_taken_earlier_are_not_overwritten(self):
+        """The Householder sub-stacks of one stack, the last one cut down to
+        300, share their normals and work buffers, but each one taken is its
+        own array: later draws leave it as it was."""
+        rows = rng_module._block_rows(4)
+        blocks = haar_blocks(4, rng_for("blocks", "alias"), 3 * rows + 300)
+        taken = [next(blocks)]
+        kept = taken[0].copy()
+        taken += list(blocks)
+        assert [len(q) for q in taken] == [rows, rows, rows, 300]
+        assert np.array_equal(taken[0], kept)
+        assert not any(np.shares_memory(p, q) for i, p in enumerate(taken) for q in taken[:i])
+
+    def test_long_stack_needs_the_result_plus_one_sub_stack(self):
+        """A stack of 40 Householder sub-stacks is filled into its result one
+        sub-stack at a time: its peak is the result plus the peak of drawing
+        one sub-stack (its normals, work arrays and result), not twice the
+        result's size that joining the sub-stacks would take."""
+        rows = rng_module._block_rows(8)
+
+        def peak(size):
+            tracemalloc.start()
+            try:
+                u = haar_unitary(8, rng_for("blocks", "memory"), size)
+                return u.nbytes, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one = peak(rows)[1]
+        nbytes, many = peak(40 * rows)
+        assert many <= nbytes + 1.05 * one
+        assert one < nbytes / 4
 
     def test_sub_stack_sizes(self):
         rows = rng_module._BLOCK_ENTRIES // 64
