@@ -290,6 +290,35 @@ class MomentsReport:
     ez2_exact: float | None = None
 
 
+def _z_sums(block: np.ndarray, u: np.ndarray) -> tuple[float, float, float]:
+    """The sums of Z, Z^2 and Z^4 over a stack-last (d, d, n) sub-stack u,
+    Z = sum_z w_z^2 for the Born weights w_z = u_z^dag M u_z of each unitary,
+    M held as its ``block_form``.
+
+    A diagonal M takes d scaled adds of |U_i|^2 in row order, the weights of
+    ``Basis.weights`` bit for bit. A dense one takes one (d, d) @ (d, d n)
+    GEMM, V = M U for every unitary at once, and Re sum_i conj(U_i) V_i in
+    row order, conjugating u in place: the caller's sub-stack is a
+    throwaway, and at d=8 a conjugate copy of it took longer than the rest of
+    the sum. The GEMM may round the last bit of a weight otherwise than one
+    matmul per unitary does. Each unitary's d weights are then squared and
+    summed along a contiguous (n, d) row, so Z keeps numpy's pairwise order
+    of ``Basis.weights`` rows.
+    """
+    d, n = u.shape[1:]
+    if block.ndim == 1:
+        w = u.real**2
+        w += u.imag**2
+        w *= block[:, None, None]
+    else:
+        w = (block @ u.reshape(d, -1)).reshape(d, d, n)
+        w *= np.conjugate(u, out=u)
+        w = w.real
+    w = np.add.reduce(w, axis=0).T
+    z = (np.ascontiguousarray(w) ** 2).sum(axis=1)
+    return z.sum(), (z**2).sum(), (z**4).sum()
+
+
 def verify_moments_basic(m, samples: int, rng: np.random.Generator) -> MomentsReport:
     """Estimate E[Z], E[Z^2] for Z = sum_i (u_i^dag M u_i)^2 by Monte Carlo.
 
@@ -304,10 +333,11 @@ def verify_moments_basic(m, samples: int, rng: np.random.Generator) -> MomentsRe
     S_4 characters, d >= 4), whose true scale is ||M||_HS^4/d^2.
 
     The samples are one Haar stack, taken sub-stack by sub-stack from
-    ``haar_blocks``. Each sub-stack is measured as a throwaway
-    ``Basis.trusted``, which forms no U^dag U, and adds its sums of Z, Z^2
-    and Z^4 to the running sums. So a fixed number of sub-stacks is held,
-    whatever d^2 * samples.
+    ``haar_blocks``. Each stack-last sub-stack is read as it was built, with
+    no copy into (n, d, d) and no U^dag U, and its sums of Z, Z^2 and Z^4
+    are added to the running sums (``_z_sums``). Nothing of a sub-stack is
+    held while the next one is drawn, so the peak is one sub-stack's draw
+    and a little more, whatever d^2 * samples.
     """
     check_count("samples", samples, 1)
     mat = check_hermitian(m)
@@ -317,11 +347,11 @@ def verify_moments_basic(m, samples: int, rng: np.random.Generator) -> MomentsRe
     block = block_form(mat)
 
     z_sum = z2_sum = z4_sum = 0.0
-    for q in haar_blocks(d, rng, samples):
-        z = (Basis.trusted(q).weights(block) ** 2).sum(axis=1)
-        z_sum += z.sum()
-        z2_sum += (z**2).sum()
-        z4_sum += (z**4).sum()
+    # map holds no sub-stack while it draws the next; a for loop's variable would
+    for s1, s2, s4 in map(lambda u: _z_sums(block, u), haar_blocks(d, rng, samples)):
+        z_sum += s1
+        z2_sum += s2
+        z4_sum += s4
     ez_mc = z_sum / samples
     ez2_mc = z2_sum / samples
     ez_se = math.sqrt(max(z2_sum / samples - ez_mc**2, 0.0) / samples)

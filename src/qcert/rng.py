@@ -108,9 +108,8 @@ def _phase_fixed_qr(re: np.ndarray, im: np.ndarray) -> np.ndarray:
 
 def _householder_work(k: int, n: int) -> np.ndarray:
     """A flat complex buffer for the work arrays of ``_householder`` on n
-    unitaries over C^k: U, the k(k+1)/2 rows of a, the rank-1 term, conj(a)
-    and w."""
-    return np.empty((2 * k * k + k * (k + 1) // 2 + k - 2) * n, dtype=complex)
+    unitaries over C^k: the k(k+1)/2 rows of a, the rank-1 term, conj(a) and w."""
+    return np.empty((k * k + k * (k + 1) // 2 + k - 2) * n, dtype=complex)
 
 
 def _householder(re: np.ndarray, im: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
@@ -126,14 +125,15 @@ def _householder(re: np.ndarray, im: np.ndarray, work: np.ndarray | None = None)
 
     Every level's |x|, phi and a are found first, in real arithmetic. Then
     each U_m is built in place, in complex arithmetic, as the trailing (m, m)
-    block of one (k, k, n) array, whose own trailing block is U_{m-1}. That
-    array and the other complex work arrays are cut from ``work``
+    block of the returned (k, k, n) array, stack-last: ``u[:, :, s]`` is
+    unitary s, and U_m's own trailing block is U_{m-1}. That array is new;
+    the other complex work arrays are cut from ``work``
     (``_householder_work(k, n)`` or larger; a new one when it is None), so a
-    caller that builds many stacks can hold them once: only the returned
-    (n, k, k) stack is new. Every step is elementwise over the stack axis or
-    sums a level's rows with the stack axis innermost, so a unitary's bits do
-    not depend on the other columns of its stack, contiguous or strided, when
-    the stack holds at least two; a stack of one sums in another order.
+    caller that builds many stacks can hold them once. Every step is
+    elementwise over the stack axis or sums a level's rows with the stack
+    axis innermost, so a unitary's bits do not depend on the other columns
+    of its stack, contiguous or strided, when the stack holds at least two;
+    a stack of one sums in another order.
     """
     rows, n = re.shape
     k = (math.isqrt(8 * rows + 1) - 1) // 2
@@ -141,9 +141,9 @@ def _householder(re: np.ndarray, im: np.ndarray, work: np.ndarray | None = None)
     first = [m * (m - 1) // 2 for m in levels]
     if work is None:
         work = _householder_work(k, n)
-    cuts = np.cumsum([0, k * k, rows, k * (k - 1), k - 1, k - 1]) * n
-    u, a, t, y, w = (work[lo:hi] for lo, hi in zip(cuts, cuts[1:]))
-    u, a = u.reshape(k, k, n), a.reshape(rows, n)
+    cuts = np.cumsum([0, rows, k * (k - 1), k - 1, k - 1]) * n
+    a, t, y, w = (work[lo:hi] for lo, hi in zip(cuts, cuts[1:]))
+    a = a.reshape(rows, n)
     sq = re * re
     sq += im * im
     norm = np.sqrt([sq[i:i + m].sum(axis=0) for m, i in zip(levels, first)])
@@ -160,7 +160,7 @@ def _householder(re: np.ndarray, im: np.ndarray, work: np.ndarray | None = None)
     a.imag[1:] *= scale
     # U_1 = phi, then each level's first column x / |x|
     inv_norm = 1 / (norm + (norm == 0))
-    u.fill(0)
+    u = np.zeros((k, k, n), dtype=complex)
     u.real[-1, -1] = re[0] * inv_norm[0] + zero[0]
     u.imag[-1, -1] = im[0] * inv_norm[0]
     for m, start in zip(levels[1:], first[1:]):
@@ -172,21 +172,26 @@ def _householder(re: np.ndarray, im: np.ndarray, work: np.ndarray | None = None)
                                          out=t[:m * (m - 1) * n].reshape(m, m - 1, n))
         np.multiply(re[start:start + m], inv_norm[m - 1], out=u.real[top:, top])
         np.multiply(im[start:start + m], inv_norm[m - 1], out=u.imag[top:, top])
-    return u.transpose(2, 0, 1).copy()
+    return u
 
 
 def haar_blocks(d: int, gen: np.random.Generator, size: int):
-    """One stack of ``size`` Haar unitaries over C^d, as consecutive sub-stacks.
+    """One stack of ``size`` Haar unitaries over C^d, as consecutive
+    sub-stacks, each stack-last: a (d, d, n) array whose ``[:, :, s]`` is
+    unitary s.
 
     Each sub-stack holds ``max(1, _BLOCK_ENTRIES // d**2)`` unitaries, the
     last one the remainder, and is drawn when it is taken: its real parts,
     then its imaginary parts. So the stack is, bit for bit, one draw per
     sub-stack size in turn, and nothing is drawn before the first sub-stack is
     taken; ``d`` and ``size`` are checked at call. A sub-stack of n >= 256
-    unitaries, which only d <= 8 allows, is drawn as Householder products,
-    a smaller one as the phase-fixed QR of Ginibre matrices (Mezzadri 2007).
-    Every sub-stack taken is a new array; the Householder ones of one stack
-    share one normals buffer and one set of kernel work arrays.
+    unitaries, which only d <= 8 allows, is drawn as Householder products
+    into a new C-contiguous (d, d, n) array; a smaller one is the phase-fixed
+    QR of Ginibre matrices (Mezzadri 2007), handed out as a stack-last view
+    of LAPACK's own (n, d, d) array. Every sub-stack taken is its own array;
+    the Householder ones of one stack share one normals buffer and one set of
+    kernel work arrays, and the generator holds nothing of a sub-stack it has
+    handed out.
     """
     check_count("dimension", d, 1)
     check_count("size", size, 0)
@@ -204,8 +209,9 @@ def _sub_stacks(d: int, gen: np.random.Generator, size: int):
     for start in range(0, size, step):
         n = min(step, size - start)
         if n < _HOUSEHOLDER_MIN_SIZE:
-            re = gen.standard_normal((n, d, d))
-            yield _phase_fixed_qr(re, gen.standard_normal((n, d, d)))
+            shape = (n, d, d)
+            yield _phase_fixed_qr(gen.standard_normal(shape),
+                                  gen.standard_normal(shape)).transpose(1, 2, 0)
             continue
         if normals is None:
             normals, work = np.empty((2, rows * n)), _householder_work(d, n)
@@ -217,22 +223,25 @@ def _sub_stacks(d: int, gen: np.random.Generator, size: int):
 
 def haar_unitary(d: int, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
     """Haar-random unitary over C^d: one matrix, or with ``size`` set a
-    (size, d, d) stack, drawn as the sub-stacks of ``haar_blocks``. A stack
-    that fits in one sub-stack, as every ``basic_certify`` chunk does, is that
-    sub-stack itself, without a copy. A longer one, which no caller in the
-    library draws, is filled in sub-stack by sub-stack, so it needs the
-    result plus one sub-stack and the Householder work arrays.
+    C-contiguous (size, d, d) stack, drawn as the sub-stacks of
+    ``haar_blocks``. A stack that fits in one QR sub-stack, as every
+    ``basic_certify`` chunk does, is LAPACK's own array, without a copy; a
+    single Householder sub-stack is copied once out of its stack-last
+    layout. A longer stack, which no caller in the library draws, is filled
+    in sub-stack by sub-stack, so it needs the result plus one sub-stack and
+    the Householder work arrays.
     """
-    blocks = haar_blocks(d, rng, 1 if size is None else size)
-    if size is None:
-        return next(blocks)[0]
+    draws = 1 if size is None else size
+    blocks = haar_blocks(d, rng, draws)
     step = _block_rows(d)
-    if size <= step:
-        return next(blocks, np.empty((0, d, d), dtype=complex))
-    u = np.empty((size, d, d), dtype=complex)
-    for start in range(0, size, step):  # no sub-stack is kept while the next is drawn
-        u[start:start + step] = next(blocks)
-    return u
+    if draws <= step:
+        u = np.ascontiguousarray(next(blocks, np.empty((d, d, 0), dtype=complex))
+                                 .transpose(2, 0, 1))
+    else:
+        u = np.empty((size, d, d), dtype=complex)
+        for start in range(0, size, step):  # no sub-stack is kept while the next is drawn
+            u[start:start + step] = next(blocks).transpose(2, 0, 1)
+    return u[0] if size is None else u
 
 
 def haar_isometry(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:

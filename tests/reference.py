@@ -18,7 +18,9 @@ report bit for bit. ``block_haar_draw``, ``paninski_draw`` and
 as the library once did; its stacked draws must equal them byte for byte.
 ``weingarten_values``, ``haar_moment`` and ``ez2_exact`` rebuild the S_k class
 data on every call, as the exact oracles once did; the oracles' once-per-order
-tables must give their values bit for bit.
+tables must give their values bit for bit. ``moment_sums`` measures each Haar
+sub-stack as a C-contiguous (n, d, d) ``Basis``, as ``verify_moments_basic``
+once did; its stack-last sums must match it, bit for bit for a diagonal M.
 """
 
 import math
@@ -32,8 +34,9 @@ from qcert.haar_oracle import (DivergenceReport, _character, _hooks_and_contents
                                transcript_count)
 from qcert.linalg import (PSD_TOL, DensityMatrix, ValidationError, _mat, block_form,
                           check_hermitian, hermitian_part)
-from qcert.measurement import PROB_FLOOR, CopySource, UndefinedOutcomeError, outcome_distribution
-from qcert.rng import RngHandle, haar_unitary
+from qcert.measurement import (PROB_FLOOR, Basis, CopySource, UndefinedOutcomeError,
+                               outcome_distribution)
+from qcert.rng import RngHandle, haar_blocks, haar_unitary
 from qcert.spectrum import Spectrum
 
 # Audited constants for the ensemble second-moment bounds. The bucketwise
@@ -215,6 +218,22 @@ def paninski_draw(sigma, inst, gen) -> DensityMatrix:
 def haar_schedule_draw(d: int, copies: int, gen) -> np.ndarray:
     """``copies`` Haar bases, one ``haar_unitary`` after another."""
     return np.array([haar_unitary(d, gen) for _ in range(copies)]).reshape(copies, d, d)
+
+
+def moment_sums(m, samples: int, gen) -> tuple[float, float, float]:
+    """The sums of Z, Z^2 and Z^4 over ``samples`` Haar unitaries, Z the sum
+    of the squared Born weights of M's ``block_form``: each sub-stack of
+    ``haar_blocks`` copied to (n, d, d) and weighed by ``Basis.weights``."""
+    mat = check_hermitian(m)
+    block = block_form(mat)
+    z_sum = z2_sum = z4_sum = 0.0
+    for q in haar_blocks(mat.shape[0], gen, samples):
+        q = np.ascontiguousarray(q.transpose(2, 0, 1))
+        z = (Basis.trusted(q).weights(block) ** 2).sum(axis=1)
+        z_sum += z.sum()
+        z2_sum += (z**2).sum()
+        z4_sum += (z**4).sum()
+    return z_sum, z2_sum, z4_sum
 
 
 def product_distribution(state, schedule) -> np.ndarray:

@@ -452,6 +452,34 @@ class TestVerifyCommand:
             else:
                 assert ok, name
 
+    def test_pinned_moment_rows(self, capsys):
+        """The moment rows at seed 7, pinned exactly: 3000 samples are one
+        Householder sub-stack at d=2, three at d=4, and eleven plus a QR
+        remainder of 184 at d=8, all with a diagonal M."""
+        code, out = run_cli(["verify", "--samples", "3000", "--fuzz", "1", "--schedules", "1",
+                             "--seed", "7"], capsys)
+        assert code == 1
+        rows = {c["check"]: c for c in json.loads(out)["checks"] if c["check"].startswith("moments")}
+        assert rows == {
+            "moments-mean-d2": {"check": "moments-mean-d2", "ok": True,
+                                "estimate": 0.675790146381914, "exact": 0.6666666666666666,
+                                "se": 0.0107981391593597},
+            "moments-second-d2": {"check": "moments-second-d2", "ok": False,
+                                  "estimate": 0.8064917498615811, "bound": 0.375, "exact": None},
+            "moments-mean-d4": {"check": "moments-mean-d4", "ok": True,
+                                "estimate": 0.806013270556372, "exact": 0.8,
+                                "se": 0.009402646200127734},
+            "moments-second-d4": {"check": "moments-second-d4", "ok": False,
+                                  "estimate": 0.9148866590073088, "bound": 0.09375,
+                                  "exact": 0.9142857142857143},
+            "moments-mean-d8": {"check": "moments-mean-d8", "ok": True,
+                                "estimate": 0.8904783710162528, "exact": 0.8888888888888888,
+                                "se": 0.007728182134063489},
+            "moments-second-d8": {"check": "moments-second-d8", "ok": False,
+                                  "estimate": 0.9721261265395336, "bound": 0.0234375,
+                                  "exact": 0.9696969696969698},
+        }
+
     @pytest.mark.parametrize("argv, flag", [
         (["--samples", "0"], "--samples"),
         (["--samples", "-5"], "--samples"),

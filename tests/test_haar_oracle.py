@@ -480,6 +480,54 @@ class TestVerifyMoments:
             tracemalloc.stop()
         assert peak <= 2 * 2**20
 
+    @pytest.mark.parametrize("diagonal", [False, True], ids=["dense", "diagonal"])
+    def test_peak_is_one_sub_stack_draw(self, diagonal):
+        """Nothing of a sub-stack, nor of its weights, is held while the next
+        is drawn: at d=8 the peak over 20 000 samples is the peak of drawing
+        one 256-unitary sub-stack plus 128 KiB, where holding the previous
+        sub-stack through the draw would add its 256 KiB."""
+        gen = rng_for("oracle", "memory")
+        m = random_traceless(8, gen)
+        if diagonal:
+            m = np.diag(np.diagonal(m))
+
+        def peak(run):
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        draw = peak(lambda: next(rng_module.haar_blocks(8, gen, 20_000)))
+        assert peak(lambda: verify_moments_basic(m, 20_000, gen)) <= draw + 128 * 2**10
+
+    @pytest.mark.parametrize("d, samples, diagonal", [
+        (d, samples, diagonal)
+        for d, samples in [(1, 100), (1, 300), (2, 200), (2, 5000), (3, 2000), (5, 1000),
+                           (5, 2500), (8, 20_000)]
+        for diagonal in (True, False) if diagonal or d > 1  # a 1 x 1 matrix is diagonal
+    ])
+    def test_sums_match_the_reference(self, d, samples, diagonal):
+        """The stack-last sums against ``reference.moment_sums``, which weighs
+        (n, d, d) copies of the same sub-stacks, over Householder sub-stacks,
+        QR ones and a QR remainder (d=3 and 8): bit for bit for a diagonal M,
+        within 4e-16 relative for a dense one, whose one GEMM per sub-stack
+        may round the last bit of a weight otherwise than a matmul per
+        unitary does."""
+        gen = rng_for("oracle", "z-sums", d, samples)
+        m = random_hermitian(d, gen)
+        if diagonal:
+            m = np.diag(np.diagonal(m))
+        z, z2, z4 = reference.moment_sums(m, samples, rng_for("oracle", "z-sums", "draw"))
+        rep = verify_moments_basic(m, samples, rng_for("oracle", "z-sums", "draw"))
+        if diagonal:
+            assert (rep.ez_mc, rep.ez2_mc) == (z / samples, z2 / samples)
+            assert rep.ez2_se == math.sqrt(max(z4 / samples - rep.ez2_mc**2, 0.0) / samples)
+        else:
+            assert rep.ez_mc == pytest.approx(z / samples, rel=4e-16, abs=0)
+            assert rep.ez2_mc == pytest.approx(z2 / samples, rel=4e-16, abs=0)
+
     def test_exact_second_moment_matches_monte_carlo(self):
         # the order-4 Weingarten route is the oracle for E[Z^2]
         gen = rng_for("oracle", "vm4")

@@ -149,11 +149,12 @@ def one_shot_haar(d, gen, size=None):
     """The one-shot formula: for a stack of at least 256, d(d+1)/2 rows of
     real parts, then of imaginary parts, as Householder products; else one
     Ginibre stack (all real parts, then all imaginary parts), one QR and the
-    phase fix."""
+    phase fix. The Householder stack, built stack-last, is returned as
+    (size, d, d) like the QR one."""
     if size is not None and size >= 256:
         rows = d * (d + 1) // 2
         re, im = gen.standard_normal((rows, size)), gen.standard_normal((rows, size))
-        return rng_module._householder(re, im)
+        return rng_module._householder(re, im).transpose(2, 0, 1)
     shape = (d, d) if size is None else (size, d, d)
     re, im = gen.standard_normal(shape), gen.standard_normal(shape)
     q, r = np.linalg.qr((re + 1j * im) / np.sqrt(2))
@@ -192,7 +193,7 @@ class CountingGenerator(np.random.Generator):
 
 class TestGramSchmidtKernel:
     """The sub-stack kernel ``rng._householder``, which draws every sub-stack
-    of at least 256 unitaries, and the normal draws that feed the kernels."""
+    of at least 256 unitaries as a stack-last (k, k, n) array."""
 
     @pytest.mark.parametrize("d", range(1, 9))
     def test_matches_reflection_product(self, d):
@@ -200,7 +201,8 @@ class TestGramSchmidtKernel:
         re, im = gen.standard_normal((2, d * (d + 1) // 2, 40))
         q = rng_module._householder(re, im)
         want = [reflection_product(re[:, s] + 1j * im[:, s]) for s in range(40)]
-        assert np.abs(q - np.array(want)).max() <= 1e-13
+        assert q.shape == (d, d, 40)
+        assert np.abs(q - np.stack(want, axis=-1)).max() <= 1e-13
 
     @pytest.mark.parametrize("d", range(1, 9))
     def test_bits_independent_of_stack_grouping(self, d):
@@ -221,7 +223,11 @@ class TestGramSchmidtKernel:
                     if copy:
                         part_re, part_im = part_re.copy(), part_im.copy()
                     got = rng_module._householder(part_re, part_im)
-                    assert np.array_equal(got, whole[cols]), (size, cols, copy)
+                    assert np.array_equal(got, whole[..., cols]), (size, cols, copy)
+
+
+class TestNormalCalls:
+    """The normal draws that feed the kernels: two per sub-stack."""
 
     @pytest.mark.parametrize("d, size", [(4, None), (4, 300), (8, rng_module._block_rows(8)),
                                          (40, rng_module._block_rows(40))])
@@ -263,7 +269,7 @@ class TestBlockedDraw:
         taken = [next(blocks)]
         kept = taken[0].copy()
         taken += list(blocks)
-        assert [len(q) for q in taken] == [rows, rows, rows, 300]
+        assert [q.shape[-1] for q in taken] == [rows, rows, rows, 300]
         assert np.array_equal(taken[0], kept)
         assert not any(np.shares_memory(p, q) for i, p in enumerate(taken) for q in taken[:i])
 
@@ -289,7 +295,7 @@ class TestBlockedDraw:
 
     def test_sub_stack_sizes(self):
         rows = rng_module._BLOCK_ENTRIES // 64
-        sizes = [len(q) for q in haar_blocks(8, rng_for("blocks", "sizes"), 3 * rows + 100)]
+        sizes = [q.shape[-1] for q in haar_blocks(8, rng_for("blocks", "sizes"), 3 * rows + 100)]
         assert sizes == [rows, rows, rows, 100]
 
     def test_basic_certify_chunk_is_one_sub_stack(self):
@@ -308,7 +314,8 @@ class TestBlockedDraw:
 
         monkeypatch.setattr(rng_module, "haar_blocks", recording)
         u = haar_unitary(8, rng_for("blocks", "nocopy"), 100)
-        assert len(yielded) == 1 and u is yielded[0]
+        assert len(yielded) == 1 and np.shares_memory(u, yielded[0])
+        assert u.shape == (100, 8, 8) and u.flags.c_contiguous
 
     @pytest.mark.parametrize("d", [1, 4, 9])
     def test_single_matrix_matches_one_shot(self, d):
